@@ -10,10 +10,16 @@ list from the workload's recorded pool (``pool.json``), builds every input
 of that list, loads fixtures and runs one untimed warm-up item; it is
 repeated, import included, and its median reported.  The timed part then
 repeats passes over the item list for at least ``--seconds`` seconds (and
-at least MIN_PASSES passes) and checks every item: its verdict, its witness
-replay, its branching-leaf bound and its recorded output fingerprint.  Any
-exception, ``ResourceBudgetError`` included, fails the item.  Times are
-those of the fastest pass, and of each item's fastest repetition.
+at least MIN_PASSES passes), running light items up to MAX_REPS times in
+a row in a pass, and checks every run of an item: its verdict, its witness replay, its branching-leaf bound and
+its recorded output fingerprint.  Any exception, ``ResourceBudgetError``
+included, fails the run.  Every time is built from each item's median
+run: the pass time is their sum.  Between runs the benchmark also times a
+fixed reference computation that calls no library code, and every run
+(and set-up) time is scaled by REF_SECONDS over the reference's median
+time around it (see ``normalise``): work on a host that happens to be
+slowed down (other tenants' load on a shared machine) then reads as the
+same work.  The unscaled times are printed and kept in the run record.
 
 ``--trace 0`` reports the end-to-end metrics named in ``BENCHMARK.json``.
 ``--trace 1`` alternates untraced and traced passes; the traced ones wrap a
@@ -27,6 +33,7 @@ result as one JSON object.
 from __future__ import annotations
 
 import argparse
+import bisect
 import gc
 import importlib
 import inspect
@@ -44,9 +51,74 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = HERE / "out"
 
-SETUP_REPEATS = 5
-MIN_PASSES = 2
-TAIL_LADDER = (99.9, 99.5, 99.0, 98.0, 95.0, 90.0, 80.0, 75.0, 50.0)
+SETUP_REPEATS = 7
+MIN_PASSES = 3
+CLASS_TOLERANCE = 0.05  # share of a class's middle time its picks may differ by
+MAX_REPS = 10         # most runs of one item in a row in a pass
+REF_EVERY = 0.05      # seconds of item work between reference samples
+REF_SAMPLES = 3       # reference timings per sample
+REF_LOCAL = 0.5       # seconds from which a run is scaled by a window of timings
+REF_SECONDS = 0.0005  # about the reference's time on a 2-core Xeon VM; fixes the unit
+
+
+def _reference_graph(n: int = 300, m: int = 900) -> list[list[int]]:
+    rnd = random.Random(0)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for _ in range(m):
+        u, v = rnd.randrange(n), rnd.randrange(n)
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+_REF_GRAPH = _reference_graph()
+
+
+def reference() -> int:
+    """Fixed pure-Python work that calls no library code: breadth-first
+    searches over a fixed random graph, the kind of interpreter work the
+    library does.  Its timings over a run gauge the host's speed."""
+    total = 0
+    for s in range(0, len(_REF_GRAPH), 60):
+        dist = {s: 0}
+        queue = [s]
+        for u in queue:
+            for v in _REF_GRAPH[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        total += sum(dist.values())
+    return total
+
+
+def sample_reference(ref: list[tuple[float, float]]) -> None:
+    """Append REF_SAMPLES (end time, seconds) timings of the reference."""
+    for _ in range(REF_SAMPLES):
+        t0 = time.perf_counter()
+        reference()
+        t1 = time.perf_counter()
+        ref.append((t1, t1 - t0))
+
+
+def normalise(runs, ref) -> list[tuple[float, float]]:
+    """(wall, cpu) of each (start, end, cpu) run at the reference's speed:
+    scaled by REF_SECONDS over the median of the reference timings taken
+    around the run, the host's speed while it ran.  Around a run shorter
+    than REF_LOCAL seconds are the REF_SAMPLES timings right before and
+    right after it; around a longer one, which outlasts changes of the
+    host's speed, all timings within one run length of it."""
+    at = [t for t, _ in ref]
+    out = []
+    for t0, t1, cpu in runs:
+        i, j = bisect.bisect_left(at, t0), bisect.bisect_right(at, t1)
+        if t1 - t0 < REF_LOCAL:
+            near = ref[max(0, i - REF_SAMPLES):i] + ref[j:j + REF_SAMPLES]
+        else:
+            near = ref[bisect.bisect_left(at, 2 * t0 - t1):
+                       bisect.bisect_right(at, 2 * t1 - t0)]
+        factor = REF_SECONDS / statistics.median(s for _, s in near)
+        out.append(((t1 - t0) * factor, cpu * factor))
+    return out
 
 
 def load_library():
@@ -100,9 +172,11 @@ class Tracer:
 
 def select(wl, pool_rec: dict, seed: int, tiny: bool = False) -> list[str]:
     """The seed's item list, stratified so every seed gets the same mix of
-    light and heavy work: one item of every recorded work class, or one
-    item out of each of ``picks`` equal consecutive chunks of the pool
-    sorted by recorded seconds.  ``tiny`` takes the three lightest items."""
+    light and heavy work: one item of every recorded work class, drawn from
+    the members whose recorded time is within CLASS_TOLERANCE of the
+    class's middle member, or one item out of each of ``picks`` equal
+    consecutive chunks of the pool sorted by recorded time.  ``tiny`` takes
+    the three lightest items."""
     pool = wl.pool()
     missing = [k for k in pool if k not in pool_rec]
     if missing:
@@ -117,7 +191,11 @@ def select(wl, pool_rec: dict, seed: int, tiny: bool = False) -> list[str]:
         for k in pool:
             if pool_rec[k][2] is not None:
                 classes.setdefault(pool_rec[k][2], []).append(k)
-        keys = [rnd.choice(classes[c]) for c in sorted(classes)]
+        keys = []
+        for c in sorted(classes):
+            mid = pool_rec[classes[c][len(classes[c]) // 2]][1]
+            keys.append(rnd.choice([k for k in classes[c] if abs(
+                pool_rec[k][1] - mid) <= CLASS_TOLERANCE * mid]))
     else:
         n, take = len(pool), wl.picks
         keys = [pool[rnd.randrange(j * n // take, (j + 1) * n // take)]
@@ -126,39 +204,46 @@ def select(wl, pool_rec: dict, seed: int, tiny: bool = False) -> list[str]:
     return keys
 
 
-def run_pass(wl, items, keys, tracer, flip_key):
-    """One closed-loop pass; returns wall, cpu, per-item latency, outcomes
-    and the keys whose own check failed."""
-    latency, outcomes, bad = {}, {}, []
-    wall0, cpu0 = time.perf_counter(), time.process_time()
+def run_pass(wl, items, keys, reps, tracer, flip_key, expect, digest, ref):
+    """One closed-loop pass, ``reps[key]`` runs of each item in a row;
+    returns per-item lists of (start, end, cpu) times, the last outcome of
+    every item and one key for every run that failed its own check or its
+    recorded fingerprint ``expect[key]``.  Reference timings are appended
+    to ``ref`` before the first run, then between runs at most every
+    REF_EVERY seconds, and after the last run."""
+    times, outcomes, bad = {}, {}, []
+    last_ref = 0.0
     for key in keys:
-        tracer.item = key
-        t0 = time.perf_counter()
-        try:
-            ok, outcome = tracer.call("item", None, wl.run, items[key], tracer,
-                                      key == flip_key)
-        except Exception as exc:  # any failure, budget errors included
-            ok, outcome = False, ("error", type(exc).__name__, str(exc))
-        latency[key] = time.perf_counter() - t0
-        outcomes[key] = outcome
-        if not ok:
-            bad.append(key)
-    return (time.perf_counter() - wall0, time.process_time() - cpu0,
-            latency, outcomes, bad)
+        times[key] = []
+        for _ in range(reps[key]):
+            if time.perf_counter() - last_ref >= REF_EVERY:
+                sample_reference(ref)
+                last_ref = time.perf_counter()
+            tracer.item = key
+            t0, c0 = time.perf_counter(), time.process_time()
+            try:
+                ok, outcome = tracer.call("item", None, wl.run, items[key],
+                                          tracer, key == flip_key)
+            except Exception as exc:  # any failure, budget errors included
+                ok, outcome = False, ("error", type(exc).__name__, str(exc))
+            times[key].append((t0, time.perf_counter(),
+                               time.process_time() - c0))
+            outcomes[key] = outcome
+            if not ok or digest(repr(outcome)) != expect[key]:
+                bad.append(key)
+    sample_reference(ref)
+    return times, outcomes, bad
 
 
-def tail_percentile(n: int) -> float:
-    """Highest ladder percentile with at least 10 samples beyond it."""
-    for p in TAIL_LADDER:
-        if n * (100.0 - p) / 100.0 >= 10:
-            return p
-    return 50.0
-
-
-def percentile(values: list[float], p: float) -> float:
+def tail(values: list[float]) -> tuple[float, float]:
+    """(percentile, value) of the highest percentile with at least 10
+    samples beyond it: the 11th slowest sample.  Under 20 samples that
+    would fall below the median, so the slowest sample is taken instead."""
     ordered = sorted(values)
-    rank = max(1, -(-len(ordered) * p // 100))  # nearest rank
-    return ordered[int(rank) - 1]
+    n = len(ordered)
+    if n < 20:
+        return 100.0, ordered[-1]
+    return 100.0 * (n - 10) / n, ordered[n - 11]
 
 
 def layer_stats(spans: list[list], offset: int) -> dict:
@@ -237,7 +322,8 @@ def environment(seed: int) -> dict:
 def run_workload(name: str, seed: int, seconds: float, trace: bool,
                  tiny: bool = False, corrupt: bool = False) -> dict:
     """Set up, time and check one workload; returns the full record."""
-    setups = []
+    setups, setup_ref, ref = [], [], []
+    sample_reference(setup_ref)
     for _ in range(SETUP_REPEATS):
         t0 = time.perf_counter()
         wmod = load_library()
@@ -247,7 +333,15 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
         items = {k: wl.build(k) for k in keys}
         warm = min(keys, key=lambda k: (pool_rec[k][1], k))
         wl.run(items[warm], NullTracer(), False)
-        setups.append(time.perf_counter() - t0)
+        setups.append((t0, time.perf_counter(), 0.0))
+        sample_reference(setup_ref)
+    # In an untraced pass an item lighter than the list's mean runs in a row
+    # for about the mean's recorded time: on short, heavy-tailed lists the
+    # items near the median then get many more timings than passes alone
+    # would give them, and a pass takes at most twice as long.
+    mean = sum(pool_rec[k][1] for k in keys) / len(keys)
+    reps = {k: max(1, min(MAX_REPS, int(mean / pool_rec[k][1]))) for k in keys}
+    expect = {k: pool_rec[k][0] for k in keys}
 
     # Corruption negates the expected answer of the list's first item in
     # pool order; every pool starts with items whose expected answer the
@@ -260,7 +354,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
     gc.collect()
     gc.freeze()
     tracer = Tracer()
-    untraced, traced = [], []   # (wall, cpu, latency) / per-pass layer stats
+    untraced, traced = [], []   # item times / (item times, layer stats)
     failed = attempted = 0
     failures: list[str] = []
     outcomes: dict = {}
@@ -271,39 +365,51 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
         use_trace = trace and len(traced) < len(untraced)
         gc.collect()  # every pass starts from the same collector state
         offset = len(tracer.spans)
-        wall, cpu, latency, outcomes, bad = run_pass(
-            wl, items, keys, tracer if use_trace else NullTracer(), flip_key)
-        for key in keys:
-            if key not in bad and wmod.digest(repr(outcomes[key])) != pool_rec[key][0]:
-                bad.append(key)
-        attempted += len(keys)
+        # Traced passes run every item once, so that per-layer counts are
+        # those of one pass over the list.
+        times, outcomes, bad = run_pass(
+            wl, items, keys, dict.fromkeys(keys, 1) if use_trace else reps,
+            tracer if use_trace else NullTracer(), flip_key, expect,
+            wmod.digest, ref)
+        attempted += sum(len(t) for t in times.values())
         failed += len(bad)
         failures += [k for k in bad if k not in failures]
         if use_trace:
-            traced.append((wall, layer_stats(tracer.spans[offset:], offset)))
+            traced.append((times, layer_stats(tracer.spans[offset:], offset)))
         else:
-            untraced.append((wall, cpu, latency))
+            untraced.append(times)
     gc.unfreeze()
     if wl.ground_truth is not None:
         wrong = wl.ground_truth(items, outcomes, flip_key)
         failed += len(wrong)
         failures += [k for k in wrong if k not in failures]
 
-    # Interference from other work on a shared host only ever slows a pass
-    # down, so the run reports each pass's and each item's fastest repetition.
-    walls = [u[0] for u in untraced]
-    wall_s = min(walls)
-    samples = [min(u[2][k] for u in untraced) for k in keys]
-    tail_p = tail_percentile(len(keys))
-    e2e = {
-        "setup_s": statistics.median(setups),
-        "wall_s": wall_s,
-        "cpu_s": min(u[1] for u in untraced),
-        "items_per_s": len(keys) / wall_s,
-        "item_p50_ms": 1000 * statistics.median(samples),
-        "item_tail_ms": 1000 * percentile(samples, tail_p),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-    }
+    # Other work on a shared host slows runs down, for milliseconds to
+    # whole runs, so every run is scaled by the reference timed around it,
+    # each item reports its median run and pass times are the sum of those.
+    def median_run(runs, i):
+        return statistics.median(r[i] for r in runs)
+
+    item_runs = {k: [r for u in untraced for r in u[k]] for k in keys}
+    scaled = {k: normalise(runs, ref) for k, runs in item_runs.items()}
+    unscaled = {k: [(r[1] - r[0], r[2]) for r in runs]
+                for k, runs in item_runs.items()}
+    samples = [median_run(scaled[k], 0) for k in keys]
+    e2e, raw = {}, {}
+    for times, out in ((scaled, e2e), (unscaled, raw)):
+        walls = sorted(median_run(times[k], 0) for k in keys)
+        out["wall_s"] = sum(walls)
+        out["cpu_s"] = sum(median_run(times[k], 1) for k in keys)
+        out["item_p50_ms"] = 1000 * statistics.median(walls)
+        tail_p, tail_s = tail(walls)
+        out["item_tail_ms"] = 1000 * tail_s
+    raw["setup_s"] = statistics.median(t1 - t0 for t0, t1, _ in setups)
+    e2e["setup_s"] = median_run(normalise(setups, setup_ref), 0)
+    e2e["items_per_s"] = len(keys) / e2e["wall_s"]
+    ref_s = statistics.median(s for _, s in ref)
+    setup_ref_s = statistics.median(s for _, s in setup_ref)
+    scale = REF_SECONDS / ref_s   # per-layer times: the run's overall factor
+    e2e["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     layers: dict = {}
     counts_repeat = True
     if trace:
@@ -311,12 +417,18 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
         counts_repeat = all(_counts(a) == _counts(per_pass[0]) for a in per_pass)
         for m in load_spec()["per_layer"]:
             if m["name"] == "tracing.overhead_pct":
-                traced_wall = statistics.median(t[0] for t in traced)
-                layers[m["name"]] = 100.0 * (traced_wall / statistics.median(walls) - 1.0)
+                traced_wall = statistics.median(
+                    sum(w for runs in t[0].values() for w, _ in normalise(runs, ref))
+                    for t in traced)
+                layers[m["name"]] = 100.0 * (traced_wall / e2e["wall_s"] - 1.0)
             else:
                 prefix, stat = m["name"].rsplit(".", 1)
-                layers[m["name"]] = layer_metric(
-                    stat, [a.get(prefix, {}) for a in per_pass])
+                value = layer_metric(stat, [a.get(prefix, {}) for a in per_pass])
+                if stat == "busy_s":
+                    value *= scale
+                elif stat.endswith("_per_s"):
+                    value /= scale
+                layers[m["name"]] = value
         OUT.mkdir(exist_ok=True)
         spans_file = OUT / f"spans-{name}-seed{seed}.json"
         spans_file.write_text(json.dumps(
@@ -325,9 +437,14 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
     return {
         "workload": name, "env": environment(seed), "items": keys,
         "passes": len(untraced), "traced_passes": len(traced),
-        "pass_walls": walls,
+        "item_runs": {k: len(untraced) * reps[k] for k in keys},
         "item_ms": {k: round(1000 * t, 4) for k, t in zip(keys, samples)},
-        "tail_percentile": tail_p, "attempted": attempted, "failed": failed,
+        "tail_percentile": tail_p, "reference_s": ref_s,
+        "setup_reference_s": setup_ref_s,
+        "reference_samples": len(ref), "unscaled": raw,
+        "reference_ms_p5_to_p95": [1000 * q for q in statistics.quantiles(
+            [s for _, s in ref], n=20)],
+        "attempted": attempted, "failed": failed,
         "fail_ratio": failed / attempted, "failures": failures[:20],
         "counts_repeat": counts_repeat, "end_to_end": e2e, "per_layer": layers,
     }
@@ -367,12 +484,24 @@ def main(argv=None) -> int:
           f"{len(rec['items'])}  passes {rec['passes']} untraced, "
           f"{rec['traced_passes']} traced")
     print("env " + json.dumps(rec["env"], sort_keys=True))
-    notes = {"wall_s": f"fastest of {rec['passes']} passes",
-             "cpu_s": f"fastest of {rec['passes']} passes",
-             "items_per_s": f"{len(rec['items'])} items per pass",
-             "item_p50_ms": f"of {len(rec['items'])} items, each its fastest pass",
-             "item_tail_ms": f"p{rec['tail_percentile']:g} of "
-                             f"{len(rec['items'])} items, each its fastest pass"}
+    n = len(rec["items"])
+    tail_rank = ("slowest" if rec["tail_percentile"] == 100
+                 else f"p{rec['tail_percentile']:.4g}")
+    print(f"reference {1e3 * rec['reference_s']:.4f} ms (median of "
+          f"{rec['reference_samples']} timings; set-up: "
+          f"{1e3 * rec['setup_reference_s']:.4f} ms): each run's time is "
+          f"scaled by {1e3 * REF_SECONDS:g} ms over the reference's median "
+          f"time around it")
+    runs = sorted(set(rec["item_runs"].values()))
+    each = f"each its median of {runs[0]}-{runs[-1]} runs"
+    notes = {"setup_s": f"median of {SETUP_REPEATS} set-ups",
+             "wall_s": f"sum over {n} items, {each}",
+             "cpu_s": f"sum over {n} items, {each}",
+             "items_per_s": f"{n} items per pass",
+             "item_p50_ms": f"of {n} items, {each}",
+             "item_tail_ms": f"{tail_rank} of {n} items, {each}"}
+    for name, value in rec["unscaled"].items():
+        notes[name] = f"{notes[name]}; unscaled {value:.6g}"
     for group in ("end_to_end", "per_layer"):
         for m in spec[group]:
             if m["name"] in rec[group]:

@@ -28,8 +28,6 @@ from fractalcut import cli
 from fractalcut.composer import compose_dsct, compose_lbec, compose_mded
 from fractalcut.fixtures import VC_FIXTURES
 from fractalcut.fractal import build_fractal, enumerate_min_cuts, selected_instance
-from fractalcut.generators import (random_dag_lbec_input, random_lbec_input,
-                                   random_uncuttable_lbec_input)
 from fractalcut.graph import Graph, is_connected, min_cut
 from fractalcut.reducer import reduce_vc_to_planar_lbec
 from fractalcut.serialize import fractal_to_dot, parse, to_dimacs, to_json
@@ -81,11 +79,10 @@ def _edges_out(art) -> dict:
 
 # -- OR-composition trials ----------------------------------------------------
 #
-# The acceptance suite's criterion-5 trial shapes, one pool item per trial
-# index, each drawn from its own Random so any subset can be rebuilt alone.
-
-_PROBLEM = {"lbec-und": "lbec", "lbec-dag": "lbec", "dsct": "dsct",
-            "mded-und": "mded", "mded-dir": "mded"}
+# The acceptance suite's criterion-5 trial shapes (the per-trial table of
+# ``verify.check_or_composition``), one pool item per trial index, each drawn
+# from its own Random so any subset can be rebuilt alone; inputs come from
+# the suite's own generator.
 
 
 def _trial_shape(flavor: str, i: int, rnd: random.Random):
@@ -105,28 +102,6 @@ def _trial_shape(flavor: str, i: int, rnd: random.Random):
     return p, k, ell, n_hi, m_slack, simple
 
 
-def _trial_inputs(flavor, rnd, p, k, ell, n_hi, m_slack):
-    n_lo = 3 if max(k, ell) <= 3 else 4
-    if flavor == "mded-und":
-        n_lo = max(n_lo, k + 2)
-    dag = flavor in ("lbec-dag", "dsct", "mded-dir")
-    out = []
-    for _ in range(p):
-        n = rnd.randint(n_lo, max(n_lo, n_hi))
-        cap = 2 * n - 3 if dag else n * (n - 1) // 2
-        lo = max(k, ell, n - 1)
-        if flavor == "mded-und":
-            lo = max(lo, 2 * k + 1)
-        m = rnd.randint(lo, max(min(n + m_slack, cap), lo))
-        if dag:
-            out.append(random_dag_lbec_input(rnd, n=n, m=m, k=k, ell=ell))
-        elif flavor == "mded-und":
-            out.append(random_uncuttable_lbec_input(rnd, n=n, m=m, k=k, ell=ell))
-        else:
-            out.append(random_lbec_input(rnd, n=n, m=m, k=k, ell=ell))
-    return out
-
-
 def _compose_pool(flavors, size):
     def pool():
         return [f"{fl}/{i}" for fl in flavors for i in range(size)]
@@ -137,13 +112,14 @@ def _compose_build(key: str):
     flavor, i = key.split("/")
     rnd = random.Random(f"compose/{key}")
     p, k, ell, n_hi, m_slack, simple = _trial_shape(flavor, int(i), rnd)
-    inputs = _trial_inputs(flavor, rnd, p, k, ell, n_hi, m_slack)
+    inputs = verify._make_inputs(rnd, p, k, ell, verify._INPUT_FLAVOR[flavor],
+                                 n_hi, m_slack)
     return flavor, inputs, simple
 
 
 def _compose_run(item, tr, flip):
     flavor, inputs, simple = item
-    problem = _PROBLEM[flavor]
+    problem = flavor.split("-")[0]
     verdicts = [tr.call("solvers.solve_bruteforce", _subsets,
                         solve_bruteforce, x) for x in inputs]
     expected = any(v.answer for v in verdicts) != flip
@@ -186,9 +162,7 @@ def _oracle_states(key: str, outcome: tuple) -> Optional[str]:
 
 def _leaf_bound(inst: ProblemInstance) -> int:
     """Golovach-Thilikos branching bounds: ell**k for DSCT, (ell-1)**k else."""
-    if inst.kind == "dsct":
-        return inst.ell ** inst.k if inst.ell >= 1 else 0
-    return (inst.ell - 1) ** inst.k if inst.ell >= 2 else 0
+    return verify._branch_limit(inst.kind, inst.k, inst.ell)
 
 
 def _leaves(inst):
