@@ -14,6 +14,7 @@ for every canonical form; DOT and DIMACS are exports only.
 from __future__ import annotations
 
 import json
+from typing import Optional
 
 from .errors import ParseError
 from .fractal import TFractal, build_fractal
@@ -83,9 +84,15 @@ def _field(obj: dict, name: str, kinds) -> object:
     if name not in obj:
         raise ParseError(f"missing field {name!r}")
     value = obj[name]
-    if not isinstance(value, kinds):
+    # JSON true/false load as bool, a subclass of int: an integer field
+    # must hold an integer proper.
+    if not (type(value) is int if kinds is int else isinstance(value, kinds)):
         raise ParseError(f"field {name!r} has the wrong type")
     return value
+
+
+def _optional_int(obj: dict, name: str) -> Optional[int]:
+    return _field(obj, name, int) if obj.get(name) is not None else None
 
 
 def _parse_graph_obj(obj: dict) -> Graph:
@@ -95,7 +102,7 @@ def _parse_graph_obj(obj: dict) -> Graph:
     edges = []
     for i, entry in enumerate(raw):
         if not (isinstance(entry, list) and 2 <= len(entry) <= 4
-                and all(isinstance(x, int) for x in entry)):
+                and all(type(x) is int for x in entry)):
             raise ParseError(f"edges[{i}] must be [u, v(, cost(, length))]")
         edges.append(tuple(entry))
     labels = None
@@ -118,18 +125,23 @@ def _parse_instance_obj(obj: dict) -> ProblemInstance:
     n = _field(obj, "n", int)
     raw = _field(obj, "edges", list)
     costs = obj.get("costs")
-    if costs is not None and len(costs) != len(raw):
-        raise ParseError("costs array must match the edge list")
+    if costs is not None:
+        costs = _field(obj, "costs", list)
+        if len(costs) != len(raw):
+            raise ParseError("costs array must match the edge list")
+        if not all(type(c) is int for c in costs):
+            raise ParseError("costs must be integers")
+    s, t = _optional_int(obj, "s"), _optional_int(obj, "t")
     edges = []
     for i, entry in enumerate(raw):
         if not (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(x, int) for x in entry)):
+                and all(type(x) is int for x in entry)):
             raise ParseError(f"edges[{i}] must be [u, v]")
         cost = costs[i] if costs is not None else 1
         edges.append((entry[0], entry[1], cost, 1))
     try:
         g = Graph(directed, n, edges)
-        return ProblemInstance(kind, g, s=obj.get("s"), t=obj.get("t"),
+        return ProblemInstance(kind, g, s=s, t=t,
                                k=_field(obj, "k", int),
                                ell=_field(obj, "ell", int))
     except ParseError:

@@ -664,6 +664,19 @@ class _CostAwareSearch:
 
     The diameter problem keeps every non-bridge pair individually: corridor
     stubs change eccentricities, so the chain quotient does not apply to it.
+
+    The diameter predicate is incremental, with or without ``symmetry``.  The
+    search expands a state only when the predicate failed there, so a
+    connected parent hands its children the complete distance array of each
+    of its diameter sources, every entry below ell (else it would have
+    passed).  Severing pairs only lengthens distances.  Call a pair (u, v)
+    *tight* in the array d of source x when d(v) == d(u) + 1 (undirected:
+    |d(u) - d(v)| == 1).  Every vertex y at distance j > 0 from x has a tight
+    pair into y from a vertex at distance j - 1.  If none of the severed
+    pairs is tight in d, all those pairs survive, so by induction on j every
+    distance from x is unchanged and d is the child's array too, again with
+    eccentricity below ell.  Only a source with a tight severed pair, or one
+    the parent had no array for, needs a BFS in the child.
     """
 
     def __init__(self, inst: ProblemInstance, symmetry: bool = True):
@@ -906,15 +919,18 @@ class _CostAwareSearch:
             self.in_masks[v] = imv
 
     # ---- predicates on the current masks
+    #
+    # Each predicate takes what the parent state handed down and the pair ids
+    # severed to reach the current state.  It returns True when the current
+    # state answers the question, and otherwise what the state's children
+    # inherit (only the diameter predicate hands anything down).
 
-    def _predicate(self) -> bool:
-        kind = self.inst.kind
-        if kind == "lbec":
-            return not self._reaches_within(self.inst.s, self.inst.t,
-                                            self.inst.ell - 1)
-        if kind == "dsct":
-            return not self._has_cycle_within(self.inst.ell)
-        return self._mded_predicate()
+    def _lbec_holds(self, parent, severed):
+        return not self._reaches_within(self.inst.s, self.inst.t,
+                                        self.inst.ell - 1)
+
+    def _dsct_holds(self, parent, severed):
+        return not self._has_cycle_within(self.inst.ell)
 
     def _reaches_within(self, s: int, t: int, limit: int) -> bool:
         """True iff dist(s, t) <= limit on the surviving support."""
@@ -961,57 +977,83 @@ class _CostAwareSearch:
                 frontier = nxt
         return False
 
-    def _ecc_at_least(self, src: int, target: int) -> bool:
-        seen = 1 << src
-        frontier = seen
-        d = 0
-        while True:
-            nxt = 0
-            for i in _bits(frontier):
-                nxt |= self.out_masks[i]
-            frontier = nxt & ~seen
-            if not frontier:
-                return d >= target
-            d += 1
-            if d >= target:
-                return True
-            seen |= frontier
+    def _mded_holds(self, parent, severed):
+        """Connected (strongly, if directed) with diameter >= ell.
 
-    def _mded_predicate(self) -> bool:
+        A connected state that fails hands down its distance array from
+        every diameter source; a disconnected one hands down None.  An array
+        the parent handed down is reused when no severed pair is tight in it
+        (see the class docstring), otherwise the source gets a fresh BFS.
+        """
         n = self.n
         if n == 0:
             return self.inst.ell <= 0
-        # Connectivity first (strong for directed graphs).
-        if self.directed:
-            for masks in (self.out_masks, self.in_masks):
-                seen = 1
-                frontier = 1
-                while frontier:
-                    nxt = 0
-                    for i in _bits(frontier):
-                        nxt |= masks[i]
-                    frontier = nxt & ~seen
-                    seen |= nxt
-                if seen != self.full_mask:
-                    return False
-        else:
-            seen = 1
-            frontier = 1
+        # Connectivity first (strong for directed graphs).  Corridors keep
+        # most frontiers one vertex wide, hence the single-bit fast path.
+        full = self.full_mask
+        for masks in ((self.out_masks, self.in_masks) if self.directed
+                      else (self.out_masks,)):
+            seen = frontier = 1
             while frontier:
-                nxt = 0
-                for i in _bits(frontier):
-                    nxt |= self.out_masks[i]
+                if frontier & (frontier - 1):
+                    nxt = 0
+                    while frontier:
+                        b = frontier & -frontier
+                        nxt |= masks[b.bit_length() - 1]
+                        frontier ^= b
+                else:
+                    nxt = masks[frontier.bit_length() - 1]
                 frontier = nxt & ~seen
                 seen |= nxt
-            if seen != self.full_mask:
-                return False
+            if seen != full:
+                return None
         if n == 1:
             return self.inst.ell <= 0
-        # Eccentricity scan from a reduced source set (see docstrings below).
+        ell = self.inst.ell
+        cut = [self.pairs[pid] for pid in severed] if parent else ()
+        dists = {}
         for src in self._diameter_sources():
-            if self._ecc_at_least(src, self.inst.ell):
-                return True
-        return False
+            dist = parent.get(src) if parent else None
+            if dist is not None:
+                for u, v in cut:
+                    if dist[v] - dist[u] == 1 or (
+                            not self.directed and dist[u] - dist[v] == 1):
+                        dist = None
+                        break
+            if dist is None:
+                dist = self._distances_below(src, ell)
+                if dist is None:
+                    return True
+            dists[src] = dist
+        return dists
+
+    def _distances_below(self, src: int, ell: int):
+        """Hop distances from src on the (strongly) connected surviving
+        support, or None as soon as some vertex lies ell or more hops away."""
+        masks = self.out_masks
+        dist = [0] * self.n
+        seen = frontier = 1 << src
+        d = 0
+        while True:
+            if frontier & (frontier - 1):
+                nxt = 0
+                while frontier:
+                    b = frontier & -frontier
+                    i = b.bit_length() - 1
+                    dist[i] = d
+                    nxt |= masks[i]
+                    frontier ^= b
+            else:
+                i = frontier.bit_length() - 1
+                dist[i] = d
+                nxt = masks[i]
+            frontier = nxt & ~seen
+            if not frontier:
+                return dist if d < ell else None
+            d += 1
+            if d >= ell:
+                return None
+            seen |= frontier
 
     def _diameter_sources(self) -> list[int]:
         """Sources whose eccentricities realize the diameter.
@@ -1033,7 +1075,7 @@ class _CostAwareSearch:
                 if self.in_masks[v].bit_count() != 1:
                     srcs.append(v)
                     continue
-                u = next(_bits(self.in_masks[v]))
+                u = self.in_masks[v].bit_length() - 1
                 if self.out_masks[u].bit_count() != 1:
                     srcs.append(v)
             return srcs if srcs else [0]
@@ -1060,14 +1102,17 @@ class _CostAwareSearch:
         chosen: list[int] = []
         units = [u for u in self.units if u[0] <= budget]
         result: Optional[tuple[int, ...]] = None
+        holds = {"lbec": self._lbec_holds, "mded": self._mded_holds,
+                 "dsct": self._dsct_holds}[self.inst.kind]
 
-        def rec(start: int, budget_left: int) -> bool:
+        def rec(start: int, budget_left: int, parent, severed) -> bool:
             nonlocal tested, result
             tested += 1
             if tested > max_states:
                 raise ResourceBudgetError(
                     f"cost-aware search exceeded {max_states} states")
-            if self._predicate():
+            inherited = holds(parent, severed)
+            if inherited is True:
                 out = []
                 for ui in chosen:
                     out.extend(units[ui][2])
@@ -1080,14 +1125,14 @@ class _CostAwareSearch:
                 undo: list = []
                 self._apply_pairs(pids, undo)
                 chosen.append(ui)
-                ok = rec(ui + 1, budget_left - cost)
+                ok = rec(ui + 1, budget_left - cost, inherited, pids)
                 chosen.pop()
                 self._undo(undo, len(undo))
                 if ok:
                     return True
             return False
 
-        found = rec(0, budget)
+        found = rec(0, budget, None, ())
         if found:
             return Verdict(True, result, tested)
         return Verdict(False, None, tested)

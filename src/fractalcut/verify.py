@@ -96,7 +96,6 @@ def check_directed_fractal_acyclic(q_max: int = 8) -> CheckResult:
     failures = []
     for q in range(q_max + 1):
         f = build_fractal(q, directed=True)
-        order = sorted(range(f.graph.n))
         # position labeling orients every arc upward, so a topological order
         # is the identity; verify rather than assume.
         if any(e.u >= e.v for e in f.graph.edges):

@@ -176,6 +176,17 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_bool_for_int_field_exits_two(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "lbec_a.json").read_text())
+    doc["k"] = True
+    bad = tmp_path / "bool_k.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", "--method", "fpt", "--input", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "'k'" in err
+    assert err.count("\n") == 1
+
+
 def test_argparse_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["gen"])  # missing required --q

@@ -1,5 +1,7 @@
 """Canonical JSON round-trips and the export formats."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,6 +57,46 @@ def test_parse_error_diagnostics():
     with pytest.raises(ParseError):
         parse('{"problem": "lbec", "directed": false, "n": 2, '
               '"edges": [[0, 1]], "k": 1, "ell": 1}')  # missing terminals
+
+
+def _with(doc, **changes):
+    return json.dumps({**doc, **changes})
+
+
+_INSTANCE = {"problem": "lbec", "directed": False, "n": 3,
+             "edges": [[0, 1], [1, 2]], "s": 0, "t": 2, "k": 1, "ell": 2}
+_GRAPH = {"type": "graph", "directed": False, "n": 3, "edges": [[0, 1, 1, 1]]}
+
+
+_FRACTAL = json.loads(to_json(build_fractal(1)))
+
+
+@pytest.mark.parametrize("text", [
+    _with(_INSTANCE, n=True),
+    _with(_INSTANCE, k=True),
+    _with(_INSTANCE, ell=True),
+    _with(_INSTANCE, s=False),
+    _with(_INSTANCE, t=True),
+    _with(_INSTANCE, s=0.0),
+    _with(_INSTANCE, edges=[[0, True], [1, 2]]),
+    _with(_INSTANCE, costs=[1, True]),
+    _with(_INSTANCE, costs="12"),
+    _with(_GRAPH, n=True),
+    _with(_GRAPH, edges=[[0, 1, True, 1]]),
+    _with(_GRAPH, edges=[[0, 1, 1, False]]),
+    _with(_FRACTAL, q=True),
+    _with(_FRACTAL, cost=True),
+], ids=["n", "k", "ell", "s", "t", "s-float", "edge", "costs", "costs-str",
+        "graph-n", "graph-cost", "graph-length", "fractal-q", "fractal-cost"])
+def test_parse_rejects_bool_and_float_where_int_expected(text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+def test_parse_accepts_the_same_documents_with_ints():
+    assert parse(json.dumps(_INSTANCE)).k == 1
+    assert parse(_with(_INSTANCE, costs=[1, 2])).graph.edges[1].cost == 2
+    assert parse(json.dumps(_GRAPH)).n == 3
 
 
 def test_parse_rejects_tampered_fractal():

@@ -13,7 +13,10 @@ from fractalcut import (Graph, InputError, ProblemInstance,
                         solve_mded_fpt, split_vertex)
 from fractalcut.generators import random_solver_instance
 from fractalcut.graph import bfs_distance
-from fractalcut.solvers import _SlotState, instance_predicate
+from fractalcut.composer import compose_mded
+from fractalcut.solvers import (_CostAwareSearch, _SlotState, _alive_adj,
+                                _bfs_all, instance_predicate)
+from fractalcut.verify import _make_inputs
 
 
 def triangle():
@@ -279,3 +282,92 @@ def test_replay_predicate_matches_manual_checks():
     inst = ProblemInstance("mded", cycle4(), k=1, ell=3)
     assert instance_predicate(inst, (0,))     # P4: connected, diameter 3
     assert not instance_predicate(inst, ())   # C4 has diameter 2
+
+
+# -- incremental MDED predicate ------------------------------------------------------
+
+def _composed_mded(seed, directed, k, ell, mode):
+    """A composed MDED instance from the criterion-5 input generator."""
+    rnd = random.Random(seed)
+    if directed:
+        inputs = _make_inputs(rnd, 2, k, ell, "dag", 4, 1)
+    else:
+        n_hi, m_slack = (5, 2) if k == 1 else (4, 0)
+        inputs = _make_inputs(rnd, 2, k, ell, "uncuttable", n_hi, m_slack)
+    return compose_mded(inputs, directed=directed, mode=mode).composed
+
+
+# (seed, directed, k, ell, mode) -> (answer, witness, nodes), recorded before
+# the MDED predicate became incremental: the state count must not drift.
+PINNED_MDED = [
+    ((5, True, 1, 4, "weighted"), (True, (0, 2, 28), 20)),
+    ((2, True, 1, 3, "simple"), (False, None, 92)),
+    ((0, False, 1, 3, "weighted"), (False, None, 606)),
+    ((0, False, 2, 3, "simple"), (False, None, 960)),
+]
+
+
+@pytest.mark.parametrize("params,expected", PINNED_MDED)
+def test_costaware_mded_pinned_verdicts(params, expected):
+    v = solve_bruteforce_costaware(_composed_mded(*params))
+    assert (v.answer, v.witness, v.nodes) == expected
+
+
+class _ReplayedMded(_CostAwareSearch):
+    """Checks the incremental diameter predicate at every visited state
+    against the replay-grade predicate on the severed edges, and every
+    distance array it hands down against a fresh BFS."""
+
+    visited = 0
+
+    def _mded_holds(self, parent, severed):
+        got = super()._mded_holds(parent, severed)
+        dead = frozenset(i for (u, v), idxs in zip(self.pairs, self.pair_edges)
+                         if not self.out_masks[u] >> v & 1 for i in idxs)
+        assert (got is True) == instance_predicate(self.inst, dead), dead
+        if isinstance(got, dict):
+            adj = _alive_adj(self.inst.graph, dead)
+            for src, dist in got.items():
+                assert dist == _bfs_all(adj, src, self.n), (dead, src)
+        self.visited += 1
+        return got
+
+
+def _replay_states(inst, symmetry, max_states=50_000_000):
+    """Run the search under replay; a capped run checks the states it got to."""
+    search = _ReplayedMded(inst, symmetry=symmetry)
+    try:
+        verdict = search.solve(inst.k, max_states)
+    except ResourceBudgetError:
+        assert search.visited == max_states
+        return None
+    assert search.visited == verdict.nodes
+    return verdict
+
+
+def test_incremental_mded_predicate_matches_replay_random():
+    rnd = random.Random(2016)
+    seen_directed = set()
+    for _ in range(40):
+        inst = random_solver_instance(rnd, "mded", n_max=7, k_max=3, ell_max=5)
+        seen_directed.add(inst.graph.directed)
+        fast = _replay_states(inst, True)
+        raw = _replay_states(inst, False)
+        assert fast.answer == raw.answer
+    assert seen_directed == {True, False}
+
+
+@pytest.mark.parametrize("params", [
+    (1, True, 1, 4, "weighted"),
+    (5, True, 1, 4, "simple"),
+    (4, True, 1, 3, "simple"),
+    (2, False, 1, 3, "weighted"),
+    (4, False, 1, 4, "simple"),
+])
+def test_incremental_mded_predicate_matches_replay_composed(params):
+    # Without the symmetry reductions the weighted budget of 5 spans
+    # millions of states; the capped run still replays the first hundred,
+    # which reach the full severance depth.
+    inst = _composed_mded(*params)
+    assert _replay_states(inst, True) is not None
+    _replay_states(inst, False, max_states=100)
