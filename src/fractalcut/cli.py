@@ -15,11 +15,10 @@ from pathlib import Path
 from .composer import compose_dsct, compose_lbec, compose_mded, pad_to_power_of_two
 from .errors import FractalcutError
 from .fractal import build_fractal
-from .reducer import TwoPageEmbedding, VcInstance, reduce_vc_to_planar_lbec
-from .serialize import fractal_to_dot, parse, to_dimacs, to_json
+from .reducer import TwoPageEmbedding, reduce_vc_to_planar_lbec
+from .serialize import fractal_to_dot, parse, parse_vc, to_dimacs, to_json
 from .solvers import ProblemInstance, solve_bruteforce, solve_bruteforce_costaware, solve_fpt
 from . import verify as verify_mod
-from .graph import Graph
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,9 +125,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    vc_obj = json.loads(Path(args.vc).read_text())
-    graph = Graph(False, vc_obj["n"], [tuple(e) for e in vc_obj["edges"]])
-    inst = VcInstance(graph, vc_obj["k"])
+    inst = parse_vc(Path(args.vc).read_text())
     emb = TwoPageEmbedding.from_json_obj(json.loads(Path(args.embedding).read_text()))
     reduced = reduce_vc_to_planar_lbec(inst, emb, directed=args.directed)
     sys.stdout.write(to_json(reduced))
@@ -169,6 +166,10 @@ def main(argv=None) -> int:
         return 2
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: malformed input: {exc}\n")
+        return 2
+    except RecursionError:
+        sys.stderr.write("error: input too deep for the recursive branching "
+                         "solver\n")
         return 2
 
 

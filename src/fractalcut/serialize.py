@@ -8,7 +8,8 @@ The JSON instance schema is the exchange format used by the CLI:
 with an optional parallel "costs" array when the instance carries non-unit
 deletion costs (weighted composer output).  Plain graphs and fractals use a
 "type"-tagged schema documented in the README.  parse() inverts to_json()
-for every canonical form; DOT and DIMACS are exports only.
+for every canonical form; parse_vc() reads the vertex-cover input of the
+reduction; DOT and DIMACS are exports only.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Optional
 from .errors import ParseError
 from .fractal import TFractal, build_fractal
 from .graph import Graph
+from .reducer import VcInstance
 from .solvers import ProblemInstance
 
 _DOT_PALETTE = ("black", "blue", "forestgreen", "orange", "magenta",
@@ -163,14 +165,19 @@ def _parse_fractal_obj(obj: dict) -> TFractal:
     return f
 
 
-def parse(text: str):
-    """Inverse of to_json for graphs, instances, and fractals."""
+def _json_object(text: str) -> dict:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
+    return obj
+
+
+def parse(text: str):
+    """Inverse of to_json for graphs, instances, and fractals."""
+    obj = _json_object(text)
     if obj.get("type") == "fractal":
         return _parse_fractal_obj(obj)
     if obj.get("type") == "graph":
@@ -178,6 +185,20 @@ def parse(text: str):
     if "problem" in obj:
         return _parse_instance_obj(obj)
     raise ParseError("unrecognized document: expected a type tag or a problem field")
+
+
+def parse_vc(text: str) -> VcInstance:
+    """Parse a vertex-cover input: {"n": int, "edges": [[u, v], ...], "k": int}."""
+    obj = _json_object(text)
+    n = _field(obj, "n", int)
+    edges = []
+    for i, entry in enumerate(_field(obj, "edges", list)):
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(type(x) is int for x in entry)):
+            raise ParseError(f"edges[{i}] must be [u, v]")
+        edges.append(tuple(entry))
+    k = _field(obj, "k", int)
+    return VcInstance(Graph(False, n, edges), k)
 
 
 # -- exports -----------------------------------------------------------------

@@ -665,18 +665,58 @@ class _CostAwareSearch:
     The diameter problem keeps every non-bridge pair individually: corridor
     stubs change eccentricities, so the chain quotient does not apply to it.
 
-    The diameter predicate is incremental, with or without ``symmetry``.  The
-    search expands a state only when the predicate failed there, so a
-    connected parent hands its children the complete distance array of each
-    of its diameter sources, every entry below ell (else it would have
-    passed).  Severing pairs only lengthens distances.  Call a pair (u, v)
-    *tight* in the array d of source x when d(v) == d(u) + 1 (undirected:
-    |d(u) - d(v)| == 1).  Every vertex y at distance j > 0 from x has a tight
-    pair into y from a vertex at distance j - 1.  If none of the severed
-    pairs is tight in d, all those pairs survive, so by induction on j every
-    distance from x is unchanged and d is the child's array too, again with
-    eccentricity below ell.  Only a source with a tight severed pair, or one
-    the parent had no array for, needs a BFS in the child.
+    The diameter predicate is incremental, with or without ``symmetry``.
+
+    * Diameter sources.  Only vertices whose eccentricities can realize the
+      diameter are searched from (after Takes and Kosters, CIKM 2011).
+      Undirected: a diametral endpoint inside a pendant tree can be pushed
+      to one of the tree's leaves, so the 2-core plus all degree-1 vertices
+      suffice.  Directed (strongly connected): if some in-neighbour u of v
+      has out-degree one, every path out of u starts u -> v, so
+      dist(u, y) = 1 + dist(v, y) for y != u, and for y = u the predecessor
+      w of u on a shortest path from v gives dist(u, w) = dist(v, u); so
+      ecc(u) >= ecc(v) and v is dropped.  Following such dominators from a
+      dropped vertex ends at a kept one, unless they close a cycle of
+      out-degree-one vertices; strong connectivity makes that cycle the
+      whole graph, where any single source suffices.
+    * Fixed sources.  The sources are taken once, on the full support.  A
+      connected state's own source set is a subset of them, so the maximum
+      eccentricity over the fixed set is still the state's diameter.
+      Undirected: the 2-core only shrinks as pairs are severed, and a
+      vertex outside the root's 2-core has only bridges as edges, which a
+      connected state keeps, so its degree is unchanged and it is a source
+      of the state only if it is a degree-1 source of the root.  Directed:
+      if u has out-degree one at the root, a strongly connected state
+      keeps u's only arc u -> v, so u still has out-degree one and v is
+      still dropped.
+    * Reused arrays.  The search expands a state only when the predicate
+      failed there, so a connected parent hands its children, for each
+      source x, the complete distance array d, every entry below ell (else
+      it would have passed), and the masks reach[j] of the vertices within
+      j hops of x.  Severing pairs only lengthens distances.  Call a pair
+      (u, v) *tight* in d when d(v) == d(u) + 1 (undirected: either
+      orientation), and the head v of a severed tight pair *orphaned* when
+      no surviving in-neighbour of v lies in reach[d(v) - 1].  One that
+      does lies at distance exactly d(v) - 1, since every in-neighbour w of
+      v has d(w) >= d(v) - 1.  Let L + 1 be the lowest level of an orphaned
+      head.  Every vertex y at distance j with 0 < j <= L keeps a surviving
+      in-neighbour at distance j - 1: y had one in the parent, and if all
+      of them were severed, y is the head of a severed tight pair that is
+      not orphaned.  By induction on j no distance up to L changes, so
+      reach[0..L] and the entries of d on reach[L] hold in the child, and a
+      BFS resumed from level L finishes the child's array.  With no
+      orphaned head, d is the child's array as it stands, again with
+      eccentricity below ell.  So a source needs BFS work only from its
+      lowest orphaned head on, or from scratch when the parent handed down
+      no arrays.
+    * Connectivity from the arrays.  A reused or completed array shows
+      that its source reaches every vertex, and a BFS whose frontier runs
+      out first shows that it does not.  Undirected, that decides
+      connectivity; directed, one sweep over the in-masks adds that every
+      vertex reaches the first source.  Only a BFS that stops early, at
+      ell hops, leaves it open, and then one sweep decides it.  Severing
+      more pairs never reconnects a support, so the children of a
+      disconnected state fail without any of this.
     """
 
     def __init__(self, inst: ProblemInstance, symmetry: bool = True):
@@ -705,6 +745,8 @@ class _CostAwareSearch:
                 self.out_masks[v] |= 1 << u
                 self.in_masks[u] |= 1 << v
         self.full_mask = (1 << g.n) - 1
+        if inst.kind == "mded":
+            self.sources = self._diameter_sources()
 
         excluded = self._excluded_pairs() if symmetry else set()
         if symmetry and inst.kind in ("lbec", "dsct"):
@@ -756,9 +798,8 @@ class _CostAwareSearch:
         kind = self.inst.kind
         excluded = set()
         if kind == "mded":
-            strong = self.directed
             for pid in range(len(self.pairs)):
-                if not self._support_connected_without(pid, strong):
+                if not self._support_connected_without(pid):
                     excluded.add(pid)
         elif kind == "dsct":
             # Arcs inside a strongly connected component lie on a cycle;
@@ -769,33 +810,19 @@ class _CostAwareSearch:
                     excluded.add(pid)
         return excluded
 
-    def _support_connected_without(self, pid: int, strong: bool) -> bool:
-        if self.n <= 1:
-            return True
-        u0, v0 = self.pairs[pid]
-
-        def sweep(masks, skip_u, skip_v, both_ways):
-            seen = 1
-            frontier = 1
-            while frontier:
-                nxt = 0
-                for i in _bits(frontier):
-                    mask = masks[i]
-                    if i == skip_u:
-                        mask &= ~(1 << skip_v)
-                    if both_ways and i == skip_v:
-                        mask &= ~(1 << skip_u)
-                    nxt |= mask
-                frontier = nxt & ~seen
-                seen |= nxt
-            return seen == self.full_mask
-
-        if not self.directed:
-            return sweep(self.out_masks, u0, v0, True)
-        if strong:
-            return (sweep(self.out_masks, u0, v0, False)
-                    and sweep(self.in_masks, v0, u0, False))
-        raise InputError("weak connectivity exclusion is not used for directed graphs")
+    def _support_connected_without(self, pid: int) -> bool:
+        """Is the support still (strongly, if directed) connected once pair
+        pid is severed?"""
+        u, v = self.pairs[pid]
+        if self.out_masks[u] == 1 << v or self.in_masks[v] == 1 << u:
+            return False  # the pair is u's only way out or v's only way in
+        undo: list = []
+        self._apply_pairs((pid,), undo)
+        full = self.full_mask
+        connected = self._sweep(self.out_masks, 0) == full and (
+            not self.directed or self._sweep(self.in_masks, 0) == full)
+        self._undo(undo, len(undo))
+        return connected
 
     def _scc_ids(self) -> list[int]:
         n = self.n
@@ -980,60 +1007,85 @@ class _CostAwareSearch:
     def _mded_holds(self, parent, severed):
         """Connected (strongly, if directed) with diameter >= ell.
 
-        A connected state that fails hands down its distance array from
-        every diameter source; a disconnected one hands down None.  An array
-        the parent handed down is reused when no severed pair is tight in it
-        (see the class docstring), otherwise the source gets a fresh BFS.
+        A connected state that fails hands down, for each fixed source, its
+        distance array and reach masks; a disconnected one hands down False.
+        A handed-down array is reused as it stands, or its BFS resumed below
+        the lowest orphaned head (see the class docstring).
         """
-        n = self.n
-        if n == 0:
-            return self.inst.ell <= 0
-        # Connectivity first (strong for directed graphs).  Corridors keep
-        # most frontiers one vertex wide, hence the single-bit fast path.
-        full = self.full_mask
-        for masks in ((self.out_masks, self.in_masks) if self.directed
-                      else (self.out_masks,)):
-            seen = frontier = 1
-            while frontier:
-                if frontier & (frontier - 1):
-                    nxt = 0
-                    while frontier:
-                        b = frontier & -frontier
-                        nxt |= masks[b.bit_length() - 1]
-                        frontier ^= b
-                else:
-                    nxt = masks[frontier.bit_length() - 1]
-                frontier = nxt & ~seen
-                seen |= nxt
-            if seen != full:
-                return None
-        if n == 1:
-            return self.inst.ell <= 0
+        if parent is False:
+            return False
         ell = self.inst.ell
-        cut = [self.pairs[pid] for pid in severed] if parent else ()
-        dists = {}
-        for src in self._diameter_sources():
-            dist = parent.get(src) if parent else None
-            if dist is not None:
+        if self.n <= 1:
+            return ell <= 0
+        full = self.full_mask
+        sources = self.sources
+        in_masks = self.in_masks
+        # Every vertex reaches sources[0]; its array below shows the converse.
+        if self.directed and self._sweep(in_masks, sources[0]) != full:
+            return False
+        undirected = not self.directed
+        cut = [self.pairs[pid] for pid in severed]
+        arrays = []
+        for i, src in enumerate(sources):
+            if parent:
+                dist, reach = parent[i]
+                # The lowest level of an orphaned head.
+                redo = len(reach)
                 for u, v in cut:
-                    if dist[v] - dist[u] == 1 or (
-                            not self.directed and dist[u] - dist[v] == 1):
-                        dist = None
-                        break
-            if dist is None:
-                dist = self._distances_below(src, ell)
-                if dist is None:
+                    du, dv = dist[u], dist[v]
+                    if dv - du == 1 and not in_masks[v] & reach[du]:
+                        redo = min(redo, dv)
+                    elif (undirected and du - dv == 1
+                          and not in_masks[u] & reach[dv]):
+                        redo = min(redo, du)
+                if redo == len(reach):
+                    arrays.append(parent[i])
+                    continue
+                got = self._distances_below(ell, dist[:], reach[:redo])
+            else:
+                got = self._distances_below(ell, [0] * self.n, [1 << src])
+            if got is None:
+                # Some vertex is ell or more hops away: the state passes if
+                # connected, which an earlier source's array shows.
+                if i or self._sweep(self.out_masks, src) == full:
                     return True
-            dists[src] = dist
-        return dists
+                return False
+            if not got:
+                return False
+            arrays.append(got)
+        return arrays
 
-    def _distances_below(self, src: int, ell: int):
-        """Hop distances from src on the (strongly) connected surviving
-        support, or None as soon as some vertex lies ell or more hops away."""
+    def _sweep(self, masks, start: int) -> int:
+        """The mask of the vertices reachable from start along masks.
+        Corridors keep most frontiers one vertex wide, hence the single-bit
+        fast path."""
+        seen = frontier = 1 << start
+        while frontier:
+            if frontier & (frontier - 1):
+                nxt = 0
+                while frontier:
+                    b = frontier & -frontier
+                    nxt |= masks[b.bit_length() - 1]
+                    frontier ^= b
+            else:
+                nxt = masks[frontier.bit_length() - 1]
+            frontier = nxt & ~seen
+            seen |= nxt
+        return seen
+
+    def _distances_below(self, ell: int, dist: list[int], reach: list[int]):
+        """Finish a BFS on the surviving support, given the masks reach[j]
+        of the vertices within j hops of its source for j < len(reach) and
+        a dist array that is right on those vertices.
+
+        Returns (dist, reach) when every vertex lies within ell - 1 hops,
+        None as soon as some vertex lies ell or more hops away, and False
+        when the frontier runs out before reaching every vertex.
+        """
         masks = self.out_masks
-        dist = [0] * self.n
-        seen = frontier = 1 << src
-        d = 0
+        d = len(reach) - 1
+        seen = reach[d]
+        frontier = seen & ~reach[d - 1] if d else seen
         while True:
             if frontier & (frontier - 1):
                 nxt = 0
@@ -1049,36 +1101,24 @@ class _CostAwareSearch:
                 nxt = masks[i]
             frontier = nxt & ~seen
             if not frontier:
-                return dist if d < ell else None
+                return (dist, reach) if seen == self.full_mask else False
             d += 1
             if d >= ell:
                 return None
             seen |= frontier
+            reach.append(seen)
 
     def _diameter_sources(self) -> list[int]:
-        """Sources whose eccentricities realize the diameter.
-
-        Undirected: a diametral endpoint inside a pendant tree can be pushed
-        to one of the tree's leaves, so the 2-core plus all degree-1 vertices
-        suffice.  Directed (strongly connected): if v has a unique in-neighbor
-        u and u has out-degree one, every path out of u starts u -> v, so
-        dist(u, y) = 1 + dist(v, y) for y != u and the out-eccentricity of u
-        dominates that of v (for y = u, the predecessor of u on a longest
-        path out of v realizes the same value); dropping all such v is
-        therefore safe, and if it drops everything the graph is one directed
-        cycle where any single source suffices.
-        """
+        """Sources whose eccentricities realize the diameter of the
+        current support when it is (strongly) connected; see the class
+        docstring."""
         n = self.n
         if self.directed:
-            srcs = []
-            for v in range(n):
-                if self.in_masks[v].bit_count() != 1:
-                    srcs.append(v)
-                    continue
-                u = self.in_masks[v].bit_length() - 1
-                if self.out_masks[u].bit_count() != 1:
-                    srcs.append(v)
-            return srcs if srcs else [0]
+            dominated = 0
+            for out in self.out_masks:
+                if out and not out & (out - 1):
+                    dominated |= out
+            return [v for v in range(n) if not dominated >> v & 1] or [0]
         deg = [self.out_masks[v].bit_count() for v in range(n)]
         removed = bytearray(n)
         stack = [v for v in range(n) if deg[v] == 1]

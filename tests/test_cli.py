@@ -187,6 +187,31 @@ def test_bool_for_int_field_exits_two(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_reduce_bool_for_int_field_exits_two(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "vc_cycle4.json").read_text())
+    doc["k"] = True
+    bad = tmp_path / "bool_k.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "reduce", "--vc", str(bad),
+                         "--embedding", str(FIXTURES / "embedding_cycle4.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "'k'" in err
+    assert err.count("\n") == 1
+
+
+def test_deep_fpt_input_exits_two(capsys, tmp_path):
+    # 1,200 disjoint two-hop s-t paths: the LBEC brancher recurses once per
+    # deleted edge, deeper than the interpreter's recursion limit.
+    edges = [[0, 2 + j] for j in range(1200)] + [[2 + j, 1] for j in range(1200)]
+    doc = {"problem": "lbec", "directed": False, "n": 1202, "edges": edges,
+           "s": 0, "t": 1, "k": 1100, "ell": 3}
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", "--method", "fpt", "--input", str(deep))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_argparse_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["gen"])  # missing required --q

@@ -15,7 +15,8 @@ from fractalcut.generators import random_solver_instance
 from fractalcut.graph import bfs_distance
 from fractalcut.composer import compose_mded
 from fractalcut.solvers import (_CostAwareSearch, _SlotState, _alive_adj,
-                                _bfs_all, instance_predicate)
+                                _bfs_all, _connected_after, _diameter,
+                                instance_predicate)
 from fractalcut.verify import _make_inputs
 
 
@@ -315,8 +316,10 @@ def test_costaware_mded_pinned_verdicts(params, expected):
 
 class _ReplayedMded(_CostAwareSearch):
     """Checks the incremental diameter predicate at every visited state
-    against the replay-grade predicate on the severed edges, and every
-    distance array it hands down against a fresh BFS."""
+    against the replay-grade predicate on the severed edges, every distance
+    array and reach mask it hands down against a fresh BFS, and, at every
+    connected state, that the diameter sources recomputed from the current
+    support are among the search's fixed sources."""
 
     visited = 0
 
@@ -325,10 +328,16 @@ class _ReplayedMded(_CostAwareSearch):
         dead = frozenset(i for (u, v), idxs in zip(self.pairs, self.pair_edges)
                          if not self.out_masks[u] >> v & 1 for i in idxs)
         assert (got is True) == instance_predicate(self.inst, dead), dead
-        if isinstance(got, dict):
+        if _connected_after(self.inst.graph, dead):
+            assert set(self._diameter_sources()) <= set(self.sources), dead
+        if isinstance(got, list):
             adj = _alive_adj(self.inst.graph, dead)
-            for src, dist in got.items():
+            assert len(got) == len(self.sources)
+            for src, (dist, reach) in zip(self.sources, got):
                 assert dist == _bfs_all(adj, src, self.n), (dead, src)
+                assert reach == [sum(1 << v for v in range(self.n)
+                                     if dist[v] <= j)
+                                 for j in range(max(dist) + 1)], (dead, src)
         self.visited += 1
         return got
 
@@ -345,11 +354,24 @@ def _replay_states(inst, symmetry, max_states=50_000_000):
     return verdict
 
 
+def _random_support_mded(rnd):
+    """An MDED instance on random pairs, often not (strongly) connected."""
+    directed = rnd.random() < 0.5
+    n = rnd.randint(2, 6)
+    pool = [(u, v) for u in range(n) for v in range(n)
+            if u != v and (directed or u < v)]
+    g = Graph(directed, n, rnd.sample(pool, rnd.randint(1, len(pool))))
+    return ProblemInstance("mded", g, k=rnd.randint(0, 2),
+                           ell=rnd.randint(1, 4))
+
+
 def test_incremental_mded_predicate_matches_replay_random():
     rnd = random.Random(2016)
     seen_directed = set()
-    for _ in range(40):
-        inst = random_solver_instance(rnd, "mded", n_max=7, k_max=3, ell_max=5)
+    instances = [random_solver_instance(rnd, "mded", n_max=7, k_max=3,
+                                        ell_max=5) for _ in range(40)]
+    instances += [_random_support_mded(rnd) for _ in range(200)]
+    for inst in instances:
         seen_directed.add(inst.graph.directed)
         fast = _replay_states(inst, True)
         raw = _replay_states(inst, False)
@@ -357,13 +379,16 @@ def test_incremental_mded_predicate_matches_replay_random():
     assert seen_directed == {True, False}
 
 
-@pytest.mark.parametrize("params", [
+COMPOSED_MDED = [
     (1, True, 1, 4, "weighted"),
     (5, True, 1, 4, "simple"),
     (4, True, 1, 3, "simple"),
     (2, False, 1, 3, "weighted"),
     (4, False, 1, 4, "simple"),
-])
+]
+
+
+@pytest.mark.parametrize("params", COMPOSED_MDED)
 def test_incremental_mded_predicate_matches_replay_composed(params):
     # Without the symmetry reductions the weighted budget of 5 spans
     # millions of states; the capped run still replays the first hundred,
@@ -371,3 +396,37 @@ def test_incremental_mded_predicate_matches_replay_composed(params):
     inst = _composed_mded(*params)
     assert _replay_states(inst, True) is not None
     _replay_states(inst, False, max_states=100)
+
+
+def _random_strong_digraph(rnd, n, extra):
+    """A Hamiltonian cycle in random order plus random chords."""
+    order = list(range(n))
+    rnd.shuffle(order)
+    arcs = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    while len(arcs) < min(n + extra, n * (n - 1)):
+        arcs.add(tuple(rnd.sample(range(n), 2)))
+    return Graph(True, n, sorted(arcs))
+
+
+def _fed_by_out_degree_one(g):
+    """Vertices of in-degree >= 2 with an in-neighbour of out-degree 1."""
+    out_deg = [0] * g.n
+    in_deg = [0] * g.n
+    for e in g.edges:
+        out_deg[e.u] += 1
+        in_deg[e.v] += 1
+    return {e.v for e in g.edges if out_deg[e.u] == 1 and in_deg[e.v] >= 2}
+
+
+def test_diameter_sources_realize_the_diameter():
+    rnd = random.Random(1512)
+    graphs = [_random_strong_digraph(rnd, rnd.randint(2, 9), rnd.randint(0, 8))
+              for _ in range(300)]
+    assert sum(bool(_fed_by_out_degree_one(g)) for g in graphs) >= 50
+    graphs += [_composed_mded(*params).graph for params in COMPOSED_MDED]
+    for g in graphs:
+        assert _connected_after(g, frozenset())
+        sources = _CostAwareSearch(ProblemInstance("mded", g, k=0, ell=1)).sources
+        adj = _alive_adj(g, frozenset())
+        worst = max(max(_bfs_all(adj, v, g.n)) for v in sources)
+        assert worst == _diameter(g, frozenset()), (g.edges, sources)
