@@ -8,15 +8,15 @@ input error.  Diagnostics go to stderr only.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .composer import compose_dsct, compose_lbec, compose_mded, pad_to_power_of_two
 from .errors import FractalcutError
-from .fractal import build_fractal
-from .reducer import TwoPageEmbedding, reduce_vc_to_planar_lbec
-from .serialize import fractal_to_dot, parse, parse_vc, to_dimacs, to_json
+from .fractal import MAX_DEPTH, build_fractal
+from .reducer import reduce_vc_to_planar_lbec
+from .serialize import (fractal_to_dot, parse, parse_embedding, parse_vc,
+                        pretty_json, to_dimacs, to_json)
 from .solvers import ProblemInstance, solve_bruteforce, solve_bruteforce_costaware, solve_fpt
 from . import verify as verify_mod
 
@@ -28,7 +28,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a fractal")
-    gen.add_argument("--q", type=int, required=True, help="fractal depth")
+    gen.add_argument("--q", type=int, required=True,
+                     help=f"fractal depth, 0..{MAX_DEPTH}")
     gen.add_argument("--directed", action="store_true")
     gen.add_argument("--cost", type=int, default=1, help="edge deletion cost")
     gen.add_argument("--format", choices=("json", "dot", "dimacs"),
@@ -97,7 +98,7 @@ def _cmd_compose(args) -> int:
         "params": {key: art.params[key] for key in sorted(art.params)},
         "mode": art.mode,
     }
-    sidecar_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    sidecar_text = pretty_json(sidecar)
     sys.stdout.write(instance_text)
     if args.out:
         Path(f"{args.out}.instance.json").write_text(instance_text)
@@ -120,13 +121,13 @@ def _cmd_solve(args) -> int:
         "witness": verdict.witness_pairs(inst.graph),
         "nodes": verdict.nodes,
     }
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(pretty_json(payload))
     return 0
 
 
 def _cmd_reduce(args) -> int:
     inst = parse_vc(Path(args.vc).read_text())
-    emb = TwoPageEmbedding.from_json_obj(json.loads(Path(args.embedding).read_text()))
+    emb = parse_embedding(Path(args.embedding).read_text())
     reduced = reduce_vc_to_planar_lbec(inst, emb, directed=args.directed)
     sys.stdout.write(to_json(reduced))
     return 0
@@ -164,7 +165,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         sys.stderr.write(f"error: malformed input: {exc}\n")
         return 2
     except RecursionError:

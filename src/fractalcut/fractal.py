@@ -19,15 +19,27 @@ Edges are stored boundary by boundary, so the edge with index
 The dual tree encodes the minimum sigma-tau cuts: its root-leaf paths are in
 bijection with them, there are exactly 2**q, each has q+1 edges with exactly
 one edge per boundary, and the cut through leaf i separates deepest-boundary
-vertices i-1 and i.
+vertices i-1 and i.  Under the position labeling that cut takes from each
+boundary L the edge whose span contains gap i, its (((i-1) >> (q-L)) + 1)-th
+edge, so a cut is looked up in O(q) arithmetic.  The tree itself (2**(q+1)
+nodes) is built only when ``TFractal.dual`` is first read; nothing on the
+construction, cut or serialization path needs it.
+
+Depths above ``MAX_DEPTH`` are refused before anything is allocated: a
+depth-q fractal has 2**(q+1) - 1 edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InputError
 from .graph import CutCertificate, Graph
+
+MAX_DEPTH = 20
+"""Largest accepted fractal depth: 2**21 - 1 edges, well above the
+benchmark's q=16 and the paper's desk-scale checks."""
 
 
 @dataclass(frozen=True)
@@ -73,11 +85,16 @@ class TFractal:
     depth: int
     edge_cost: int
     boundaries: tuple[tuple[int, ...], ...]
-    dual: DualTree = field(compare=False)
 
     @property
     def leaf_count(self) -> int:
         return 1 << self.depth
+
+    @cached_property
+    def dual(self) -> DualTree:
+        """The dual tree, built on first read and kept (not a field, so it
+        takes no part in equality)."""
+        return _build_dual(self.depth)
 
 
 def _edge_index(level: int, j: int) -> int:
@@ -155,8 +172,8 @@ def build_fractal(q: int, directed: bool = False, cost: int = 1) -> TFractal:
     the larger endpoint; the result is acyclic, sigma has in-degree 0 and
     out-degree q+1, tau has out-degree 0 and in-degree q+1.
     """
-    if q < 0:
-        raise InputError(f"fractal depth must be non-negative, got {q}")
+    if not (0 <= q <= MAX_DEPTH):
+        raise InputError(f"fractal depth must be in 0..{MAX_DEPTH}, got {q}")
     if cost < 1:
         raise InputError(f"edge cost must be positive, got {cost}")
 
@@ -187,12 +204,11 @@ def build_fractal(q: int, directed: bool = False, cost: int = 1) -> TFractal:
         depth=q,
         edge_cost=cost,
         boundaries=tuple(boundaries),
-        dual=_build_dual(q),
     )
 
 
 def dual_tree(f: TFractal) -> DualTree:
-    """The dual tree of a fractal (built at construction time)."""
+    """The dual tree of a fractal (built on first use)."""
     return f.dual
 
 
@@ -200,14 +216,18 @@ def cut_for_instance(f: TFractal, i: int) -> CutCertificate:
     """The unique minimum sigma-tau cut selecting gap i.
 
     Removing it leaves deepest-boundary vertex i-1 in sigma's component and
-    vertex i in tau's component.  Read off the dual tree as the root-leaf
-    path of the leaf with gap i.
+    vertex i in tau's component.  It is the root-leaf path of the dual tree's
+    leaf with gap i, read off the position labels: one edge per boundary,
+    so the indices come out ascending.
     """
     if not (1 <= i <= f.leaf_count):
         raise InputError(f"instance index {i} out of range 1..{f.leaf_count}")
-    leaf = f.dual.leaf_order[i - 1]
-    edges = f.dual.root_leaf_edges(leaf)
-    return CutCertificate(tuple(sorted(edges)), f.edge_cost * len(edges))
+    q, gap = f.depth, i - 1
+    # _edge_index(level, (gap >> (q - level)) + 1), inlined: this runs for
+    # every cut enumerated.
+    edges = tuple([(1 << level) - 1 + (gap >> (q - level))
+                   for level in range(q + 1)])
+    return CutCertificate(edges, f.edge_cost * (q + 1))
 
 
 def selected_instance(f: TFractal, cut: CutCertificate) -> int:

@@ -42,20 +42,12 @@ class TwoPageEmbedding:
     """Spine order plus a page assignment for every edge.
 
     ``order[j]`` is the vertex at spine position j; ``pages`` maps each
-    canonical edge pair (u < v) to "upper" or "lower".
+    canonical edge pair (u < v) to "upper" or "lower".  ``to_json_obj`` is
+    read back by ``serialize.parse_embedding``.
     """
 
     order: tuple[int, ...]
     pages: dict
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "TwoPageEmbedding":
-        pages = {}
-        for key, page in obj["pages"].items():
-            u, v = key.split("-")
-            u, v = int(u), int(v)
-            pages[(min(u, v), max(u, v))] = page
-        return TwoPageEmbedding(tuple(obj["order"]), pages)
 
     def to_json_obj(self) -> dict:
         return {

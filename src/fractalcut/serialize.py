@@ -8,19 +8,22 @@ The JSON instance schema is the exchange format used by the CLI:
 with an optional parallel "costs" array when the instance carries non-unit
 deletion costs (weighted composer output).  Plain graphs and fractals use a
 "type"-tagged schema documented in the README.  parse() inverts to_json()
-for every canonical form; parse_vc() reads the vertex-cover input of the
-reduction; DOT and DIMACS are exports only.
+for every canonical form; parse_vc() and parse_embedding() read the
+vertex-cover input of the reduction and its two-page embedding; DOT and
+DIMACS are exports only.  Every JSON document is written by one writer,
+pretty_json().
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Optional
 
 from .errors import ParseError
 from .fractal import TFractal, build_fractal
 from .graph import Graph
-from .reducer import VcInstance
+from .reducer import PAGES, TwoPageEmbedding, VcInstance
 from .solvers import ProblemInstance
 
 _DOT_PALETTE = ("black", "blue", "forestgreen", "orange", "magenta",
@@ -79,7 +82,55 @@ def to_json(obj) -> str:
         payload = graph_to_json_obj(obj)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return pretty_json(payload)
+
+
+def pretty_json(payload) -> str:
+    """The canonical text of a JSON document: what the standard library's
+    ``json.dumps`` writes with ``indent=2`` and ``sort_keys=True``, plus a
+    newline."""
+    return _emit(payload, "") + "\n"
+
+
+def _emit(obj, pad: str) -> str:
+    """The ``pretty_json`` text of ``obj`` without the final newline, for a
+    value whose first line is indented by ``pad``, in one pass.
+
+    ``json.dumps`` drops to its pure-Python encoder whenever ``indent`` is
+    set, which dominates writing a large fractal.  This writer takes the
+    same type tests in the same order, sends strings, floats, booleans and
+    None to ``json.dumps`` (so escaping is the standard library's), and
+    joins a list of ints, or of [int, int] pairs such as edges, in one
+    ``join``.  A dict key that is not a string raises TypeError instead of
+    being coerced, and so does any value ``json.dumps`` would reject.
+    """
+    if isinstance(obj, (str, float)) or obj is None or obj is True or obj is False:
+        return json.dumps(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(x) is int for x in obj):
+            items = map(str, obj)
+        elif all(type(x) is list and len(x) == 2 and type(x[0]) is int
+                 and type(x[1]) is int for x in obj):
+            inner2 = inner + "  "
+            items = [f"[\n{inner2}{u},\n{inner2}{v}\n{inner}]" for u, v in obj]
+        else:
+            items = (_emit(x, inner) for x in obj)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for key in obj:
+            if type(key) is not str:
+                raise TypeError(f"dict key {key!r} is not a string")
+        items = (f"{json.dumps(key)}: {_emit(obj[key], inner)}"
+                 for key in sorted(obj))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _field(obj: dict, name: str, kinds) -> object:
@@ -199,6 +250,25 @@ def parse_vc(text: str) -> VcInstance:
         edges.append(tuple(entry))
     k = _field(obj, "k", int)
     return VcInstance(Graph(False, n, edges), k)
+
+
+def parse_embedding(text: str) -> TwoPageEmbedding:
+    """Parse a two-page embedding: {"order": [v, ...], "pages": {"u-v": page}}
+    with integer vertex ids and each page "upper" or "lower"."""
+    obj = _json_object(text)
+    order = _field(obj, "order", list)
+    if not all(type(v) is int for v in order):
+        raise ParseError("order must list integer vertex ids")
+    pages = {}
+    for key, page in _field(obj, "pages", dict).items():
+        match = re.fullmatch(r"(\d+)-(\d+)", key, re.ASCII)
+        if match is None:
+            raise ParseError(f"pages key {key!r} is not of the form 'u-v'")
+        if page not in PAGES:
+            raise ParseError(f"pages[{key!r}] must be one of {PAGES}")
+        u, v = int(match[1]), int(match[2])
+        pages[(min(u, v), max(u, v))] = page
+    return TwoPageEmbedding(tuple(order), pages)
 
 
 # -- exports -----------------------------------------------------------------

@@ -212,6 +212,54 @@ def test_deep_fpt_input_exits_two(capsys, tmp_path):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _stdlib_text(text):
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_solve_and_compose_payloads_match_stdlib(capsys):
+    for method, name in (("fpt", "lbec_a"), ("brute", "mded_c4"),
+                         ("brute", "dsct_c3"), ("fpt", "dag_a")):
+        code, out, _ = run(capsys, "solve", "--method", method,
+                           "--input", str(FIXTURES / f"{name}.json"))
+        assert code == 0 and out == _stdlib_text(out), name
+    for problem, names in (("lbec", ("lbec_a", "lbec_b", "lbec_c")),
+                           ("mded", ("lbec_a", "lbec_d")),
+                           ("dsct", ("dag_a", "dag_b"))):
+        for mode in ("weighted", "simple"):
+            code, out, err = run(capsys, "compose", "--problem", problem,
+                                 "--mode", mode, "--inputs",
+                                 *(str(FIXTURES / f"{n}.json") for n in names))
+            assert code == 0, (problem, mode)
+            assert out == _stdlib_text(out) and err == _stdlib_text(err)
+
+
+@pytest.mark.parametrize("change", [
+    {"order": [0, True, 2, 3]},
+    {"order": [0, 1.0, 2, 3]},
+    {"pages": [1]},
+], ids=["order-bool", "order-float", "pages-list"])
+def test_reduce_malformed_embedding_exits_two(capsys, tmp_path, change):
+    doc = json.loads((FIXTURES / "embedding_cycle4.json").read_text())
+    bad = tmp_path / "embedding.json"
+    bad.write_text(json.dumps({**doc, **change}))
+    code, out, err = run(capsys, "reduce", "--vc", str(FIXTURES / "vc_cycle4.json"),
+                         "--embedding", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_fractal_depth_over_cap_exits_two(capsys, tmp_path):
+    code, out, err = run(capsys, "gen", "--q", "21")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "depth" in err and err.count("\n") == 1
+    doc = {"type": "fractal", "q": 21, "directed": False, "cost": 1, "edges": []}
+    deep = tmp_path / "fractal.json"
+    deep.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", "--method", "fpt", "--input", str(deep))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "depth" in err and err.count("\n") == 1
+
+
 def test_argparse_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["gen"])  # missing required --q

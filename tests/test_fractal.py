@@ -6,7 +6,8 @@ import pytest
 
 from fractalcut import (InputError, build_fractal, cut_for_instance,
                         dual_tree, enumerate_min_cuts, is_edge_cut,
-                        is_minimal_edge_cut, selected_instance)
+                        is_minimal_edge_cut, selected_instance, to_json)
+from fractalcut.fractal import MAX_DEPTH
 from fractalcut.graph import bfs_distance
 
 
@@ -126,6 +127,34 @@ def test_cut_for_instance_matches_closed_form():
         f = build_fractal(q)
         for i in range(1, (1 << q) + 1):
             assert cut_for_instance(f, i).edges == closed_form_cut(f, i)
+
+
+def test_cut_for_instance_matches_dual_tree_paths():
+    for q in range(0, 11):
+        for directed in (False, True):
+            f = build_fractal(q, directed=directed)
+            d = f.dual
+            for i in range(1, (1 << q) + 1):
+                path = d.root_leaf_edges(d.leaf_order[i - 1])
+                assert cut_for_instance(f, i).edges == tuple(sorted(path))
+
+
+def test_dual_tree_is_built_only_on_first_use():
+    f = build_fractal(5, directed=True, cost=2)
+    for cert in enumerate_min_cuts(f):
+        selected_instance(f, cert)
+    to_json(f)
+    assert "dual" not in vars(f)
+    d = dual_tree(f)
+    assert vars(f)["dual"] is d and f.dual is d
+    assert f == build_fractal(5, directed=True, cost=2)  # dual takes no part
+
+
+def test_depth_cap():
+    assert build_fractal(0).depth == 0
+    for q in (-1, MAX_DEPTH + 1, 10 ** 9):
+        with pytest.raises(InputError, match="depth"):
+            build_fractal(q)
 
 
 def test_depth_one_first_cut():

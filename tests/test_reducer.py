@@ -1,6 +1,7 @@
 """Vertex-cover reduction: embeddings, gadget arithmetic, soundness."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from fractalcut import (Graph, InputError, TwoPageEmbedding,
                         solve_vc_bruteforce, validate_embedding)
 from fractalcut.composer import _is_acyclic
 from fractalcut.fixtures import VC_FIXTURES
+from fractalcut.serialize import parse_embedding
 from fractalcut.solvers import instance_predicate
 
 
@@ -51,7 +53,7 @@ def test_embedding_requires_permutation_and_pages():
 
 def test_embedding_json_round_trip():
     emb = VC_FIXTURES[2].embedding()
-    again = TwoPageEmbedding.from_json_obj(emb.to_json_obj())
+    again = parse_embedding(json.dumps(emb.to_json_obj()))
     assert again == emb
 
 

@@ -8,6 +8,11 @@ from hypothesis import given, settings, strategies as st
 from fractalcut import (Graph, ParseError, ProblemInstance, build_fractal,
                         compose_lbec, fractal_to_dot, parse, to_dimacs,
                         to_dot, to_json)
+from fractalcut.fractal import MAX_DEPTH
+from fractalcut.reducer import TwoPageEmbedding
+from fractalcut.serialize import (fractal_to_json_obj, graph_to_json_obj,
+                                  instance_to_json_obj, parse_embedding,
+                                  pretty_json)
 
 
 def test_fractal_round_trip():
@@ -43,6 +48,54 @@ def test_weighted_instance_round_trip():
     assert again.graph.edges == orig.graph.edges
     assert again.graph.directed == orig.graph.directed
     assert again.graph.n == orig.graph.n
+
+
+def _stdlib_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_to_json_matches_stdlib_on_fractals():
+    for q in range(0, 11):
+        for directed in (False, True):
+            for cost in (1, 2):
+                f = build_fractal(q, directed=directed, cost=cost)
+                assert to_json(f) == _stdlib_text(fractal_to_json_obj(f))
+
+
+def test_to_json_matches_stdlib_on_graphs_and_instances():
+    labels = {0: 'quote " here', 1: "back\\slash", 2: "caf\u00e9 \u2192 \u03c3",
+              3: "tab\tnew\nline"}
+    graphs = [Graph(False, 0, []), Graph(True, 3, []),
+              Graph(True, 4, [(0, 1, 3, 1), (1, 2), (2, 3, 1, 5)], labels=labels),
+              Graph(False, 4, [(0, 1), (1, 2), (0, 1)], labels={3: ""})]
+    for g in graphs:
+        assert to_json(g) == _stdlib_text(graph_to_json_obj(g))
+    tri = Graph(False, 3, [(0, 1), (1, 2), (0, 2)])
+    instances = [
+        ProblemInstance("lbec", tri, s=0, t=2, k=1, ell=3),
+        ProblemInstance("mded", tri, k=1, ell=2),
+        ProblemInstance("dsct", Graph(True, 2, []), k=0, ell=2),
+        compose_lbec([ProblemInstance("lbec", tri, s=0, t=2, k=2, ell=3)] * 2).composed,
+    ]
+    assert '"costs"' in to_json(instances[-1])
+    for inst in instances:
+        assert to_json(inst) == _stdlib_text(instance_to_json_obj(inst))
+
+
+@pytest.mark.parametrize("payload", [
+    [], {}, [[]], [[], [1]], [[1, 2], [3, 4, 5]], [[1, 2], (3, 4)],
+    (1, (2, 3)), [True, 1, None], [1.5, -0.0, float("inf"), 10 ** 30],
+    {"z": {}, "a": [], "m": {"n": [["x", 1]]}, "\u00e9": "\\"},
+    {"witness": None, "answer": False, "nodes": 0},
+])
+def test_pretty_json_matches_stdlib(payload):
+    assert pretty_json(payload) == _stdlib_text(payload)
+
+
+@pytest.mark.parametrize("payload", [{1: 2}, {"a": {None: 1}}, [set()], object()])
+def test_pretty_json_rejects_non_string_keys_and_unknown_types(payload):
+    with pytest.raises(TypeError):
+        pretty_json(payload)
 
 
 def test_parse_error_diagnostics():
@@ -104,6 +157,40 @@ def test_parse_rejects_tampered_fractal():
     text = to_json(f).replace('"q": 2', '"q": 3')
     with pytest.raises(ParseError):
         parse(text)
+
+
+def test_parse_refuses_fractal_deeper_than_cap():
+    with pytest.raises(ParseError, match="depth"):
+        parse(_with(_FRACTAL, q=MAX_DEPTH + 1))
+
+
+_EMBEDDING = {"order": [0, 1, 2], "pages": {"0-1": "upper", "2-1": "lower"}}
+
+
+def test_parse_embedding_reads_canonical_pairs():
+    emb = parse_embedding(json.dumps(_EMBEDDING))
+    assert emb == TwoPageEmbedding((0, 1, 2), {(0, 1): "upper", (1, 2): "lower"})
+
+
+@pytest.mark.parametrize("text", [
+    _with(_EMBEDDING, order=[0, True, 2]),
+    _with(_EMBEDDING, order=[0, 1.0, 2]),
+    _with(_EMBEDDING, order="012"),
+    _with(_EMBEDDING, pages=[1]),
+    _with(_EMBEDDING, pages={"0-1": 1}),
+    _with(_EMBEDDING, pages={"0-1": "left"}),
+    _with(_EMBEDDING, pages={"0_1": "upper"}),
+    _with(_EMBEDDING, pages={"0-1-2": "upper"}),
+    _with(_EMBEDDING, pages={"-1-0": "upper"}),
+    _with(_EMBEDDING, pages={"\u0661-2": "upper"}),
+    json.dumps({"order": [0, 1]}),
+    "[1]",
+], ids=["order-bool", "order-float", "order-str", "pages-list", "page-int",
+        "page-name", "key-sep", "key-three", "key-negative", "key-non-ascii",
+        "no-pages", "not-object"])
+def test_parse_embedding_rejects_malformed(text):
+    with pytest.raises(ParseError):
+        parse_embedding(text)
 
 
 def test_dot_export_shape():
