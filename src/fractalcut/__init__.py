@@ -21,8 +21,7 @@ from .graph import (CutCertificate, Edge, Graph, UNREACHABLE, bfs_distance,
                     is_strongly_connected, min_cut, subdivide_and_multiply)
 from .reducer import (TwoPageEmbedding, VcInstance, reduce_vc_to_planar_lbec,
                       solve_vc_bruteforce, validate_embedding)
-from .serialize import (fractal_to_dot, instance_to_dot, parse, to_dimacs,
-                        to_dot, to_json)
+from .serialize import fractal_to_dot, parse, to_dimacs, to_dot, to_json
 from .solvers import (ProblemInstance, Verdict, check_witness,
                       instance_predicate, solve_bruteforce,
                       solve_bruteforce_costaware, solve_dsct_fpt, solve_fpt,

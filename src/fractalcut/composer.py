@@ -424,6 +424,10 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
     """
     _check_mode(mode)
     k, ell = _common_class(instances)
+    # The inputs share one kind by now.  Only lbec instances carry the
+    # terminals that the min-cut and reachability checks below read.
+    if instances[0].kind != "lbec":
+        raise InputError("input 0 is not an lbec instance")
     p = len(instances)
     q = _check_power_of_two(p)
     n_max = max(i.graph.n for i in instances)

@@ -119,13 +119,21 @@ def _iterative_edges(q: int) -> list[list[tuple[int, int]]]:
 
 
 def _recursive_edges(q: int, lo: int, hi: int) -> set[tuple[int, int]]:
-    """Recursive construction: merge two half-depth fractals, add the top edge."""
-    if q == 0:
-        return {(lo, hi)}
-    mid = (lo + hi) // 2
-    edges = _recursive_edges(q - 1, lo, mid)
-    edges |= _recursive_edges(q - 1, mid, hi)
-    edges.add((lo, hi))
+    """Recursive construction: the top edge plus two half-depth fractals.
+
+    Every level adds into one shared set instead of merging its children's
+    sets, so the construction makes one insertion per edge.
+    """
+    edges: set[tuple[int, int]] = set()
+
+    def grow(q: int, lo: int, hi: int) -> None:
+        edges.add((lo, hi))
+        if q:
+            mid = (lo + hi) // 2
+            grow(q - 1, lo, mid)
+            grow(q - 1, mid, hi)
+
+    grow(q, lo, hi)
     return edges
 
 

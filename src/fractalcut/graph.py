@@ -8,7 +8,12 @@ edges are stored canonically with u < v; self-loops are rejected.
 
 All operations here are pure functions of their inputs.  Graph objects are
 immutable by convention: nothing in this package mutates a graph after
-construction, so values can be shared freely between threads.
+construction, so values can be shared freely between threads.  The one
+piece of state a graph fills in later is its per-vertex adjacency, which is
+derived from the edge tuple on the first neighbour query (most graphs, the
+fractals among them, are built, cut and written without one).  That stays
+thread-safe because the build is idempotent: racing builders produce equal
+lists, and either result may be kept.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ class Graph:
 
     ``edges`` is an ordered multiset; other modules reference edges by their
     index in this tuple, so construction order is part of the canonical form.
+    The constructor validates and canonicalizes the edges; the neighbour
+    lists behind ``out_neighbors``, ``in_neighbors``, the degrees and the
+    BFS routines are derived on the first such query and then kept.
     """
 
     __slots__ = ("directed", "n", "edges", "labels", "_adj", "_radj", "_unit")
@@ -44,32 +52,54 @@ class Graph:
                  labels: Optional[dict[int, str]] = None):
         if n < 0:
             raise InputError(f"vertex count must be non-negative, got {n}")
-        self.directed = bool(directed)
+        self.directed = directed = bool(directed)
         self.n = n
+        # tuple.__new__ skips the namedtuple's Python-level __new__; every
+        # edge is still checked before it is stored.
+        make = tuple.__new__
         canon = []
+        append = canon.append
+        unit = True
         for e in edges:
             u, v = e[0], e[1]
-            cost = e[2] if len(e) > 2 else 1
-            length = e[3] if len(e) > 3 else 1
+            size = len(e)
+            cost = e[2] if size > 2 else 1
+            length = e[3] if size > 3 else 1
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) references unknown vertex (n={n})")
             if u == v:
                 raise InputError(f"self-loop at vertex {u} is not allowed")
             if cost < 1 or length < 1:
                 raise InputError(f"edge ({u},{v}) needs positive cost and length")
-            if not self.directed and u > v:
+            if cost != 1 or length != 1:
+                unit = False
+            if not directed and u > v:
                 u, v = v, u
-            canon.append(Edge(u, v, cost, length))
+            append(make(Edge, (u, v, cost, length)))
         self.edges = tuple(canon)
         if labels is not None:
             for vid in labels:
                 if not (0 <= vid < n):
                     raise InputError(f"label references unknown vertex {vid}")
         self.labels = dict(labels) if labels else None
-        self._unit = all(e.cost == 1 and e.length == 1 for e in self.edges)
+        self._unit = unit
+        self._adj = None
+        self._radj = None
 
-        adj = [[] for _ in range(n)]
-        radj = [[] for _ in range(n)] if self.directed else adj
+    def _adjacency(self) -> tuple[list, list]:
+        """(out-lists, in-lists) of (neighbor, edge index) pairs, sorted,
+        built on the first call and kept; an undirected graph's in-lists
+        are its out-lists.
+
+        Two threads may both build them; the lists they build are equal,
+        and the in-lists are stored before the out-lists that gate the
+        build, so a reader never sees one without the other.
+        """
+        adj = self._adj
+        if adj is not None:
+            return adj, self._radj
+        adj = [[] for _ in range(self.n)]
+        radj = [[] for _ in range(self.n)] if self.directed else adj
         for idx, e in enumerate(self.edges):
             adj[e.u].append((e.v, idx))
             if self.directed:
@@ -81,8 +111,9 @@ class Graph:
         if self.directed:
             for lst in radj:
                 lst.sort()
-        self._adj = adj
         self._radj = radj
+        self._adj = adj
+        return adj, radj
 
     # -- queries ---------------------------------------------------------
 
@@ -101,16 +132,16 @@ class Graph:
 
     def out_neighbors(self, u: int) -> list[tuple[int, int]]:
         """(neighbor, edge index) pairs, sorted by neighbor id."""
-        return self._adj[u]
+        return self._adjacency()[0][u]
 
     def in_neighbors(self, u: int) -> list[tuple[int, int]]:
-        return self._radj[u]
+        return self._adjacency()[1][u]
 
     def degree(self, u: int) -> int:
-        return len(self._adj[u])
+        return len(self._adjacency()[0][u])
 
     def in_degree(self, u: int) -> int:
-        return len(self._radj[u])
+        return len(self._adjacency()[1][u])
 
     def total_cost(self, indices: Iterable[int]) -> int:
         return sum(self.edges[i].cost for i in indices)
@@ -175,12 +206,13 @@ def bfs_distance(g: Graph, source: int, target: int,
         raise InputError("bfs_distance requires unit edge lengths")
     if source == target:
         return 0
+    adj = g._adjacency()[0]
     seen = bytearray(g.n)
     seen[source] = 1
     queue = deque([(source, 0)])
     while queue:
         u, d = queue.popleft()
-        for v, idx in g._adj[u]:
+        for v, idx in adj[u]:
             if idx in dead_edges or seen[v]:
                 continue
             if v == target:
@@ -213,7 +245,7 @@ def is_connected(g: Graph) -> bool:
             und[e.u].append((e.v, 0))
             und[e.v].append((e.u, 0))
         return all(_reachable(und, 0, g.n))
-    return all(_reachable(g._adj, 0, g.n))
+    return all(_reachable(g._adjacency()[0], 0, g.n))
 
 
 def is_strongly_connected(g: Graph) -> bool:
@@ -222,7 +254,8 @@ def is_strongly_connected(g: Graph) -> bool:
         return True
     if not g.directed:
         return is_connected(g)
-    return all(_reachable(g._adj, 0, g.n)) and all(_reachable(g._radj, 0, g.n))
+    adj, radj = g._adjacency()
+    return all(_reachable(adj, 0, g.n)) and all(_reachable(radj, 0, g.n))
 
 
 def is_edge_cut(g: Graph, s: int, t: int, edge_indices: Iterable[int]) -> bool:

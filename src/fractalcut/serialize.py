@@ -11,7 +11,8 @@ deletion costs (weighted composer output).  Plain graphs and fractals use a
 for every canonical form; parse_vc() and parse_embedding() read the
 vertex-cover input of the reduction and its two-page embedding; DOT and
 DIMACS are exports only.  Every JSON document is written by one writer,
-pretty_json().
+pretty_json().  A graph, instance or vertex-cover document may declare at
+most MAX_VERTICES vertices.
 """
 
 from __future__ import annotations
@@ -21,10 +22,17 @@ import re
 from typing import Optional
 
 from .errors import ParseError
-from .fractal import TFractal, build_fractal
+from .fractal import MAX_DEPTH, TFractal, build_fractal
 from .graph import Graph
 from .reducer import PAGES, TwoPageEmbedding, VcInstance
 from .solvers import ProblemInstance
+
+MAX_VERTICES = 1 << (MAX_DEPTH + 1)
+"""Largest vertex count ``n`` a graph, instance or vertex-cover document
+may declare: twice the 2**MAX_DEPTH + 1 vertices of the deepest fractal,
+which leaves room for inputs composed onto it.  A larger ``n`` is refused
+before any graph is built, so a few bytes of input cannot ask for an
+n-sized allocation."""
 
 _DOT_PALETTE = ("black", "blue", "forestgreen", "orange", "magenta",
                 "red", "teal", "purple", "brown", "gray40", "olive")
@@ -148,9 +156,16 @@ def _optional_int(obj: dict, name: str) -> Optional[int]:
     return _field(obj, name, int) if obj.get(name) is not None else None
 
 
+def _vertex_count(obj: dict) -> int:
+    n = _field(obj, "n", int)
+    if n > MAX_VERTICES:
+        raise ParseError(f"field 'n' is {n}, above the cap of {MAX_VERTICES}")
+    return n
+
+
 def _parse_graph_obj(obj: dict) -> Graph:
     directed = _field(obj, "directed", bool)
-    n = _field(obj, "n", int)
+    n = _vertex_count(obj)
     raw = _field(obj, "edges", list)
     edges = []
     for i, entry in enumerate(raw):
@@ -175,7 +190,7 @@ def _parse_graph_obj(obj: dict) -> Graph:
 def _parse_instance_obj(obj: dict) -> ProblemInstance:
     kind = _field(obj, "problem", str)
     directed = _field(obj, "directed", bool)
-    n = _field(obj, "n", int)
+    n = _vertex_count(obj)
     raw = _field(obj, "edges", list)
     costs = obj.get("costs")
     if costs is not None:
@@ -241,7 +256,7 @@ def parse(text: str):
 def parse_vc(text: str) -> VcInstance:
     """Parse a vertex-cover input: {"n": int, "edges": [[u, v], ...], "k": int}."""
     obj = _json_object(text)
-    n = _field(obj, "n", int)
+    n = _vertex_count(obj)
     edges = []
     for i, entry in enumerate(_field(obj, "edges", list)):
         if not (isinstance(entry, list) and len(entry) == 2
@@ -311,13 +326,6 @@ def fractal_to_dot(f: TFractal) -> str:
             colors[idx] = _DOT_PALETTE[level % len(_DOT_PALETTE)]
     return to_dot(f.graph, roles={f.sigma: "sigma", f.tau: "tau"},
                   edge_colors=colors, name=f"fractal_q{f.depth}")
-
-
-def instance_to_dot(inst: ProblemInstance) -> str:
-    roles = {}
-    if inst.s is not None:
-        roles = {inst.s: "s", inst.t: "t"}
-    return to_dot(inst.graph, roles=roles, name=inst.kind)
 
 
 def to_dimacs(g: Graph) -> str:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from fractalcut.cli import main
+from fractalcut.serialize import MAX_VERTICES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -87,6 +88,15 @@ def test_compose_mded_requires_uncuttable_inputs(capsys):
                        str(FIXTURES / "lbec_d.json"))
     assert code == 0
     assert json.loads(out)["problem"] == "mded"
+
+
+@pytest.mark.parametrize("name", ["mded_c4.json", "dsct_c3.json"],
+                         ids=["undirected", "directed"])
+def test_compose_mded_names_inputs_without_terminals(capsys, name):
+    path = str(FIXTURES / name)
+    code, out, err = run(capsys, "compose", "--problem", "mded",
+                         "--inputs", path, path)
+    assert (code, out, err) == (2, "", "error: input 0 is not an lbec instance\n")
 
 
 def test_compose_dsct_from_dags(capsys):
@@ -264,3 +274,17 @@ def test_argparse_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["gen"])  # missing required --q
     assert exc.value.code == 2
+
+
+def test_vertex_count_over_cap_exits_two(capsys, tmp_path):
+    huge = MAX_VERTICES + 1
+    inst = json.loads((FIXTURES / "lbec_a.json").read_text())
+    vc = json.loads((FIXTURES / "vc_cycle4.json").read_text())
+    (tmp_path / "inst.json").write_text(json.dumps({**inst, "n": huge}))
+    (tmp_path / "vc.json").write_text(json.dumps({**vc, "n": huge}))
+    for argv in (("solve", "--method", "fpt", "--input", str(tmp_path / "inst.json")),
+                 ("reduce", "--vc", str(tmp_path / "vc.json"),
+                  "--embedding", str(FIXTURES / "embedding_cycle4.json"))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: field 'n' is {huge}, above the cap of {MAX_VERTICES}\n"

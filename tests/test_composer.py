@@ -378,3 +378,29 @@ def test_simple_mode_mded_uses_parallel_copies():
         assert len(replacements) == art.params["c"]
         pairs = {(g.edges[i].u, g.edges[i].v) for i in replacements}
         assert len(pairs) == 1
+
+
+# -- adjacency on first query --------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["weighted", "simple"])
+def test_composers_build_no_adjacency_they_do_not_check(mode):
+    rnd = random.Random(3)
+    und = [random_uncuttable_lbec_input(rnd, n=4, m=5, k=1, ell=3)
+           for _ in range(2)]
+    dag = [random_dag_lbec_input(rnd, n=4, m=5, k=1, ell=3) for _ in range(2)]
+    arts = {
+        "lbec-und": compose_lbec(und, mode=mode),
+        "lbec-dag": compose_lbec(dag, mode=mode),
+        "dsct": compose_dsct(dag, mode=mode),
+        "mded-und": compose_mded(und, mode=mode),
+        "mded-dir": compose_mded(dag, directed=True, mode=mode),
+    }
+    # The composers' own sanity checks walk the weighted composed graph for
+    # acyclicity (directed embedding) or connectivity (diameter); simple
+    # mode builds a fresh graph after them.  Nothing else needs neighbour
+    # lists, and the selector fractal never does.
+    walked = {"lbec-dag", "mded-und", "mded-dir"} if mode == "weighted" else set()
+    for name, art in arts.items():
+        assert art.fractal.graph._adj is None, name
+        if name not in walked:
+            assert art.composed.graph._adj is None, name

@@ -7,7 +7,8 @@ import pytest
 from fractalcut import (InputError, build_fractal, cut_for_instance,
                         dual_tree, enumerate_min_cuts, is_edge_cut,
                         is_minimal_edge_cut, selected_instance, to_json)
-from fractalcut.fractal import MAX_DEPTH
+from fractalcut import fractal as fractal_mod
+from fractalcut.fractal import MAX_DEPTH, _recursive_edges
 from fractalcut.graph import bfs_distance
 
 
@@ -61,6 +62,37 @@ def test_directed_terminal_degrees():
         assert g.in_degree(f.tau) == q + 1
         # position labeling is a topological order
         assert all(e.u < e.v for e in g.edges)
+
+
+def _merging_recursive_edges(q, lo, hi):
+    """Reference: the recursive construction that merges its two child sets
+    at every level (O(q 2**q) insertions)."""
+    if q == 0:
+        return {(lo, hi)}
+    mid = (lo + hi) // 2
+    edges = _merging_recursive_edges(q - 1, lo, mid)
+    edges |= _merging_recursive_edges(q - 1, mid, hi)
+    edges.add((lo, hi))
+    return edges
+
+
+def test_recursive_edges_match_the_merging_construction():
+    for q in range(15):
+        assert _recursive_edges(q, 0, 1 << q) == _merging_recursive_edges(q, 0, 1 << q)
+
+
+@pytest.mark.parametrize("level", [0, 1, -1], ids=["top", "second", "deepest"])
+def test_cross_check_catches_a_dropped_edge(monkeypatch, level):
+    iterative = fractal_mod._iterative_edges
+
+    def dropping(q):
+        boundaries = iterative(q)
+        boundaries[level].pop()
+        return boundaries
+
+    monkeypatch.setattr(fractal_mod, "_iterative_edges", dropping)
+    with pytest.raises(RuntimeError, match="disagree"):
+        build_fractal(3)
 
 
 # -- dual tree -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Graph substrate: elementary algorithms against exhaustive oracles."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fractalcut import (Graph, InputError, UNREACHABLE, bfs_distance,
                         build_fractal, is_connected, is_edge_cut,
                         is_minimal_edge_cut, is_strongly_connected, min_cut,
-                        subdivide_and_multiply)
+                        parse, subdivide_and_multiply, to_json)
 from fractalcut.fractal import cut_for_instance
 
 
@@ -131,6 +132,90 @@ def test_connectivity_basics():
         assert not is_strongly_connected(build_fractal(q, directed=True).graph)
     cyc = Graph(True, 3, [(0, 1), (1, 2), (2, 0)])
     assert is_strongly_connected(cyc)
+
+
+# -- adjacency on first query ------------------------------------------------------
+
+def _eager_lists(g):
+    """Reference neighbour lists, built the way the constructor once built
+    them for every graph: (neighbor, edge index) pairs in edge order, then
+    sorted; an undirected graph's in-lists are its out-lists."""
+    adj = [[] for _ in range(g.n)]
+    radj = [[] for _ in range(g.n)] if g.directed else adj
+    for idx, e in enumerate(g.edges):
+        adj[e.u].append((e.v, idx))
+        if g.directed:
+            radj[e.v].append((e.u, idx))
+        else:
+            adj[e.v].append((e.u, idx))
+    for lst in adj + (radj if g.directed else []):
+        lst.sort()
+    return adj, radj
+
+
+def _reference_distances(lists, source, dead=frozenset()):
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v, idx in lists[u]:
+                if idx not in dead and v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def _seeded_multigraph(seed, directed):
+    """Up to 8 vertices, with parallel edges, undirected edges given in
+    either order, and on odd seeds a last vertex that no edge touches."""
+    rnd = random.Random(seed)
+    n = rnd.randint(1, 8)
+    used = n - (seed % 2) if n > 2 else n
+    edges = []
+    for _ in range(rnd.randint(0, 3 * used) if used >= 2 else 0):
+        if edges and rnd.random() < 0.25:
+            edges.append(rnd.choice(edges))
+        else:
+            edges.append(tuple(rnd.sample(range(used), 2)))
+    return Graph(directed, n, edges)
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_adjacency_queries_match_an_eager_reference(directed):
+    for seed in range(40):
+        g = _seeded_multigraph(seed, directed)
+        assert g._adj is None
+        adj, radj = _eager_lists(g)
+        for u in range(g.n):
+            assert g.out_neighbors(u) == adj[u]
+            assert g.in_neighbors(u) == radj[u]
+            assert g.degree(u) == len(adj[u])
+            assert g.in_degree(u) == len(radj[u])
+        dead = frozenset(random.Random(seed).sample(range(len(g.edges)),
+                                                    len(g.edges) // 3))
+        for s in range(g.n):
+            for cut in (frozenset(), dead):
+                dist = _reference_distances(adj, s, cut)
+                for t in range(g.n):
+                    assert bfs_distance(g, s, t, cut) == dist.get(t, UNREACHABLE)
+        both = [adj[u] + radj[u] if directed else adj[u] for u in range(g.n)]
+        assert is_connected(g) == (len(_reference_distances(both, 0)) == g.n)
+        assert is_strongly_connected(g) == all(
+            len(_reference_distances(adj, s)) == g.n for s in range(g.n))
+
+
+def test_adjacency_is_not_built_by_construction_cuts_or_serialization():
+    for directed in (False, True):
+        f = build_fractal(5, directed=directed, cost=2)
+        assert min_cut(f.graph, f.sigma, f.tau).total_cost == 2 * 6
+        back = parse(to_json(f))
+        plain = parse(to_json(f.graph))
+        for g in (f.graph, back.graph, plain):
+            assert g._adj is None and g._radj is None
+        assert bfs_distance(f.graph, f.sigma, f.tau) == 1
+        assert f.graph._adj is not None and f.graph._radj is not None
 
 
 # -- cost expansion --------------------------------------------------------------

@@ -10,9 +10,9 @@ from fractalcut import (Graph, ParseError, ProblemInstance, build_fractal,
                         to_dot, to_json)
 from fractalcut.fractal import MAX_DEPTH
 from fractalcut.reducer import TwoPageEmbedding
-from fractalcut.serialize import (fractal_to_json_obj, graph_to_json_obj,
-                                  instance_to_json_obj, parse_embedding,
-                                  pretty_json)
+from fractalcut.serialize import (MAX_VERTICES, fractal_to_json_obj,
+                                  graph_to_json_obj, instance_to_json_obj,
+                                  parse_embedding, parse_vc, pretty_json)
 
 
 def test_fractal_round_trip():
@@ -162,6 +162,24 @@ def test_parse_rejects_tampered_fractal():
 def test_parse_refuses_fractal_deeper_than_cap():
     with pytest.raises(ParseError, match="depth"):
         parse(_with(_FRACTAL, q=MAX_DEPTH + 1))
+
+
+_VC = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]], "k": 2}
+
+
+@pytest.mark.parametrize("read, doc", [(parse, _GRAPH), (parse, _INSTANCE),
+                                       (parse_vc, _VC)],
+                         ids=["graph", "instance", "vc"])
+def test_parse_caps_the_vertex_count(read, doc):
+    assert MAX_VERTICES >= (1 << MAX_DEPTH) + 1  # the deepest fractal fits
+    for n in (MAX_VERTICES + 1, 3_000_000, 10 ** 30):
+        with pytest.raises(ParseError, match="above the cap"):
+            read(_with(doc, n=n))
+
+
+def test_parse_accepts_a_graph_at_the_vertex_cap():
+    assert parse(_with(_GRAPH, n=MAX_VERTICES)).n == MAX_VERTICES
+    assert parse(_with(_INSTANCE, n=MAX_VERTICES)).graph.n == MAX_VERTICES
 
 
 _EMBEDDING = {"order": [0, 1, 2], "pages": {"0-1": "upper", "2-1": "lower"}}
