@@ -7,7 +7,7 @@ level.  Each round's fresh edges form a boundary ring, and every boundary is
 an edge-disjoint terminal-to-terminal path.
 """
 
-from fractalcut import build_fractal, dual_tree, fractal_to_dot
+from fractalcut import build_fractal, fractal_to_dot
 
 for q in range(0, 5):
     f = build_fractal(q)
@@ -22,7 +22,7 @@ for level, boundary in enumerate(f.boundaries):
     stops = [path[0].u] + [e.v for e in path]
     print(f"  boundary {level}: visits {stops}")
 
-d = dual_tree(f)
+d = f.dual
 print(f"\ndual tree: {d.node_count} nodes, {len(d.leaf_order)} leaves")
 print("each root-leaf path names one minimum terminal cut:")
 for leaf in d.leaf_order[:3]:

@@ -10,22 +10,22 @@ reduction to planar length-bounded cut.
 """
 
 from .composer import (CompositionArtifact, EquivalenceClass, check_equivalent,
-                       compose_dsct, compose_lbec, compose_mded, construct1,
-                       construct2, pad_to_power_of_two, trivial_no_instance)
+                       compose_dsct, compose_lbec, compose_mded,
+                       pad_to_power_of_two, trivial_no_instance)
 from .errors import (EquivalenceError, FractalcutError, InputError, ParseError,
                      ResourceBudgetError, UnsupportedParameterError)
 from .fractal import (DualTree, TFractal, build_fractal, cut_for_instance,
-                      dual_tree, enumerate_min_cuts, selected_instance)
+                      enumerate_min_cuts, selected_instance)
 from .graph import (CutCertificate, Edge, Graph, UNREACHABLE, bfs_distance,
                     is_connected, is_edge_cut, is_minimal_edge_cut,
-                    is_strongly_connected, min_cut, subdivide_and_multiply)
+                    is_strongly_connected, min_cut)
 from .reducer import (TwoPageEmbedding, VcInstance, reduce_vc_to_planar_lbec,
                       solve_vc_bruteforce, validate_embedding)
 from .serialize import fractal_to_dot, parse, to_dimacs, to_dot, to_json
 from .solvers import (ProblemInstance, Verdict, check_witness,
                       instance_predicate, solve_bruteforce,
                       solve_bruteforce_costaware, solve_dsct_fpt, solve_fpt,
-                      solve_lbec_fpt, solve_mded_fpt, split_vertex)
+                      solve_lbec_fpt, solve_mded_fpt)
 
 __version__ = "0.1.0"
 

@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 
 from .errors import EquivalenceError, InputError
 from .fractal import TFractal, build_fractal
-from .graph import (Graph, UNREACHABLE, bfs_distance, is_connected,
-                    is_strongly_connected, min_cut)
+from .graph import (Graph, UNREACHABLE, _reachable, bfs_distance,
+                    is_connected, is_strongly_connected, min_cut)
 from .solvers import ProblemInstance
 
 
@@ -87,12 +87,15 @@ def trivial_no_instance(k: int, ell: int, directed: bool = False) -> ProblemInst
     return ProblemInstance("lbec", g, s=0, t=1, k=k, ell=ell)
 
 
-def pad_to_power_of_two(instances: Sequence[ProblemInstance],
-                        kind: str = "lbec") -> list[ProblemInstance]:
-    """Append in-class no-instances until the count is a power of two."""
-    if kind != "lbec":
-        raise InputError("padding is defined for lbec input instances")
+def pad_to_power_of_two(instances: Sequence[ProblemInstance]) -> list[ProblemInstance]:
+    """Append in-class no-instances until the count is a power of two.
+
+    Every composer takes lbec inputs and the padding is lbec, so inputs of
+    another kind are refused before padding could mix the kinds.
+    """
     cls = check_equivalent(instances)
+    if instances[0].kind != "lbec":
+        raise InputError("input 0 is not an lbec instance")
     if cls.bad:
         raise InputError("cannot pad the bad class")
     if cls.ell < 3:
@@ -108,7 +111,7 @@ def pad_to_power_of_two(instances: Sequence[ProblemInstance],
     return out
 
 
-# -- the two embedding constructions ----------------------------------------
+# -- embedding the inputs into the fractal ----------------------------------
 
 
 @dataclass(frozen=True)
@@ -119,10 +122,6 @@ class _Construction:
     # composed edge indices of its embedded edges.
     vertex_maps: tuple[dict, ...] = field(compare=False)
     edge_ranges: tuple[tuple[int, int], ...] = ()
-
-
-def _reaches(g: Graph, a: int, b: int) -> bool:
-    return bfs_distance(g, a, b) != UNREACHABLE
 
 
 def _is_acyclic(g: Graph) -> bool:
@@ -149,6 +148,11 @@ def _check_power_of_two(p: int) -> int:
 
 def _embed(instances: Sequence[ProblemInstance], cost: int,
            directed: bool) -> _Construction:
+    """Merge p terminal instances onto the deepest boundary of a cost-c
+    fractal: input i's source lands on vertex i-1 and its sink on vertex i,
+    so consecutive inputs share a vertex.  Directed inputs must be acyclic
+    and go onto the directed fractal; the composed graph is again acyclic.
+    """
     q = _check_power_of_two(len(instances))
     if cost < 1:
         raise InputError("fractal edge cost must be positive")
@@ -163,7 +167,7 @@ def _embed(instances: Sequence[ProblemInstance], cost: int,
         if directed:
             if not _is_acyclic(inst.graph):
                 raise InputError(f"input {i} is cyclic")
-            if _reaches(inst.graph, inst.t, inst.s):
+            if bfs_distance(inst.graph, inst.t, inst.s) != UNREACHABLE:
                 raise InputError(
                     f"input {i} has a path from its sink back to its source")
 
@@ -189,23 +193,6 @@ def _embed(instances: Sequence[ProblemInstance], cost: int,
     if directed and not _is_acyclic(g):
         raise RuntimeError("composed graph unexpectedly cyclic")
     return _Construction(g, fractal, tuple(vertex_maps), tuple(edge_ranges))
-
-
-def construct1(instances: Sequence[ProblemInstance],
-               cost: int) -> tuple[Graph, TFractal]:
-    """Merge p undirected terminal instances onto the deepest boundary of a
-    cost-c fractal: input i's source lands on vertex i-1 and its sink on
-    vertex i, so consecutive inputs share a vertex."""
-    con = _embed(instances, cost, directed=False)
-    return con.graph, con.fractal
-
-
-def construct2(instances: Sequence[ProblemInstance],
-               cost: int) -> tuple[Graph, TFractal]:
-    """Directed-acyclic variant of construct1 on the directed fractal; the
-    composed graph is again acyclic."""
-    con = _embed(instances, cost, directed=True)
-    return con.graph, con.fractal
 
 
 # -- composition artifacts ---------------------------------------------------
@@ -455,10 +442,14 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
         for i, inst in enumerate(instances):
             if not inst.graph.directed:
                 raise InputError(f"input {i} must be directed")
-            for v in range(inst.graph.n):
-                if bfs_distance(inst.graph, inst.s, v) == UNREACHABLE:
+            n = inst.graph.n
+            adj, radj = inst.graph._adjacency()
+            from_s = _reachable(adj, inst.s, n)
+            to_t = _reachable(radj, inst.t, n)
+            for v in range(n):
+                if not from_s[v]:
                     raise InputError(f"input {i}: source does not reach vertex {v}")
-                if bfs_distance(inst.graph, v, inst.t) == UNREACHABLE:
+                if not to_t[v]:
                     raise InputError(f"input {i}: vertex {v} does not reach the sink")
         L = ell * n_max * (2 * q + 3) + 1
         con = _embed([_augment_directed_input(i) for i in instances], c,

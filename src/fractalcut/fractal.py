@@ -215,11 +215,6 @@ def build_fractal(q: int, directed: bool = False, cost: int = 1) -> TFractal:
     )
 
 
-def dual_tree(f: TFractal) -> DualTree:
-    """The dual tree of a fractal (built on first use)."""
-    return f.dual
-
-
 def cut_for_instance(f: TFractal, i: int) -> CutCertificate:
     """The unique minimum sigma-tau cut selecting gap i.
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .graph import Graph, is_connected, is_strongly_connected
+from .graph import Graph, is_strongly_connected
 from .solvers import ProblemInstance
 
 
@@ -43,13 +43,6 @@ def random_lbec_input(rnd: random.Random, *, n: int, m: int, k: int,
         edges.add((u, v))
     g = Graph(False, n, sorted(edges))
     return ProblemInstance("lbec", g, s=0, t=n - 1, k=k, ell=ell)
-
-
-def random_connected_lbec_input(rnd: random.Random, *, n: int, m: int, k: int,
-                                ell: int) -> ProblemInstance:
-    inst = random_lbec_input(rnd, n=n, m=m, k=k, ell=ell)
-    assert is_connected(inst.graph)  # the backbone path touches every vertex
-    return inst
 
 
 def random_uncuttable_lbec_input(rnd: random.Random, *, n: int, m: int,
@@ -162,7 +155,8 @@ def random_solver_instance(rnd: random.Random, kind: str,
         else:
             while n * (n - 1) // 2 < max(k, ell, n - 1):
                 n += 1
-            inst = random_connected_lbec_input(
+            # The backbone path touches every vertex, so it is connected.
+            inst = random_lbec_input(
                 rnd, n=n, m=pick_m(max(k, ell, n - 1), n * (n - 1) // 2),
                 k=k, ell=ell)
             g = inst.graph

@@ -354,23 +354,3 @@ def min_cut(g: Graph, s: int, t: int) -> CutCertificate:
     if cert.total_cost != flow:
         raise RuntimeError(f"max-flow/min-cut mismatch: {flow} vs {cert.total_cost}")
     return cert
-
-
-def subdivide_and_multiply(g: Graph) -> Graph:
-    """Realize deletion costs in a simple unit graph.
-
-    Every edge of cost c is replaced by c parallel length-2 paths through
-    fresh midpoints, so disconnecting a former adjacency costs exactly c unit
-    deletions, and every original pairwise distance doubles.  Directed edges
-    become directed two-arc paths.  Requires unit edge lengths.
-    """
-    if not all(e.length == 1 for e in g.edges):
-        raise InputError("subdivide_and_multiply requires unit edge lengths")
-    new_edges = []
-    mid = g.n
-    for e in g.edges:
-        for _ in range(e.cost):
-            new_edges.append((e.u, mid))
-            new_edges.append((mid, e.v))
-            mid += 1
-    return Graph(g.directed, mid, new_edges, g.labels)

@@ -236,6 +236,8 @@ def _json_object(text: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("input nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
     return obj

@@ -31,10 +31,12 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, Optional
 
 from .errors import InputError, ResourceBudgetError
-from .graph import Graph, UNREACHABLE, bfs_distance, min_cut
+from .graph import (Graph, UNREACHABLE, bfs_distance, is_connected,
+                    is_strongly_connected, min_cut)
 
 KINDS = ("lbec", "mded", "dsct")
 
@@ -205,6 +207,21 @@ def check_witness(inst: ProblemInstance, edges: Iterable[int]) -> bool:
 # -- shared branching state -------------------------------------------------
 
 
+def _group_pairs(g: Graph) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
+    """The graph's adjacency pairs, ordered by their first edge index, and
+    for each pair the ascending indices of its parallel edges.
+
+    Both the branchers' slots and the cost-aware search's severance units
+    are these pairs, so their ids, and with them every witness and count,
+    are deterministic.
+    """
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for idx, e in enumerate(g.edges):
+        by_pair.setdefault((e.u, e.v), []).append(idx)
+    # Dicts keep insertion order and the indices arrive ascending.
+    return list(by_pair), [tuple(idxs) for idxs in by_pair.values()]
+
+
 class _SlotState:
     """Multigraph adjacency grouped into parallel-edge slots.
 
@@ -213,22 +230,15 @@ class _SlotState:
     which is what makes the multiplicity-versus-budget prune sound.
     """
 
-    __slots__ = ("n", "directed", "slots", "slot_edges", "mult", "orig",
-                 "adj", "radj")
+    __slots__ = ("n", "directed", "slot_edges", "mult", "orig", "adj", "radj")
 
     def __init__(self, g: Graph):
         if not g.is_unit:
             raise InputError("branching solvers require unit costs and lengths")
         self.n = g.n
         self.directed = g.directed
-        by_pair: dict[tuple[int, int], list[int]] = {}
-        for idx, e in enumerate(g.edges):
-            by_pair.setdefault((e.u, e.v), []).append(idx)
-        # Slot ids in order of first appearance keeps everything deterministic.
-        pairs = sorted(by_pair, key=lambda p: by_pair[p][0])
-        self.slots = pairs
-        self.slot_edges = [tuple(sorted(by_pair[p])) for p in pairs]
-        self.mult = [len(by_pair[p]) for p in pairs]
+        pairs, self.slot_edges = _group_pairs(g)
+        self.mult = [len(idxs) for idxs in self.slot_edges]
         self.orig = tuple(self.mult)
         adj = [[] for _ in range(g.n)]
         radj = [[] for _ in range(g.n)] if g.directed else adj
@@ -398,30 +408,6 @@ class _SlotState:
         return best
 
 
-def split_vertex(g: Graph, v: int) -> tuple[Graph, int, int]:
-    """Explicit vertex-split helper: returns (G_v, v_in, v_out).
-
-    Vertex v is removed; v_in (= old id v) receives the former in-arcs,
-    v_out (= fresh id n) emits the former out-arcs, and the arc
-    (v_in, v_out) is added.  The shortest v_out-v_in path length equals the
-    shortest directed cycle length through v in g.
-    """
-    if not g.directed:
-        raise InputError("split_vertex needs a directed graph")
-    if not (0 <= v < g.n):
-        raise InputError(f"vertex {v} out of range")
-    v_in, v_out = v, g.n
-    edges = []
-    for e in g.edges:
-        if e.u == v and e.v == v:
-            continue
-        u = v_out if e.u == v else e.u
-        w = v_in if e.v == v else e.v
-        edges.append((u, w, e.cost, e.length))
-    edges.append((v_in, v_out, 1, 1))
-    return Graph(True, g.n + 1, edges), v_in, v_out
-
-
 # -- branching solvers -------------------------------------------------------
 
 
@@ -436,14 +422,16 @@ def _require_solvable(inst: ProblemInstance, kind: str) -> None:
                          "cost-aware brute force for weighted instances")
 
 
-def _branch_distance(state: _SlotState, s: int, t: int, ell: int, budget: int,
-                     keep_connected: bool):
-    """Core brancher: raise dist(s, t) to >= ell with <= budget deletions.
+def _branch(state: _SlotState, find: Callable[[], Optional[list[int]]],
+            budget: int, keep_connected: bool = False):
+    """Core brancher: destroy every obstruction with <= budget deletions.
 
-    At each node: if a shortest s-t path of length < ell exists, branch on
-    deleting one surviving copy of each of its slots (skipping slots whose
+    ``find()`` returns the slot ids of an obstruction on the surviving
+    support (a too-short s-t path, a too-short directed cycle) or None when
+    none is left.  At each node the brancher deletes one surviving copy of
+    each of the obstruction's slots in turn, skipping slots whose
     multiplicity exceeds the remaining budget: they cannot be emptied, and a
-    partial deletion changes no distance).  With connectivity enforcement, a
+    partial deletion changes no distance.  With connectivity enforcement, a
     branch that would disconnect the surviving support is skipped, which is
     exactly the diameter problem's requirement.
 
@@ -454,15 +442,15 @@ def _branch_distance(state: _SlotState, s: int, t: int, ell: int, budget: int,
 
     def rec(budget_left: int):
         nonlocal leaves
-        path = state.shortest_path_slots(s, t, ell - 1)
-        if path is None:
+        obstruction = find()
+        if obstruction is None:
             leaves += 1
             return list(deleted)
         if budget_left == 0:
             leaves += 1
             return None
         branched = False
-        for sid in path:
+        for sid in obstruction:
             if state.mult[sid] > budget_left:
                 continue
             if keep_connected and state.mult[sid] == 1 and \
@@ -497,8 +485,8 @@ def solve_lbec_fpt(inst: ProblemInstance) -> Verdict:
     if cert.total_cost <= inst.k:
         return Verdict(True, cert.edges, 0)
     state = _SlotState(inst.graph)
-    witness, leaves = _branch_distance(state, inst.s, inst.t, inst.ell,
-                                       inst.k, keep_connected=False)
+    find = partial(state.shortest_path_slots, inst.s, inst.t, inst.ell - 1)
+    witness, leaves = _branch(state, find, inst.k)
     if witness is None:
         return Verdict(False, None, leaves)
     return Verdict(True, tuple(sorted(witness)), leaves)
@@ -515,13 +503,10 @@ def solve_mded_fpt(inst: ProblemInstance) -> Verdict:
     _require_solvable(inst, "mded")
     g = inst.graph
     if g.directed:
-        from .graph import is_strongly_connected
         if not is_strongly_connected(g):
             raise InputError("directed diameter instance must be strongly connected")
-    else:
-        from .graph import is_connected
-        if not is_connected(g):
-            raise InputError("diameter instance must be connected")
+    elif not is_connected(g):
+        raise InputError("diameter instance must be connected")
     if inst.ell <= 0:
         return Verdict(True, (), 0)
     if inst.ell == 1:
@@ -533,8 +518,8 @@ def solve_mded_fpt(inst: ProblemInstance) -> Verdict:
         pairs = [(v, w) for v in range(g.n) for w in range(v + 1, g.n)]
     worst = 0
     for v, w in pairs:
-        witness, leaves = _branch_distance(state, v, w, inst.ell, inst.k,
-                                           keep_connected=True)
+        find = partial(state.shortest_path_slots, v, w, inst.ell - 1)
+        witness, leaves = _branch(state, find, inst.k, keep_connected=True)
         worst = max(worst, leaves)
         if witness is not None:
             return Verdict(True, tuple(sorted(witness)), worst)
@@ -552,34 +537,8 @@ def solve_dsct_fpt(inst: ProblemInstance) -> Verdict:
     if inst.ell <= 0:
         return Verdict(True, (), 0)
     state = _SlotState(inst.graph)
-    leaves = 0
-    deleted: list[int] = []
-
-    def rec(budget_left: int):
-        nonlocal leaves
-        cycle = state.shortest_cycle_slots(inst.ell)
-        if cycle is None:
-            leaves += 1
-            return list(deleted)
-        if budget_left == 0:
-            leaves += 1
-            return None
-        branched = False
-        for sid in cycle:
-            if state.mult[sid] > budget_left:
-                continue
-            branched = True
-            deleted.append(state.delete_copy(sid))
-            res = rec(budget_left - 1)
-            state.restore_copy(sid)
-            deleted.pop()
-            if res is not None:
-                return res
-        if not branched:
-            leaves += 1
-        return None
-
-    witness = rec(inst.k)
+    find = partial(state.shortest_cycle_slots, inst.ell)
+    witness, leaves = _branch(state, find, inst.k)
     if witness is None:
         return Verdict(False, None, leaves)
     return Verdict(True, tuple(sorted(witness)), leaves)
@@ -726,11 +685,7 @@ class _CostAwareSearch:
         self.inst = inst
         self.n = g.n
         self.directed = g.directed
-        by_pair: dict[tuple[int, int], list[int]] = {}
-        for idx, e in enumerate(g.edges):
-            by_pair.setdefault((e.u, e.v), []).append(idx)
-        self.pairs = sorted(by_pair, key=lambda p: by_pair[p][0])
-        self.pair_edges = [tuple(sorted(by_pair[p])) for p in self.pairs]
+        self.pairs, self.pair_edges = _group_pairs(g)
         self.pair_cost = [sum(g.edges[i].cost for i in idxs)
                           for idxs in self.pair_edges]
         self.pair_id = {p: i for i, p in enumerate(self.pairs)}

@@ -15,9 +15,8 @@ from .composer import (CompositionArtifact, compose_dsct, compose_lbec,
 from .errors import InputError
 from .fixtures import VC_FIXTURES
 from .fractal import build_fractal, cut_for_instance, enumerate_min_cuts, selected_instance
-from .generators import (random_connected_lbec_input, random_dag_lbec_input,
-                         random_lbec_input, random_solver_instance,
-                         random_uncuttable_lbec_input)
+from .generators import (random_dag_lbec_input, random_lbec_input,
+                         random_solver_instance, random_uncuttable_lbec_input)
 from .graph import (UNREACHABLE, bfs_distance, is_connected, is_edge_cut,
                     is_minimal_edge_cut, is_strongly_connected, min_cut)
 from .reducer import reduce_vc_to_planar_lbec, solve_vc_bruteforce
@@ -334,8 +333,6 @@ def _make_inputs(rnd, p: int, k: int, ell: int, flavor: str, n_hi: int,
         m = rnd.randint(lo, max(min(n + m_slack, cap), lo))
         if flavor == "undirected":
             out.append(random_lbec_input(rnd, n=n, m=m, k=k, ell=ell))
-        elif flavor == "connected":
-            out.append(random_connected_lbec_input(rnd, n=n, m=m, k=k, ell=ell))
         elif flavor == "uncuttable":
             out.append(random_uncuttable_lbec_input(rnd, n=n, m=m, k=k, ell=ell))
         elif flavor == "dag":
@@ -427,7 +424,7 @@ def check_selector_soundness(q_max: int = 4) -> CheckResult:
     for q in range(q_max + 1):
         p = 1 << q
         rnd = random.Random(1000 + q)
-        inputs = _make_inputs(rnd, p, 1, 3, "connected", 4)
+        inputs = _make_inputs(rnd, p, 1, 3, "undirected", 4)
         art = compose_lbec(inputs, mode="weighted")
         g = art.composed.graph
         for i in range(1, p + 1):

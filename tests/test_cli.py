@@ -99,6 +99,14 @@ def test_compose_mded_names_inputs_without_terminals(capsys, name):
     assert (code, out, err) == (2, "", "error: input 0 is not an lbec instance\n")
 
 
+@pytest.mark.parametrize("problem", ["lbec", "mded"])
+def test_compose_refuses_non_lbec_inputs_before_padding(capsys, problem):
+    path = str(FIXTURES / "mded_c4.json")
+    code, out, err = run(capsys, "compose", "--problem", problem,
+                         "--inputs", path, path, path)
+    assert (code, out, err) == (2, "", "error: input 0 is not an lbec instance\n")
+
+
 def test_compose_dsct_from_dags(capsys):
     code, out, err = run(capsys, "compose", "--problem", "dsct",
                          "--inputs",
@@ -220,6 +228,13 @@ def test_deep_fpt_input_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "solve", "--method", "fpt", "--input", str(deep))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_json_exits_two(capsys, tmp_path):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    code, out, err = run(capsys, "solve", "--method", "fpt", "--input", str(nested))
+    assert (code, out, err) == (2, "", "error: input nested too deeply\n")
 
 
 def _stdlib_text(text):

@@ -7,11 +7,11 @@ import pytest
 
 from fractalcut import (EquivalenceError, Graph, InputError, ProblemInstance,
                         bfs_distance, check_equivalent, check_witness,
-                        compose_dsct, compose_lbec, compose_mded, construct1,
-                        construct2, cut_for_instance, is_strongly_connected,
+                        compose_dsct, compose_lbec, compose_mded,
+                        cut_for_instance, is_strongly_connected,
                         pad_to_power_of_two, solve_bruteforce,
                         solve_bruteforce_costaware, trivial_no_instance)
-from fractalcut.composer import _is_acyclic
+from fractalcut.composer import _embed, _is_acyclic
 from fractalcut.generators import (random_dag_lbec_input,
                                    random_lbec_input,
                                    random_uncuttable_lbec_input)
@@ -90,7 +90,8 @@ def test_pad_rejects_tiny_threshold():
 # -- constructions -----------------------------------------------------------------
 
 def test_construct1_merge_arithmetic():
-    g, f = construct1([petite(), petite()], cost=4)
+    con = _embed([petite(), petite()], 4, directed=False)
+    g, f = con.graph, con.fractal
     assert g.n == 5  # 3 fractal vertices + one interior per input
     assert f.depth == 1
     # fractal edges first, at unchanged indices, carrying the deletion cost
@@ -100,34 +101,37 @@ def test_construct1_merge_arithmetic():
 
 
 def test_construct1_degenerate_single_input():
-    g, f = construct1([petite()], cost=2)
+    con = _embed([petite()], 2, directed=False)
+    g, f = con.graph, con.fractal
     assert f.depth == 0
     assert g.n == 3  # the input glued across the single fractal edge
 
 
 def test_construct1_eight_gaps():
     inputs = [petite() for _ in range(8)]
-    g, f = construct1(inputs, cost=4)
+    con = _embed(inputs, 4, directed=False)
+    g, f = con.graph, con.fractal
     assert f.depth == 3
     assert g.n == (8 + 1) + 8 * 1
 
 
 def test_construct1_rejects_non_power_of_two():
     with pytest.raises(InputError):
-        construct1([petite(), petite(), petite()], cost=2)
+        _embed([petite(), petite(), petite()], 2, directed=False)
     with pytest.raises(InputError):
-        construct1([], cost=2)
+        _embed([], 2, directed=False)
 
 
 def test_construct2_three_vertex_inputs():
-    g, f = construct2([petite(directed=True), petite(directed=True)], cost=4)
+    g = _embed([petite(directed=True), petite(directed=True)], 4,
+               directed=True).graph
     assert g.n == 5
     assert _is_acyclic(g)
 
 
 def test_construct2_single_arc_inputs():
     arc = ProblemInstance("lbec", Graph(True, 2, [(0, 1)]), s=0, t=1, k=1, ell=1)
-    g, f = construct2([arc, arc], cost=2)
+    g = _embed([arc, arc], 2, directed=True).graph
     assert g.n == 3  # no interior vertices to add
 
 
@@ -135,12 +139,13 @@ def test_construct2_rejects_cyclic_input():
     cyc = ProblemInstance("lbec", Graph(True, 3, [(0, 1), (1, 2), (2, 0)]),
                           s=0, t=2, k=1, ell=1)
     with pytest.raises(InputError, match="cyclic"):
-        construct2([cyc, cyc], cost=2)
+        _embed([cyc, cyc], 2, directed=True)
 
 
 def test_construct2_gap_spanning():
     ins = [petite(directed=True), petite(directed=True)]
-    g, f = construct2(ins, cost=4)
+    con = _embed(ins, 4, directed=True)
+    g, f = con.graph, con.fractal
     fcount = len(f.graph.edges)
     # each gap's instance edges connect only vertices of that gap's embedding
     first = [g.edges[i] for i in range(fcount, fcount + 3)]
@@ -299,6 +304,23 @@ def test_mded_rejects_disconnected_inputs():
     with pytest.raises(InputError):
         Graph(False, 4, [(0, 3), (0, 3)]) and compose_mded(
             [lbec_on(g, 1, 3), lbec_on(g, 1, 3)])
+
+
+@pytest.mark.parametrize("second_edges, message", [
+    # vertex 2 is never reached from the source
+    ([(0, 1), (1, 3), (2, 1)], "input 1: source does not reach vertex 2"),
+    # vertex 2 is a dead end before the sink
+    ([(0, 1), (1, 3), (1, 2)], "input 1: vertex 2 does not reach the sink"),
+    # both faults: vertex 1 is checked first and cannot reach the sink
+    ([(0, 1), (0, 3), (2, 3)], "input 1: vertex 1 does not reach the sink"),
+], ids=["unreached", "dead-end", "first-vertex-first"])
+def test_mded_directed_rejects_inputs_off_every_source_sink_path(second_edges,
+                                                                 message):
+    good = lbec_on(Graph(True, 4, [(0, 1), (1, 2), (2, 3)]), 1, 3)
+    bad = lbec_on(Graph(True, 4, second_edges), 1, 3)
+    with pytest.raises(InputError) as exc:
+        compose_mded([good, bad], directed=True)
+    assert str(exc.value) == message
 
 
 def test_compose_rejects_bad_class_and_low_threshold():

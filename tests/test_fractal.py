@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from fractalcut import (InputError, build_fractal, cut_for_instance,
-                        dual_tree, enumerate_min_cuts, is_edge_cut,
+                        enumerate_min_cuts, is_edge_cut,
                         is_minimal_edge_cut, selected_instance, to_json)
 from fractalcut import fractal as fractal_mod
 from fractalcut.fractal import MAX_DEPTH, _recursive_edges
@@ -99,7 +99,7 @@ def test_cross_check_catches_a_dropped_edge(monkeypatch, level):
 
 def test_dual_tree_depth_zero():
     f = build_fractal(0)
-    d = dual_tree(f)
+    d = f.dual
     assert len(d.leaf_order) == 1
     leaf = d.leaf_order[0]
     assert d.edge_map[(0, leaf)] == 0  # the single tree edge maps to {sigma, tau}
@@ -107,7 +107,7 @@ def test_dual_tree_depth_zero():
 
 def test_dual_tree_leaf_counts_and_gaps():
     for q in range(0, 7):
-        d = dual_tree(build_fractal(q))
+        d = build_fractal(q).dual
         assert len(d.leaf_order) == 1 << q
         assert sorted(d.leaf_gap.values()) == list(range(1, (1 << q) + 1))
 
@@ -115,14 +115,14 @@ def test_dual_tree_leaf_counts_and_gaps():
 def test_dual_tree_edge_map_bijection():
     for q in range(0, 6):
         f = build_fractal(q)
-        d = dual_tree(f)
+        d = f.dual
         mapped = sorted(d.edge_map.values())
         assert mapped == list(range(len(f.graph.edges)))
 
 
 def test_root_leaf_paths_have_one_edge_per_boundary():
     f = build_fractal(2)
-    d = dual_tree(f)
+    d = f.dual
     for leaf in d.leaf_order:
         path = d.root_leaf_edges(leaf)
         assert len(path) == 3
@@ -132,7 +132,7 @@ def test_root_leaf_paths_have_one_edge_per_boundary():
 
 def test_internal_nodes_have_two_children():
     for q in range(0, 6):
-        d = dual_tree(build_fractal(q))
+        d = build_fractal(q).dual
         leaves = set(d.leaf_order)
         for node in range(1, d.node_count):
             if node not in leaves:
@@ -177,7 +177,7 @@ def test_dual_tree_is_built_only_on_first_use():
         selected_instance(f, cert)
     to_json(f)
     assert "dual" not in vars(f)
-    d = dual_tree(f)
+    d = f.dual
     assert vars(f)["dual"] is d and f.dual is d
     assert f == build_fractal(5, directed=True, cost=2)  # dual takes no part
 

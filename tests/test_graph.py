@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from fractalcut import (Graph, InputError, UNREACHABLE, bfs_distance,
                         build_fractal, is_connected, is_edge_cut,
                         is_minimal_edge_cut, is_strongly_connected, min_cut,
-                        parse, subdivide_and_multiply, to_json)
+                        parse, to_json)
+from fractalcut.composer import _expand_marked
 from fractalcut.fractal import cut_for_instance
 
 
@@ -220,8 +221,14 @@ def test_adjacency_is_not_built_by_construction_cuts_or_serialization():
 
 # -- cost expansion --------------------------------------------------------------
 
+def subdivide(g):
+    """Every edge of cost c becomes c parallel two-hop paths through fresh
+    midpoints: the composer's expansion with every edge marked."""
+    return _expand_marked(g, set(range(len(g.edges))))[0]
+
+
 def test_subdivide_single_edge_cost3():
-    g = subdivide_and_multiply(Graph(False, 2, [(0, 1, 3)]))
+    g = subdivide(Graph(False, 2, [(0, 1, 3)]))
     assert g.n == 5 and len(g.edges) == 6
     assert g.is_simple
     assert bfs_distance(g, 0, 1) == 2
@@ -229,14 +236,14 @@ def test_subdivide_single_edge_cost3():
 
 
 def test_subdivide_unit_edge_becomes_two_hop_path():
-    g = subdivide_and_multiply(Graph(False, 2, [(0, 1)]))
+    g = subdivide(Graph(False, 2, [(0, 1)]))
     assert g.n == 3 and len(g.edges) == 2
     assert bfs_distance(g, 0, 1) == 2
 
 
 def test_subdivide_weighted_fractal():
     f = build_fractal(2, cost=2)
-    g = subdivide_and_multiply(f.graph)
+    g = subdivide(f.graph)
     assert min_cut(g, f.sigma, f.tau).total_cost == 6
     assert bfs_distance(g, f.sigma, f.tau) == 2
 
@@ -248,7 +255,7 @@ def test_subdivide_preserves_distances_and_cuts():
         build_fractal(2, cost=2).graph,
     ]
     for g in cases:
-        out = subdivide_and_multiply(g)
+        out = subdivide(g)
         assert out.is_simple
         for x in range(g.n):
             for y in range(g.n):
@@ -277,7 +284,7 @@ def small_graphs(draw):
 @settings(max_examples=40, deadline=None)
 @given(small_graphs())
 def test_subdivide_doubles_distances_property(g):
-    out = subdivide_and_multiply(g)
+    out = subdivide(g)
     assert out.is_simple
     for x in range(g.n):
         d = bfs_distance(g, 0, x)

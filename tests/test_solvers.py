@@ -10,13 +10,13 @@ from fractalcut import (Graph, InputError, ProblemInstance,
                         ResourceBudgetError, build_fractal, check_witness,
                         solve_bruteforce, solve_bruteforce_costaware,
                         solve_dsct_fpt, solve_fpt, solve_lbec_fpt,
-                        solve_mded_fpt, split_vertex)
+                        solve_mded_fpt)
 from fractalcut.generators import random_solver_instance
 from fractalcut.graph import bfs_distance
 from fractalcut.composer import compose_mded
 from fractalcut.solvers import (_CostAwareSearch, _SlotState, _alive_adj,
                                 _bfs_all, _connected_after, _diameter,
-                                instance_predicate)
+                                _girth_directed, instance_predicate)
 from fractalcut.verify import _make_inputs
 
 
@@ -146,17 +146,10 @@ def test_split_vertex_matches_shortest_cycle():
     for _ in range(30):
         inst = random_solver_instance(rnd, "dsct")
         g = inst.graph
-        # shortest cycle through each vertex via the explicit split graph
-        best_split = None
-        for v in range(g.n):
-            gv, v_in, v_out = split_vertex(g, v)
-            d = bfs_distance(gv, v_out, v_in)
-            if d != float("inf"):
-                best_split = d if best_split is None else min(best_split, d)
-        state = _SlotState(g)
-        cycle = state.shortest_cycle_slots(len(g.edges) + 1)
-        best_state = len(cycle) if cycle is not None else None
-        assert best_split == best_state
+        # the implicit vertex-split search against the reference girth
+        cycle = _SlotState(g).shortest_cycle_slots(len(g.edges) + 1)
+        girth = _girth_directed(g, frozenset())
+        assert (len(cycle) if cycle is not None else float("inf")) == girth
 
 
 # -- oracle agreement -------------------------------------------------------------
