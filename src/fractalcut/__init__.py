@@ -9,6 +9,8 @@ into one (an executable OR-composition), and carries out the vertex-cover
 reduction to planar length-bounded cut.
 """
 
+from types import ModuleType as _ModuleType
+
 from .composer import (CompositionArtifact, EquivalenceClass, check_equivalent,
                        compose_dsct, compose_lbec, compose_mded,
                        pad_to_power_of_two, trivial_no_instance)
@@ -29,4 +31,6 @@ from .solvers import (ProblemInstance, Verdict, check_witness,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above; the submodules that the imports bind are left out.
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))

@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 
 from .errors import EquivalenceError, InputError
 from .fractal import TFractal, build_fractal
-from .graph import (Graph, UNREACHABLE, _reachable, bfs_distance,
-                    is_connected, is_strongly_connected, min_cut)
+from .graph import (Graph, UNREACHABLE, bfs_distance, is_connected,
+                    is_strongly_connected, min_cut, reach)
 from .solvers import ProblemInstance
 
 
@@ -87,15 +87,19 @@ def trivial_no_instance(k: int, ell: int, directed: bool = False) -> ProblemInst
     return ProblemInstance("lbec", g, s=0, t=1, k=k, ell=ell)
 
 
-def pad_to_power_of_two(instances: Sequence[ProblemInstance]) -> list[ProblemInstance]:
-    """Append in-class no-instances until the count is a power of two.
-
-    Every composer takes lbec inputs and the padding is lbec, so inputs of
-    another kind are refused before padding could mix the kinds.
-    """
+def _lbec_class(instances: Sequence[ProblemInstance]) -> EquivalenceClass:
+    """The common class of lbec inputs.  Every composer takes lbec instances,
+    the only kind with the terminals they read, and the padding is lbec, so
+    another kind is refused before padding could mix the kinds."""
     cls = check_equivalent(instances)
     if instances[0].kind != "lbec":
         raise InputError("input 0 is not an lbec instance")
+    return cls
+
+
+def pad_to_power_of_two(instances: Sequence[ProblemInstance]) -> list[ProblemInstance]:
+    """Append in-class no-instances until the count is a power of two."""
+    cls = _lbec_class(instances)
     if cls.bad:
         raise InputError("cannot pad the bad class")
     if cls.ell < 3:
@@ -157,8 +161,6 @@ def _embed(instances: Sequence[ProblemInstance], cost: int,
     if cost < 1:
         raise InputError("fractal edge cost must be positive")
     for i, inst in enumerate(instances):
-        if inst.kind != "lbec":
-            raise InputError(f"input {i} is not an lbec instance")
         if inst.graph.directed != directed:
             want = "directed" if directed else "undirected"
             raise InputError(f"input {i} must be {want}")
@@ -257,7 +259,7 @@ def _expand_marked(g: Graph, marked: set[int],
 
 
 def _common_class(instances: Sequence[ProblemInstance]) -> tuple[int, int]:
-    cls = check_equivalent(instances)
+    cls = _lbec_class(instances)
     if cls.bad:
         raise InputError("cannot compose the bad equivalence class")
     if cls.ell < 3:
@@ -411,10 +413,6 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
     """
     _check_mode(mode)
     k, ell = _common_class(instances)
-    # The inputs share one kind by now.  Only lbec instances carry the
-    # terminals that the min-cut and reachability checks below read.
-    if instances[0].kind != "lbec":
-        raise InputError("input 0 is not an lbec instance")
     p = len(instances)
     q = _check_power_of_two(p)
     n_max = max(i.graph.n for i in instances)
@@ -442,11 +440,14 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
         for i, inst in enumerate(instances):
             if not inst.graph.directed:
                 raise InputError(f"input {i} must be directed")
-            n = inst.graph.n
-            adj, radj = inst.graph._adjacency()
-            from_s = _reachable(adj, inst.s, n)
-            to_t = _reachable(radj, inst.t, n)
-            for v in range(n):
+            # The detour shadowing rebuilds every arc at unit cost and
+            # length, so other costs or lengths would silently change the
+            # input's answer.
+            if not inst.graph.is_simple:
+                raise InputError(f"input {i} must be a simple unit graph")
+            from_s = reach(inst.graph, inst.s)
+            to_t = reach(inst.graph, inst.t, reverse=True)
+            for v in range(inst.graph.n):
                 if not from_s[v]:
                     raise InputError(f"input {i}: source does not reach vertex {v}")
                 if not to_t[v]:

@@ -235,6 +235,13 @@ def _reachable(adj, start: int, n: int) -> bytearray:
     return seen
 
 
+def reach(g: Graph, start: int, reverse: bool = False) -> bytearray:
+    """Flags of the vertices that ``start`` reaches along edges, or, with
+    ``reverse``, of the vertices that reach ``start``."""
+    _require_vertex(g, start)
+    return _reachable(g._adjacency()[1 if reverse else 0], start, g.n)
+
+
 def is_connected(g: Graph) -> bool:
     """Connectivity of the underlying undirected graph."""
     if g.n <= 1:
@@ -254,8 +261,7 @@ def is_strongly_connected(g: Graph) -> bool:
         return True
     if not g.directed:
         return is_connected(g)
-    adj, radj = g._adjacency()
-    return all(_reachable(adj, 0, g.n)) and all(_reachable(radj, 0, g.n))
+    return all(reach(g, 0)) and all(reach(g, 0, reverse=True))
 
 
 def is_edge_cut(g: Graph, s: int, t: int, edge_indices: Iterable[int]) -> bool:

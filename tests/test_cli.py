@@ -107,6 +107,19 @@ def test_compose_refuses_non_lbec_inputs_before_padding(capsys, problem):
     assert (code, out, err) == (2, "", "error: input 0 is not an lbec instance\n")
 
 
+def test_compose_mded_refuses_directed_inputs_with_costs(capsys, tmp_path):
+    # Instance files carry no lengths; the library-level length case is in
+    # test_composer.py.
+    doc = json.loads((FIXTURES / "dag_a.json").read_text())
+    doc["costs"] = [2, 1, 1, 1, 1]
+    path = tmp_path / "costly.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "compose", "--problem", "mded",
+                         "--inputs", str(path), str(path))
+    assert (code, out, err) == (
+        2, "", "error: input 0 must be a simple unit graph\n")
+
+
 def test_compose_dsct_from_dags(capsys):
     code, out, err = run(capsys, "compose", "--problem", "dsct",
                          "--inputs",

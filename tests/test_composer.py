@@ -323,6 +323,18 @@ def test_mded_directed_rejects_inputs_off_every_source_sink_path(second_edges,
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("arc", [(1, 2, 1, 2), (1, 2, 2, 1)],
+                         ids=["length-2", "cost-2"])
+def test_mded_directed_rejects_non_unit_inputs(arc):
+    # The detour shadowing rebuilds every arc at unit cost and length, so a
+    # composition of such an input would answer a different question.
+    good = lbec_on(Graph(True, 4, [(0, 1), (1, 2), (2, 3)]), 1, 3)
+    bad = lbec_on(Graph(True, 4, [(0, 1), arc, (2, 3)]), 1, 3)
+    with pytest.raises(InputError) as exc:
+        compose_mded([good, bad], directed=True)
+    assert str(exc.value) == "input 1 must be a simple unit graph"
+
+
 def test_compose_rejects_bad_class_and_low_threshold():
     bad = ProblemInstance("lbec", Graph(False, 3, [(0, 1), (1, 2)]), s=0, t=2,
                           k=7, ell=9)
