@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 
 from .errors import EquivalenceError, InputError
 from .fractal import TFractal, build_fractal
-from .graph import (Graph, UNREACHABLE, bfs_distance, is_connected,
-                    is_strongly_connected, min_cut, reach)
+from .graph import (Graph, UNREACHABLE, bfs_distance, distances,
+                    is_connected, is_strongly_connected, min_cut)
 from .solvers import ProblemInstance
 
 
@@ -445,12 +445,12 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
             # input's answer.
             if not inst.graph.is_simple:
                 raise InputError(f"input {i} must be a simple unit graph")
-            from_s = reach(inst.graph, inst.s)
-            to_t = reach(inst.graph, inst.t, reverse=True)
+            from_s = distances(inst.graph, inst.s)
+            to_t = distances(inst.graph, inst.t, reverse=True)
             for v in range(inst.graph.n):
-                if not from_s[v]:
+                if from_s[v] == UNREACHABLE:
                     raise InputError(f"input {i}: source does not reach vertex {v}")
-                if not to_t[v]:
+                if to_t[v] == UNREACHABLE:
                     raise InputError(f"input {i}: vertex {v} does not reach the sink")
         L = ell * n_max * (2 * q + 3) + 1
         con = _embed([_augment_directed_input(i) for i in instances], c,

@@ -222,24 +222,24 @@ def bfs_distance(g: Graph, source: int, target: int,
     return UNREACHABLE
 
 
-def _reachable(adj, start: int, n: int) -> bytearray:
-    seen = bytearray(n)
-    seen[start] = 1
-    queue = deque([start])
+def distances(g: Graph, source: int, dead_edges: frozenset[int] = frozenset(),
+              reverse: bool = False) -> list:
+    """Hop distance from source to every vertex, UNREACHABLE where there is
+    no path; with ``reverse``, the distance from every vertex to source.
+    ``dead_edges`` are treated as deleted."""
+    _require_vertex(g, source)
+    adj = g._adjacency()[1 if reverse else 0]
+    dist = [UNREACHABLE] * g.n
+    dist[source] = 0
+    queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v, _ in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
+        d = dist[u] + 1
+        for v, idx in adj[u]:
+            if dist[v] == UNREACHABLE and idx not in dead_edges:
+                dist[v] = d
                 queue.append(v)
-    return seen
-
-
-def reach(g: Graph, start: int, reverse: bool = False) -> bytearray:
-    """Flags of the vertices that ``start`` reaches along edges, or, with
-    ``reverse``, of the vertices that reach ``start``."""
-    _require_vertex(g, start)
-    return _reachable(g._adjacency()[1 if reverse else 0], start, g.n)
+    return dist
 
 
 def is_connected(g: Graph) -> bool:
@@ -247,21 +247,16 @@ def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
     if g.directed:
-        und = [[] for _ in range(g.n)]
-        for e in g.edges:
-            und[e.u].append((e.v, 0))
-            und[e.v].append((e.u, 0))
-        return all(_reachable(und, 0, g.n))
-    return all(_reachable(g._adjacency()[0], 0, g.n))
+        g = Graph(False, g.n, g.edges)
+    return UNREACHABLE not in distances(g, 0)
 
 
 def is_strongly_connected(g: Graph) -> bool:
     """Every vertex reaches every other along directed edges."""
     if g.n <= 1:
         return True
-    if not g.directed:
-        return is_connected(g)
-    return all(reach(g, 0)) and all(reach(g, 0, reverse=True))
+    return (UNREACHABLE not in distances(g, 0)
+            and UNREACHABLE not in distances(g, 0, reverse=True))
 
 
 def is_edge_cut(g: Graph, s: int, t: int, edge_indices: Iterable[int]) -> bool:

@@ -35,8 +35,8 @@ from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .errors import InputError, ResourceBudgetError
-from .graph import (Graph, UNREACHABLE, bfs_distance, is_connected,
-                    is_strongly_connected, min_cut)
+from .graph import (Graph, UNREACHABLE, bfs_distance, distances,
+                    is_connected, is_strongly_connected, min_cut)
 
 KINDS = ("lbec", "mded", "dsct")
 
@@ -102,48 +102,14 @@ class Verdict:
 # -- reference predicate (replay grade, no cleverness) ---------------------
 
 
-def _alive_adj(g: Graph, dead: frozenset[int]):
-    adj = [[] for _ in range(g.n)]
-    for idx, e in enumerate(g.edges):
-        if idx in dead:
-            continue
-        adj[e.u].append(e.v)
-        if not g.directed:
-            adj[e.v].append(e.u)
-    return adj
-
-
-def _radj_of(g: Graph, dead: frozenset[int]):
-    radj = [[] for _ in range(g.n)]
-    for idx, e in enumerate(g.edges):
-        if idx not in dead:
-            radj[e.v].append(e.u)
-    return radj
-
-
-def _bfs_all(adj, src: int, n: int):
-    dist = [UNREACHABLE] * n
-    dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if dist[v] == UNREACHABLE:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
 def _diameter(g: Graph, dead: frozenset[int]) -> float:
     """Maximum shortest-path length over ordered pairs; inf if some pair is
     unreachable (directed: not strongly connected)."""
     if g.n <= 1:
         return 0
-    adj = _alive_adj(g, dead)
     worst = 0
     for v in range(g.n):
-        dist = _bfs_all(adj, v, g.n)
-        worst = max(worst, max(dist))
+        worst = max(worst, max(distances(g, v, dead)))
         if worst == UNREACHABLE:
             return UNREACHABLE
     return worst
@@ -152,33 +118,19 @@ def _diameter(g: Graph, dead: frozenset[int]) -> float:
 def _girth_directed(g: Graph, dead: frozenset[int]) -> float:
     """Length of the shortest directed cycle; inf when acyclic."""
     best = UNREACHABLE
-    adj = _alive_adj(g, dead)
     for idx, e in enumerate(g.edges):
-        if idx in dead:
-            continue
-        dist = _bfs_all(adj, e.v, g.n)
-        best = min(best, dist[e.u] + 1)
+        if idx not in dead:
+            best = min(best, distances(g, e.v, dead)[e.u] + 1)
     return best
 
 
 def _connected_after(g: Graph, dead: frozenset[int]) -> bool:
+    """(Strong, if directed) connectivity once the dead edges are gone."""
     if g.n <= 1:
         return True
-    adj = _alive_adj(g, dead)
-    und = adj
-    if g.directed:
-        und = [list(nbrs) for nbrs in adj]
-        for idx, e in enumerate(g.edges):
-            if idx not in dead:
-                und[e.v].append(e.u)
-    dist = _bfs_all(und, 0, g.n)
-    if any(d == UNREACHABLE for d in dist):
-        return False
-    if not g.directed:
-        return True
-    fwd = _bfs_all(adj, 0, g.n)
-    bwd = _bfs_all(_radj_of(g, dead), 0, g.n)
-    return all(d != UNREACHABLE for d in fwd) and all(d != UNREACHABLE for d in bwd)
+    return (UNREACHABLE not in distances(g, 0, dead)
+            and (not g.directed
+                 or UNREACHABLE not in distances(g, 0, dead, reverse=True)))
 
 
 def instance_predicate(inst: ProblemInstance, deleted: Iterable[int]) -> bool:
@@ -204,7 +156,7 @@ def check_witness(inst: ProblemInstance, edges: Iterable[int]) -> bool:
     return instance_predicate(inst, edges)
 
 
-# -- shared branching state -------------------------------------------------
+# -- shared support -----------------------------------------------------------
 
 
 def _group_pairs(g: Graph) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
@@ -222,56 +174,119 @@ def _group_pairs(g: Graph) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]
     return list(by_pair), [tuple(idxs) for idxs in by_pair.values()]
 
 
-class _SlotState:
-    """Multigraph adjacency grouped into parallel-edge slots.
+def _bits(x: int):
+    while x:
+        b = x & -x
+        yield b.bit_length() - 1
+        x ^= b
 
-    A slot is one (u, v) adjacency pair; ``mult[sid]`` counts surviving
-    copies.  Deleting a copy only changes distances once the slot is empty,
-    which is what makes the multiplicity-versus-budget prune sound.
+
+class _Support:
+    """The adjacency pairs that survive, as bitmasks.
+
+    ``pairs[pid]`` is a (u, v) pair of ``_group_pairs`` and ``pair_id`` maps
+    it back.  Bit v of ``out_masks[u]`` and bit u of ``in_masks[v]`` are set
+    while the pair survives; an undirected graph's in-masks are its
+    out-masks.  ``sever`` takes a surviving pair out and ``restore`` puts a
+    severed one back; each touches only the pair's own bits.
     """
 
-    __slots__ = ("n", "directed", "slot_edges", "mult", "orig", "adj", "radj")
+    def __init__(self, g: Graph):
+        self.n = g.n
+        self.directed = g.directed
+        self.pairs, self.pair_edges = _group_pairs(g)
+        self.pair_id = {p: i for i, p in enumerate(self.pairs)}
+        self.out_masks = [0] * g.n
+        self.in_masks = [0] * g.n if g.directed else self.out_masks
+        for u, v in self.pairs:
+            self.out_masks[u] |= 1 << v
+            self.in_masks[v] |= 1 << u
+        self.full_mask = (1 << g.n) - 1
+
+    def sever(self, pid: int) -> None:
+        u, v = self.pairs[pid]
+        self.out_masks[u] &= ~(1 << v)
+        self.in_masks[v] &= ~(1 << u)
+
+    def restore(self, pid: int) -> None:
+        u, v = self.pairs[pid]
+        self.out_masks[u] |= 1 << v
+        self.in_masks[v] |= 1 << u
+
+    def connected_without(self, pid: int) -> bool:
+        """Is the support still (strongly, if directed) connected once the
+        surviving pair pid is severed?"""
+        u, v = self.pairs[pid]
+        if self.out_masks[u] == 1 << v or self.in_masks[v] == 1 << u:
+            return False  # the pair is u's only way out or v's only way in
+        self.sever(pid)
+        full = self.full_mask
+        connected = self._sweep(self.out_masks, 0) == full and (
+            not self.directed or self._sweep(self.in_masks, 0) == full)
+        self.restore(pid)
+        return connected
+
+    def _sweep(self, masks, start: int) -> int:
+        """The mask of the vertices reachable from start along masks.
+        Corridors keep most frontiers one vertex wide, hence the single-bit
+        fast path."""
+        seen = frontier = 1 << start
+        while frontier:
+            if frontier & (frontier - 1):
+                nxt = 0
+                while frontier:
+                    b = frontier & -frontier
+                    nxt |= masks[b.bit_length() - 1]
+                    frontier ^= b
+            else:
+                nxt = masks[frontier.bit_length() - 1]
+            frontier = nxt & ~seen
+            seen |= nxt
+        return seen
+
+
+class _SlotState(_Support):
+    """The support with parallel-edge multiplicities, for the branchers.
+
+    A slot is one adjacency pair; ``mult[pid]`` counts its surviving copies,
+    and the pair leaves the masks when the last copy goes.  Deleting a copy
+    only changes distances once the slot is empty, which is what makes the
+    multiplicity-versus-budget prune sound.  ``adj[u]`` lists u's
+    (neighbour, pid) slots in ascending order for the s-t path search.
+    """
 
     def __init__(self, g: Graph):
         if not g.is_unit:
             raise InputError("branching solvers require unit costs and lengths")
-        self.n = g.n
-        self.directed = g.directed
-        pairs, self.slot_edges = _group_pairs(g)
-        self.mult = [len(idxs) for idxs in self.slot_edges]
-        self.orig = tuple(self.mult)
-        adj = [[] for _ in range(g.n)]
-        radj = [[] for _ in range(g.n)] if g.directed else adj
-        for sid, (u, v) in enumerate(pairs):
-            adj[u].append((v, sid))
-            if g.directed:
-                radj[v].append((u, sid))
-            else:
-                adj[v].append((u, sid))
-        for lst in adj:
+        super().__init__(g)
+        self.mult = [len(idxs) for idxs in self.pair_edges]
+        self.adj = [[] for _ in range(g.n)]
+        for pid, (u, v) in enumerate(self.pairs):
+            self.adj[u].append((v, pid))
+            if not g.directed:
+                self.adj[v].append((u, pid))
+        for lst in self.adj:
             lst.sort()
-        if g.directed:
-            for lst in radj:
-                lst.sort()
-        self.adj = adj
-        self.radj = radj
 
-    def delete_copy(self, sid: int) -> int:
+    def delete_copy(self, pid: int) -> int:
         """Remove one copy, returning the concrete edge index it stands for."""
-        used = self.orig[sid] - self.mult[sid]
-        self.mult[sid] -= 1
-        return self.slot_edges[sid][used]
+        self.mult[pid] -= 1
+        if not self.mult[pid]:
+            self.sever(pid)
+        copies = self.pair_edges[pid]
+        return copies[len(copies) - 1 - self.mult[pid]]
 
-    def restore_copy(self, sid: int) -> None:
-        self.mult[sid] += 1
-
-    # BFS over surviving slots.
+    def restore_copy(self, pid: int) -> None:
+        if not self.mult[pid]:
+            self.restore(pid)
+        self.mult[pid] += 1
 
     def shortest_path_slots(self, s: int, t: int, limit: int):
         """Slot ids of a shortest s-t path if its length is <= limit, else None.
 
         Ties are broken toward smaller vertex ids (adjacency is sorted), so
-        branching order is reproducible.
+        branching order is reproducible.  The BFS stays on lists: it visits
+        almost every vertex, where walking masks bit by bit is slower.
         """
         if s == t:
             return []
@@ -304,107 +319,56 @@ class _SlotState:
             d += 1
         return None
 
-    def support_connected(self, skip_sid: int = -1, strong: bool = False) -> bool:
-        """Connectivity of the surviving support, optionally without one slot."""
-        if self.n <= 1:
-            return True
-        mult = self.mult
-
-        def sweep(adj, backward_too):
-            seen = bytearray(self.n)
-            seen[0] = 1
-            queue = deque([0])
-            count = 1
-            while queue:
-                u = queue.popleft()
-                for v, sid in adj[u]:
-                    if sid == skip_sid or mult[sid] <= 0 or seen[v]:
-                        continue
-                    seen[v] = 1
-                    count += 1
-                    queue.append(v)
-                if backward_too:
-                    for v, sid in self.radj[u]:
-                        if sid == skip_sid or mult[sid] <= 0 or seen[v]:
-                            continue
-                        seen[v] = 1
-                        count += 1
-                        queue.append(v)
-            return count == self.n
-
-        if not self.directed:
-            return sweep(self.adj, False)
-        if not strong:
-            return sweep(self.adj, True)
-        return sweep(self.adj, False) and sweep(self.radj, False)
-
     def shortest_cycle_slots(self, limit: int):
         """Slots of a shortest directed cycle of length <= limit, else None.
 
-        For each vertex v this runs the vertex-split search: v is replaced by
-        v_in (receiving v's in-arcs) and v_out (emitting v's out-arcs) joined
-        by an arc (v_in, v_out), and the shortest v_out-v_in path is the
-        shortest cycle through v.  The split graph is kept implicit: a BFS
-        starts at v's out-neighbors and looks for an in-neighbor of v; the
-        artificial (v_in, v_out) arc is never a branching candidate.
+        For each vertex v in id order, a BFS out of v that never re-enters v
+        grows level masks until one holds an in-neighbour of v; a cycle
+        through v is a path into that level closed by the arc back into v.
+        Of those paths the one with the least vertex sequence is taken: a
+        backward pass keeps, on each level, the vertices with a successor
+        kept on the next, and the forward walk takes the lowest one.  That is
+        the path a BFS over ascending neighbour lists records as parents, so
+        ties break toward smaller vertex ids.  Only a strictly shorter cycle
+        replaces an earlier one.
         """
-        if limit < 2:
-            return None
-        best_len = None
+        out_masks, in_masks, pair_id = self.out_masks, self.in_masks, self.pair_id
         best = None
-        mult = self.mult
+        cap = limit
         for v in range(self.n):
-            in_slot = {}
-            for u, sid in self.radj[v]:
-                if mult[sid] > 0 and u not in in_slot:
-                    in_slot[u] = sid
-            if not in_slot:
+            if cap < 2:
+                break
+            into = in_masks[v]
+            seen = 1 << v
+            level = out_masks[v] if into else 0
+            levels = []
+            while level:
+                levels.append(level)
+                if level & into or len(levels) == cap - 1:
+                    break
+                seen |= level
+                nxt = 0
+                for x in _bits(level):
+                    nxt |= out_masks[x]
+                level = nxt & ~seen
+            if not levels or not levels[-1] & into:
                 continue
-            dist = [-1] * self.n
-            par_slot = [-1] * self.n
-            par_vert = [-1] * self.n
-            frontier = []
-            hit = None
-            for x, sid in self.adj[v]:
-                if mult[sid] <= 0 or dist[x] >= 0:
-                    continue
-                dist[x] = 1
-                par_slot[x] = sid
-                par_vert[x] = v
-                if x in in_slot and hit is None:
-                    hit = x
-                frontier.append(x)
-            d = 1
-            cap = limit if best_len is None else min(limit, best_len - 1)
-            while hit is None and frontier and d + 1 <= cap - 1:
-                nxt = []
-                for u in frontier:
-                    for w, sid in self.adj[u]:
-                        if mult[sid] <= 0 or dist[w] >= 0 or w == v:
-                            continue
-                        dist[w] = d + 1
-                        par_slot[w] = sid
-                        par_vert[w] = u
-                        if w in in_slot and hit is None:
-                            hit = w
-                        nxt.append(w)
-                    if hit is not None:
-                        break
-                frontier = nxt
-                d += 1
-            if hit is None:
-                continue
-            length = dist[hit] + 1
-            if length <= cap and (best_len is None or length < best_len):
-                path = []
-                cur = hit
-                while cur != v:
-                    path.append(par_slot[cur])
-                    cur = par_vert[cur]
-                path.reverse()
-                path.append(in_slot[hit])
-                best_len = length
-                best = path
+            keep = levels[-1] = levels[-1] & into
+            for j in range(len(levels) - 2, -1, -1):
+                back = 0
+                for x in _bits(keep):
+                    back |= in_masks[x]
+                keep = levels[j] = levels[j] & back
+            cycle = []
+            u = v
+            for level in levels:
+                ahead = out_masks[u] & level
+                w = (ahead & -ahead).bit_length() - 1
+                cycle.append(pair_id[u, w])
+                u = w
+            cycle.append(pair_id[u, v])
+            best = cycle
+            cap = len(cycle) - 1
         return best
 
 
@@ -454,8 +418,7 @@ def _branch(state: _SlotState, find: Callable[[], Optional[list[int]]],
             if state.mult[sid] > budget_left:
                 continue
             if keep_connected and state.mult[sid] == 1 and \
-                    not state.support_connected(skip_sid=sid,
-                                                strong=state.directed):
+                    not state.connected_without(sid):
                 continue
             branched = True
             deleted.append(state.delete_copy(sid))
@@ -585,14 +548,7 @@ def solve_bruteforce(inst: ProblemInstance, max_subsets: int = 10_000_000) -> Ve
 # -- cost-aware brute force --------------------------------------------------
 
 
-def _bits(x: int):
-    while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b
-
-
-class _CostAwareSearch:
+class _CostAwareSearch(_Support):
     """Exhaustive decision over deletion sets of bounded total cost.
 
     The enumeration unit is the *severance*: removing every parallel copy
@@ -682,24 +638,10 @@ class _CostAwareSearch:
         g = inst.graph
         if any(e.length != 1 for e in g.edges):
             raise InputError("cost-aware search requires unit hop lengths")
+        super().__init__(g)
         self.inst = inst
-        self.n = g.n
-        self.directed = g.directed
-        self.pairs, self.pair_edges = _group_pairs(g)
         self.pair_cost = [sum(g.edges[i].cost for i in idxs)
                           for idxs in self.pair_edges]
-        self.pair_id = {p: i for i, p in enumerate(self.pairs)}
-
-        # Bitset support adjacency (mutated during the search via apply/undo).
-        self.out_masks = [0] * g.n
-        self.in_masks = [0] * g.n
-        for (u, v) in self.pairs:
-            self.out_masks[u] |= 1 << v
-            self.in_masks[v] |= 1 << u
-            if not self.directed:
-                self.out_masks[v] |= 1 << u
-                self.in_masks[u] |= 1 << v
-        self.full_mask = (1 << g.n) - 1
         if inst.kind == "mded":
             self.sources = self._diameter_sources()
 
@@ -754,7 +696,7 @@ class _CostAwareSearch:
         excluded = set()
         if kind == "mded":
             for pid in range(len(self.pairs)):
-                if not self._support_connected_without(pid):
+                if not self.connected_without(pid):
                     excluded.add(pid)
         elif kind == "dsct":
             # Arcs inside a strongly connected component lie on a cycle;
@@ -764,20 +706,6 @@ class _CostAwareSearch:
                 if comp[u] != comp[v]:
                     excluded.add(pid)
         return excluded
-
-    def _support_connected_without(self, pid: int) -> bool:
-        """Is the support still (strongly, if directed) connected once pair
-        pid is severed?"""
-        u, v = self.pairs[pid]
-        if self.out_masks[u] == 1 << v or self.in_masks[v] == 1 << u:
-            return False  # the pair is u's only way out or v's only way in
-        undo: list = []
-        self._apply_pairs((pid,), undo)
-        full = self.full_mask
-        connected = self._sweep(self.out_masks, 0) == full and (
-            not self.directed or self._sweep(self.in_masks, 0) == full)
-        self._undo(undo, len(undo))
-        return connected
 
     def _scc_ids(self) -> list[int]:
         n = self.n
@@ -878,27 +806,6 @@ class _CostAwareSearch:
                 used_pairs.add(pid)
                 chains.append((list(chain), head, tail))
         return chains
-
-    # ---- incremental pair toggling
-
-    def _apply_pairs(self, pids, undo):
-        for pid in pids:
-            u, v = self.pairs[pid]
-            undo.append((u, self.out_masks[u], self.in_masks[u],
-                         v, self.out_masks[v], self.in_masks[v]))
-            self.out_masks[u] &= ~(1 << v)
-            self.in_masks[v] &= ~(1 << u)
-            if not self.directed:
-                self.out_masks[v] &= ~(1 << u)
-                self.in_masks[u] &= ~(1 << v)
-
-    def _undo(self, undo, count):
-        for _ in range(count):
-            u, omu, imu, v, omv, imv = undo.pop()
-            self.out_masks[u] = omu
-            self.in_masks[u] = imu
-            self.out_masks[v] = omv
-            self.in_masks[v] = imv
 
     # ---- predicates on the current masks
     #
@@ -1010,24 +917,6 @@ class _CostAwareSearch:
             arrays.append(got)
         return arrays
 
-    def _sweep(self, masks, start: int) -> int:
-        """The mask of the vertices reachable from start along masks.
-        Corridors keep most frontiers one vertex wide, hence the single-bit
-        fast path."""
-        seen = frontier = 1 << start
-        while frontier:
-            if frontier & (frontier - 1):
-                nxt = 0
-                while frontier:
-                    b = frontier & -frontier
-                    nxt |= masks[b.bit_length() - 1]
-                    frontier ^= b
-            else:
-                nxt = masks[frontier.bit_length() - 1]
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen
-
     def _distances_below(self, ell: int, dist: list[int], reach: list[int]):
         """Finish a BFS on the surviving support, given the masks reach[j]
         of the vertices within j hops of its source for j < len(reach) and
@@ -1117,12 +1006,13 @@ class _CostAwareSearch:
                 cost, pids, _ = units[ui]
                 if cost > budget_left:
                     continue
-                undo: list = []
-                self._apply_pairs(pids, undo)
+                for pid in pids:
+                    self.sever(pid)
                 chosen.append(ui)
                 ok = rec(ui + 1, budget_left - cost, inherited, pids)
                 chosen.pop()
-                self._undo(undo, len(undo))
+                for pid in pids:
+                    self.restore(pid)
                 if ok:
                     return True
             return False

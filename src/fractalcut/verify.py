@@ -17,7 +17,7 @@ from .fixtures import VC_FIXTURES
 from .fractal import build_fractal, cut_for_instance, enumerate_min_cuts, selected_instance
 from .generators import (random_dag_lbec_input, random_lbec_input,
                          random_solver_instance, random_uncuttable_lbec_input)
-from .graph import (UNREACHABLE, bfs_distance, is_connected, is_edge_cut,
+from .graph import (UNREACHABLE, bfs_distance, distances, is_edge_cut,
                     is_minimal_edge_cut, is_strongly_connected, min_cut)
 from .reducer import reduce_vc_to_planar_lbec, solve_vc_bruteforce
 from .solvers import (check_witness, solve_bruteforce,
@@ -200,46 +200,23 @@ def check_connectivity_bounds(q_max: int = 4, d_max: int = 3) -> CheckResult:
         m = len(g.edges)
         for size in range(0, min(d_max, m) + 1):
             for dead in itertools.combinations(range(m), size):
-                sub = g.delete_edges(dead)
-                from_sigma = [bfs_distance(sub, f.sigma, x) for x in range(g.n)]
-                if is_connected(sub):
+                frozen = frozenset(dead)
+                from_sigma = distances(g, f.sigma, frozen)
+                if UNREACHABLE not in from_sigma:
                     bound = q + size + 1
                     if any(d > bound for d in from_sigma):
                         failures.append(f"(A) q={q} D={dead}")
                     continue
-                comps = _component_count(sub)
-                sep = from_sigma[f.tau] == UNREACHABLE
-                if comps == 2 and sep:
+                if from_sigma[f.tau] == UNREACHABLE:
+                    # With sigma and tau apart, there are exactly two
+                    # components when every vertex is reached from one.
                     bound = q + size - 1
-                    from_tau = [bfs_distance(sub, f.tau, x) for x in range(g.n)]
-                    if any(min(a, b) > bound
-                           for a, b in zip(from_sigma, from_tau)):
+                    nearest = [min(a, b) for a, b in
+                               zip(from_sigma, distances(g, f.tau, frozen))]
+                    if UNREACHABLE not in nearest and max(nearest) > bound:
                         failures.append(f"(B) q={q} D={dead}")
     return _result("connectivity distance bounds", failures,
                    f"exhaustive q <= {q_max}, |D| <= {d_max}")
-
-
-def _component_count(g) -> int:
-    seen = [False] * g.n
-    count = 0
-    for v in range(g.n):
-        if seen[v]:
-            continue
-        count += 1
-        stack = [v]
-        seen[v] = True
-        while stack:
-            u = stack.pop()
-            for w, _ in g.out_neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-            if g.directed:
-                for w, _ in g.in_neighbors(u):
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-    return count
 
 
 def check_directed_reachability(q_max: int = 4, d_max: int = 3) -> CheckResult:
@@ -252,8 +229,7 @@ def check_directed_reachability(q_max: int = 4, d_max: int = 3) -> CheckResult:
             for dead in itertools.combinations(range(m), size):
                 frozen = frozenset(dead)
                 bound = q + size + 1
-                for x in range(g.n):
-                    d = bfs_distance(g, f.sigma, x, frozen)
+                for x, d in enumerate(distances(g, f.sigma, frozen)):
                     if d != UNREACHABLE and d > bound:
                         failures.append(f"q={q} D={dead} x={x}")
     return _result("directed reachability bound", failures,

@@ -359,7 +359,8 @@ def test_diameter_realized_at_appended_tips():
     # rests on this identity; the directed case needs the extra wrap arcs
     # for it (without them, pairs wrapping through the one-way chains exceed
     # it already with zero deletions).
-    from fractalcut.solvers import _alive_adj, _bfs_all, _connected_after
+    from fractalcut.graph import distances
+    from fractalcut.solvers import _connected_after
     rnd = random.Random(424)
     for directed in (False, True):
         if directed:
@@ -382,8 +383,8 @@ def test_diameter_realized_at_appended_tips():
                 continue
             if not _connected_after(g, frozenset(dead)):
                 continue
-            adj = _alive_adj(g, frozenset(dead))
-            diam = max(max(_bfs_all(adj, v, g.n)) for v in range(g.n))
+            diam = max(max(distances(g, v, frozenset(dead)))
+                       for v in range(g.n))
             want = 2 * L + bfs_distance(g, 0, tau, frozenset(dead))
             assert diam == want, (directed, dead)
 

@@ -12,6 +12,7 @@ from fractalcut import (Graph, InputError, UNREACHABLE, bfs_distance,
                         parse, to_json)
 from fractalcut.composer import _expand_marked
 from fractalcut.fractal import cut_for_instance
+from fractalcut.graph import distances
 
 
 def brute_min_cut_value(g, s, t):
@@ -73,6 +74,9 @@ def test_bfs_rejects_bad_vertex():
     g = Graph(False, 2, [(0, 1)])
     with pytest.raises(InputError):
         bfs_distance(g, 0, 5)
+    for source in (-1, 2):
+        with pytest.raises(InputError):
+            distances(g, source)
 
 
 def test_bfs_directed_respects_orientation():
@@ -199,8 +203,12 @@ def test_adjacency_queries_match_an_eager_reference(directed):
         for s in range(g.n):
             for cut in (frozenset(), dead):
                 dist = _reference_distances(adj, s, cut)
+                forward = distances(g, s, cut)
+                backward = distances(g, s, cut, reverse=True)
                 for t in range(g.n):
                     assert bfs_distance(g, s, t, cut) == dist.get(t, UNREACHABLE)
+                    assert forward[t] == bfs_distance(g, s, t, cut)
+                    assert backward[t] == bfs_distance(g, t, s, cut)
         both = [adj[u] + radj[u] if directed else adj[u] for u in range(g.n)]
         assert is_connected(g) == (len(_reference_distances(both, 0)) == g.n)
         assert is_strongly_connected(g) == all(

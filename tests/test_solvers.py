@@ -11,12 +11,14 @@ from fractalcut import (Graph, InputError, ProblemInstance,
                         solve_bruteforce, solve_bruteforce_costaware,
                         solve_dsct_fpt, solve_fpt, solve_lbec_fpt,
                         solve_mded_fpt)
+from fractalcut.fixtures import VC_FIXTURES
 from fractalcut.generators import random_solver_instance
-from fractalcut.graph import bfs_distance
+from fractalcut.graph import bfs_distance, distances
 from fractalcut.composer import compose_mded
-from fractalcut.solvers import (_CostAwareSearch, _SlotState, _alive_adj,
-                                _bfs_all, _connected_after, _diameter,
-                                _girth_directed, instance_predicate)
+from fractalcut.reducer import reduce_vc_to_planar_lbec
+from fractalcut.solvers import (_CostAwareSearch, _SlotState, _Support,
+                                _connected_after, _diameter, _girth_directed,
+                                instance_predicate)
 from fractalcut.verify import _make_inputs
 
 
@@ -143,13 +145,81 @@ def test_dsct_rejects_undirected():
 
 def test_split_vertex_matches_shortest_cycle():
     rnd = random.Random(5)
+    pick = random.Random(6)
     for _ in range(30):
         inst = random_solver_instance(rnd, "dsct")
         g = inst.graph
-        # the implicit vertex-split search against the reference girth
-        cycle = _SlotState(g).shortest_cycle_slots(len(g.edges) + 1)
-        girth = _girth_directed(g, frozenset())
-        assert (len(cycle) if cycle is not None else float("inf")) == girth
+        state = _SlotState(g)
+        dead = frozenset()
+        while True:
+            # the mask search against the reference girth on what survives
+            cycle = state.shortest_cycle_slots(len(g.edges) + 1)
+            girth = _girth_directed(g, dead)
+            assert (len(cycle) if cycle is not None else float("inf")) == girth
+            if cycle is None:
+                break
+            # a closed directed walk of surviving pairs
+            arcs = [state.pairs[pid] for pid in cycle]
+            assert all(state.mult[pid] for pid in cycle)
+            assert all(arcs[i][1] == arcs[(i + 1) % len(arcs)][0]
+                       for i in range(len(arcs)))
+            # sever one of its pairs and search again
+            pid = pick.choice(cycle)
+            while state.mult[pid]:
+                dead |= {state.delete_copy(pid)}
+
+
+def test_connected_without_matches_reference():
+    rnd = random.Random(808)
+    outcomes = set()
+    for _ in range(80):
+        directed = rnd.random() < 0.5
+        n = rnd.randint(2, 7)
+        pool = [(u, v) for u in range(n) for v in range(n)
+                if u != v and (directed or u < v)]
+        edges = rnd.sample(pool, rnd.randint(1, len(pool)))
+        edges += [rnd.choice(edges) for _ in range(rnd.randint(0, 2))]
+        g = Graph(directed, n, edges)
+        support = _Support(g)
+        masks = (list(support.out_masks), list(support.in_masks))
+        for pid, idxs in enumerate(support.pair_edges):
+            got = support.connected_without(pid)
+            assert got == _connected_after(g, frozenset(idxs)), (g.edges, pid)
+            assert (support.out_masks, support.in_masks) == masks
+            outcomes.add((directed, got))
+    assert outcomes == {(d, c) for d in (False, True) for c in (False, True)}
+
+
+# (source, seed or k) -> (answer, witness, nodes) of solve_fpt, recorded
+# before the branchers moved onto the shared pair masks: the branching order
+# and with it every witness and leaf count must not drift.
+PINNED_FPT = [
+    (("lbec", 111), (True, (0, 3), 1)),
+    (("lbec", 187), (False, None, 4)),
+    (("lbec", 264), (True, (5,), 2)),
+    (("mded", 103), (True, (13,), 3)),
+    (("mded", 173), (True, (0, 3, 10), 19)),
+    (("mded", 186), (False, None, 25)),
+    (("mded", 253), (True, (1, 3), 2)),
+    (("dsct", 54), (True, (1, 3, 7), 6)),
+    (("dsct", 186), (False, None, 8)),
+    (("dsct", 262), (True, (7, 11, 12), 8)),
+    (("vc/diamond", 2), (True, (47, 58, 89, 100), 59)),
+    (("vc/k4", 2), (False, None, 140)),
+]
+
+
+@pytest.mark.parametrize("params,expected", PINNED_FPT)
+def test_fpt_pinned_verdicts(params, expected):
+    source, arg = params
+    if source.startswith("vc/"):
+        (fx,) = [fx for fx in VC_FIXTURES if fx.name == source[3:]]
+        inst = reduce_vc_to_planar_lbec(fx.instance(arg), fx.embedding())
+    else:
+        inst = random_solver_instance(random.Random(arg), source, n_max=10,
+                                      k_max=3, ell_max=6)
+    v = solve_fpt(inst)
+    assert (v.answer, v.witness, v.nodes) == expected
 
 
 # -- oracle agreement -------------------------------------------------------------
@@ -324,10 +394,9 @@ class _ReplayedMded(_CostAwareSearch):
         if _connected_after(self.inst.graph, dead):
             assert set(self._diameter_sources()) <= set(self.sources), dead
         if isinstance(got, list):
-            adj = _alive_adj(self.inst.graph, dead)
             assert len(got) == len(self.sources)
             for src, (dist, reach) in zip(self.sources, got):
-                assert dist == _bfs_all(adj, src, self.n), (dead, src)
+                assert dist == distances(self.inst.graph, src, dead), (dead, src)
                 assert reach == [sum(1 << v for v in range(self.n)
                                      if dist[v] <= j)
                                  for j in range(max(dist) + 1)], (dead, src)
@@ -420,6 +489,5 @@ def test_diameter_sources_realize_the_diameter():
     for g in graphs:
         assert _connected_after(g, frozenset())
         sources = _CostAwareSearch(ProblemInstance("mded", g, k=0, ell=1)).sources
-        adj = _alive_adj(g, frozenset())
-        worst = max(max(_bfs_all(adj, v, g.n)) for v in sources)
+        worst = max(max(distances(g, v)) for v in sources)
         assert worst == _diameter(g, frozenset()), (g.edges, sources)
