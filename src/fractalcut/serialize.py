@@ -177,10 +177,11 @@ def _parse_graph_obj(obj: dict) -> Graph:
     if "labels" in obj:
         labels = {}
         for key, name in _field(obj, "labels", dict).items():
-            try:
-                labels[int(key)] = str(name)
-            except ValueError:
-                raise ParseError(f"labels key {key!r} is not a vertex id") from None
+            if re.fullmatch(r"\d+", key, re.ASCII) is None:
+                raise ParseError(f"labels key {key!r} is not a vertex id")
+            if not isinstance(name, str):
+                raise ParseError(f"labels[{key!r}] must be a string")
+            labels[int(key)] = name
     try:
         return Graph(directed, n, edges, labels)
     except Exception as exc:

@@ -164,6 +164,16 @@ def test_parse_refuses_fractal_deeper_than_cap():
         parse(_with(_FRACTAL, q=MAX_DEPTH + 1))
 
 
+@pytest.mark.parametrize("labels", [{"1_0": "x"}, {" 3": "x"},
+                                    {"\u0663": "x"}, {"0": None}],
+                         ids=["key-underscore", "key-space", "key-non-ascii",
+                              "value-null"])
+def test_parse_rejects_malformed_labels(labels):
+    # int() would read each key as a vertex id below n and str() any value
+    with pytest.raises(ParseError, match="labels"):
+        parse(_with(_GRAPH, n=11, labels=labels))
+
+
 _VC = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]], "k": 2}
 
 

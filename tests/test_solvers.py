@@ -13,8 +13,8 @@ from fractalcut import (Graph, InputError, ProblemInstance,
                         solve_mded_fpt)
 from fractalcut.fixtures import VC_FIXTURES
 from fractalcut.generators import random_solver_instance
-from fractalcut.graph import bfs_distance, distances
-from fractalcut.composer import compose_mded
+from fractalcut.graph import UNREACHABLE, bfs_distance, distances
+from fractalcut.composer import compose_dsct, compose_lbec, compose_mded
 from fractalcut.reducer import reduce_vc_to_planar_lbec
 from fractalcut.solvers import (_CostAwareSearch, _SlotState, _Support,
                                 _connected_after, _diameter, _girth_directed,
@@ -190,6 +190,25 @@ def test_connected_without_matches_reference():
     assert outcomes == {(d, c) for d in (False, True) for c in (False, True)}
 
 
+def test_dsct_exclusions_are_the_arcs_on_no_cycle():
+    # An arc (u, v) lies on a directed cycle iff v reaches u.
+    rnd = random.Random(4242)
+    outcomes = set()
+    for _ in range(100):
+        n = rnd.randint(2, 9)
+        pool = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = rnd.sample(pool, rnd.randint(1, min(len(pool), 2 * n)))
+        arcs += [rnd.choice(arcs) for _ in range(rnd.randint(0, 2))]
+        g = Graph(True, n, arcs)
+        search = _CostAwareSearch(ProblemInstance("dsct", g, k=0, ell=n))
+        excluded = search._excluded_pairs()
+        for pid, (u, v) in enumerate(search.pairs):
+            on_cycle = distances(g, v)[u] != UNREACHABLE
+            assert (pid in excluded) != on_cycle, (arcs, u, v)
+            outcomes.add(on_cycle)
+    assert outcomes == {False, True}
+
+
 # (source, seed or k) -> (answer, witness, nodes) of solve_fpt, recorded
 # before the branchers moved onto the shared pair masks: the branching order
 # and with it every witness and leaf count must not drift.
@@ -342,6 +361,44 @@ def test_costaware_weighted_budget_counts_cost():
     assert yes.answer and set(yes.witness) == {0, 1}
 
 
+def _composed_cut(seed, flavor, p, k, ell, mode):
+    """A composed LBEC or DSCT instance from the criterion-5 input
+    generator, at its shapes: p = 4 trials sample leaner inputs."""
+    rnd = random.Random(seed)
+    inputs = _make_inputs(rnd, p, k, ell,
+                          "undirected" if flavor == "lbec-und" else "dag", 5,
+                          2 if p == 2 else 0)
+    compose = compose_dsct if flavor == "dsct" else compose_lbec
+    return compose(inputs, mode=mode).composed
+
+
+# (seed, flavor, p, k, ell, mode) -> (answer, witness, nodes), recorded
+# before the LBEC predicate handed its obstructions down: the state count
+# must not drift.
+PINNED_COSTAWARE = [
+    ((0, "lbec-und", 2, 1, 3, "weighted"), (False, None, 1059)),
+    ((1, "lbec-und", 2, 2, 4, "weighted"), (True, (0, 2, 3, 9), 18)),
+    ((15, "lbec-und", 4, 1, 3, "weighted"), (True, (0, 2, 5), 38)),
+    ((3, "lbec-und", 2, 2, 4, "simple"),
+     (True, (0, 2, 4, 6, 16, 18, 20, 22, 40, 44), 20)),
+    ((3, "lbec-dag", 2, 1, 3, "weighted"), (False, None, 178)),
+    ((14, "lbec-dag", 4, 1, 3, "weighted"), (True, (0, 1, 4, 11), 17)),
+    ((0, "lbec-dag", 2, 1, 3, "simple"), (True, (0, 2, 4, 6, 12), 4)),
+    ((14, "lbec-dag", 4, 1, 3, "simple"),
+     (True, (0, 2, 4, 6, 16, 18, 36), 17)),
+    ((1, "dsct", 2, 2, 4, "weighted"), (True, (0, 1, 3, 4), 5)),
+    ((3, "dsct", 2, 1, 3, "simple"), (False, None, 178)),
+    ((10, "dsct", 4, 1, 4, "simple"),
+     (True, (0, 2, 4, 6, 12, 14, 34), 21)),
+]
+
+
+@pytest.mark.parametrize("params,expected", PINNED_COSTAWARE)
+def test_costaware_cut_pinned_verdicts(params, expected):
+    v = solve_bruteforce_costaware(_composed_cut(*params))
+    assert (v.answer, v.witness, v.nodes) == expected
+
+
 def test_replay_predicate_matches_manual_checks():
     inst = ProblemInstance("mded", cycle4(), k=1, ell=3)
     assert instance_predicate(inst, (0,))     # P4: connected, diameter 3
@@ -377,6 +434,12 @@ def test_costaware_mded_pinned_verdicts(params, expected):
     assert (v.answer, v.witness, v.nodes) == expected
 
 
+def _severed_edges(search):
+    """The edge indices of the pairs missing from the search's masks."""
+    return frozenset(i for (u, v), idxs in zip(search.pairs, search.pair_edges)
+                     if not search.out_masks[u] >> v & 1 for i in idxs)
+
+
 class _ReplayedMded(_CostAwareSearch):
     """Checks the incremental diameter predicate at every visited state
     against the replay-grade predicate on the severed edges, every distance
@@ -388,8 +451,7 @@ class _ReplayedMded(_CostAwareSearch):
 
     def _mded_holds(self, parent, severed):
         got = super()._mded_holds(parent, severed)
-        dead = frozenset(i for (u, v), idxs in zip(self.pairs, self.pair_edges)
-                         if not self.out_masks[u] >> v & 1 for i in idxs)
+        dead = _severed_edges(self)
         assert (got is True) == instance_predicate(self.inst, dead), dead
         if _connected_after(self.inst.graph, dead):
             assert set(self._diameter_sources()) <= set(self.sources), dead
@@ -404,16 +466,17 @@ class _ReplayedMded(_CostAwareSearch):
         return got
 
 
-def _replay_states(inst, symmetry, max_states=50_000_000):
+def _replay_states(inst, symmetry, max_states=50_000_000,
+                   replayed=_ReplayedMded):
     """Run the search under replay; a capped run checks the states it got to."""
-    search = _ReplayedMded(inst, symmetry=symmetry)
+    search = replayed(inst, symmetry=symmetry)
     try:
         verdict = search.solve(inst.k, max_states)
     except ResourceBudgetError:
         assert search.visited == max_states
         return None
     assert search.visited == verdict.nodes
-    return verdict
+    return verdict, search
 
 
 def _random_support_mded(rnd):
@@ -435,8 +498,8 @@ def test_incremental_mded_predicate_matches_replay_random():
     instances += [_random_support_mded(rnd) for _ in range(200)]
     for inst in instances:
         seen_directed.add(inst.graph.directed)
-        fast = _replay_states(inst, True)
-        raw = _replay_states(inst, False)
+        fast, _ = _replay_states(inst, True)
+        raw, _ = _replay_states(inst, False)
         assert fast.answer == raw.answer
     assert seen_directed == {True, False}
 
@@ -491,3 +554,56 @@ def test_diameter_sources_realize_the_diameter():
         sources = _CostAwareSearch(ProblemInstance("mded", g, k=0, ell=1)).sources
         worst = max(max(distances(g, v)) for v in sources)
         assert worst == _diameter(g, frozenset()), (g.edges, sources)
+
+
+# -- LBEC obstruction inheritance ------------------------------------------------------
+
+class _ReplayedLbec(_CostAwareSearch):
+    """Checks the LBEC predicate at every visited state against the
+    replay-grade predicate on the severed edges, and that every obstruction
+    it returns, handed down or found afresh, is an s-t path of fewer than
+    ell hops along pairs that survive."""
+
+    visited = 0
+    inherited = 0
+
+    def _lbec_holds(self, parent, severed):
+        got = super()._lbec_holds(parent, severed)
+        dead = _severed_edges(self)
+        assert (got is True) == instance_predicate(self.inst, dead), dead
+        if got is not True:
+            assert 0 < len(got) < self.inst.ell, (dead, got)
+            at = self.inst.s
+            for pid in got:
+                u, v = self.pairs[pid]
+                assert self.out_masks[u] >> v & 1, (dead, got)
+                assert at == u or (not self.directed and at == v), (dead, got)
+                at = v if at == u else u
+            assert at == self.inst.t, (dead, got)
+            self.inherited += got is parent
+        self.visited += 1
+        return got
+
+
+@pytest.mark.parametrize("symmetry", [True, False])
+def test_lbec_obstruction_inheritance_matches_replay(symmetry):
+    rnd = random.Random(2017)
+    instances = [random_solver_instance(rnd, "lbec", n_max=7, k_max=3,
+                                        ell_max=5) for _ in range(60)]
+    instances += [_composed_cut(*params) for params, _ in PINNED_COSTAWARE
+                  if params[1] != "dsct"]
+    # Two parallel corridors severed as one unit: the shortest path runs
+    # through the second, so the unit's first pair is not on it.
+    corridors = Graph(False, 6, [(0, 3), (3, 5), (0, 2), (2, 5)])
+    instances.append(ProblemInstance("lbec", corridors, s=0, t=5, k=2, ell=3))
+    inherited = 0
+    for inst in instances:
+        # Without the symmetry reductions a composed weighted budget can
+        # span millions of states; the capped run replays the first ones.
+        got = _replay_states(inst, symmetry,
+                             max_states=50_000_000 if symmetry else 20_000,
+                             replayed=_ReplayedLbec)
+        assert got is not None or not symmetry
+        if got is not None:
+            inherited += got[1].inherited
+    assert inherited > 0
