@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .composer import compose_dsct, compose_lbec, compose_mded, pad_to_power_of_two
+from .composer import compose, pad_to_power_of_two
 from .errors import FractalcutError
 from .fractal import MAX_DEPTH, build_fractal
 from .reducer import reduce_vc_to_planar_lbec
@@ -84,14 +84,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_compose(args) -> int:
     instances = [_load_instance(path) for path in args.inputs]
-    padded = pad_to_power_of_two(instances)
-    if args.problem == "lbec":
-        art = compose_lbec(padded, mode=args.mode)
-    elif args.problem == "dsct":
-        art = compose_dsct(padded, mode=args.mode)
-    else:
-        art = compose_mded(padded, directed=padded[0].graph.directed,
-                           mode=args.mode)
+    art = compose(args.problem, pad_to_power_of_two(instances), args.mode)
     instance_text = to_json(art.composed)
     sidecar = {
         "selector": {str(i): j for i, j in sorted(art.selector.items())},
@@ -134,6 +127,14 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Refused up front: out of range, these would check nothing and pass,
+    # or build every smaller fractal before the depth cap refuses.
+    if not 0 <= args.q_max <= MAX_DEPTH:
+        raise FractalcutError(f"--q-max must be in 0..{MAX_DEPTH}, got {args.q_max}")
+    if args.samples < 0:
+        raise FractalcutError(f"--samples must be non-negative, got {args.samples}")
+    if args.trials < 1:
+        raise FractalcutError(f"--trials must be at least 1, got {args.trials}")
     if args.suite == "lemmas":
         results = verify_mod.lemma_suite(q_max=args.q_max, samples=args.samples)
     elif args.suite == "compositions":

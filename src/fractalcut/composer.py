@@ -258,17 +258,6 @@ def _expand_marked(g: Graph, marked: set[int],
     return Graph(g.directed, mid, edges, g.labels), mapping
 
 
-def _common_class(instances: Sequence[ProblemInstance]) -> tuple[int, int]:
-    cls = _lbec_class(instances)
-    if cls.bad:
-        raise InputError("cannot compose the bad equivalence class")
-    if cls.ell < 3:
-        raise InputError("composition assumes ell >= 3")
-    if cls.k < 1:
-        raise InputError("composition assumes a positive budget k")
-    return cls.k, cls.ell
-
-
 def _selector_cost(k: int) -> int:
     """Fractal edge cost: k**2, raised to k+1 in the degenerate k = 1 case.
 
@@ -281,9 +270,75 @@ def _selector_cost(k: int) -> int:
     return k * k if k >= 2 else k + 1
 
 
-def _check_mode(mode: str) -> None:
+def _prologue(problem: str, instances: Sequence[ProblemInstance],
+              mode: str) -> dict:
+    """What every composition shares up front: the mode check, the common
+    class, the selector cost c (see _selector_cost) and the budget
+    k' = c (log p + 1) + k, counted in deletion cost.
+
+    Returns the artifact's ``params``; each closing adds its own entries.
+    """
     if mode not in ("weighted", "simple"):
         raise InputError(f"unknown mode {mode!r}")
+    cls = _lbec_class(instances)
+    if cls.bad:
+        raise InputError("cannot compose the bad equivalence class")
+    if cls.ell < 3:
+        raise InputError("composition assumes ell >= 3")
+    if cls.k < 1:
+        raise InputError("composition assumes a positive budget k")
+    if problem == "dsct" and not instances[0].graph.directed:
+        raise InputError("short-cycle composition takes directed acyclic inputs")
+    q = _check_power_of_two(len(instances))
+    c = _selector_cost(cls.k)
+    return {"p": len(instances), "q": q, "c": c, "k": cls.k, "ell": cls.ell,
+            "k_prime": c * (q + 1) + cls.k,
+            "n_max": max(i.graph.n for i in instances), "L": None}
+
+
+def _epilogue(problem: str, params: dict, con: _Construction, g: Graph,
+              mode: str, ell_prime: int,
+              copies: Optional[set[int]] = None) -> CompositionArtifact:
+    """Realize the mode on the closed composed graph g and build the artifact.
+
+    Simple mode subdivides the whole graph unless ``copies`` names the edges
+    to lay down as parallel unit copies instead.  Subdividing everything
+    makes every deletion question exactly the weighted one with all
+    distances doubled, so ell' doubles.  Expanding only the fractal edges is
+    not sound: instance hops then stay undoubled and the non-cut distance
+    ceiling 2(|D|+1) meets ell + 2 log p already at ell <= 4.
+    """
+    expanded = None
+    if mode == "simple" and copies is None:
+        ell_prime *= 2
+        g, expanded = _expand_marked(g, set(range(len(g.edges))))
+    elif mode == "simple":
+        g, expanded = _expand_marked(g, copies, subdivide=False)
+    params["ell_prime"] = ell_prime
+    p = params["p"]
+    s, t = (0, p) if problem == "lbec" else (None, None)
+    return CompositionArtifact(
+        composed=ProblemInstance(problem, g, s=s, t=t, k=params["k_prime"],
+                                 ell=ell_prime),
+        selector={i: i for i in range(1, p + 1)}, params=params, mode=mode,
+        fractal=con.fractal, vertex_maps=con.vertex_maps,
+        edge_ranges=con.edge_ranges, expanded_edges=expanded)
+
+
+def _compose_cut(problem: str, instances: Sequence[ProblemInstance],
+                 mode: str) -> CompositionArtifact:
+    """The cut composition, closed by the back arc for the short-cycle
+    target; ell' = ell + log p before the mode is realized."""
+    params = _prologue(problem, instances, mode)
+    q = params["q"]
+    con = _embed(instances, params["c"], instances[0].graph.directed)
+    g = con.graph
+    if problem == "dsct":
+        back = params["back_arc_cost"] = params["k_prime"] + 1
+        edges = [(e.u, e.v, e.cost, e.length) for e in g.edges]
+        edges.append((1 << q, 0, back, 1))
+        g = Graph(True, g.n, edges, g.labels)
+    return _epilogue(problem, params, con, g, mode, params["ell"] + q)
 
 
 def compose_lbec(instances: Sequence[ProblemInstance],
@@ -296,39 +351,7 @@ def compose_lbec(instances: Sequence[ProblemInstance],
     Directed-acyclic inputs go through the directed fractal, undirected
     inputs through the undirected one.
     """
-    _check_mode(mode)
-    k, ell = _common_class(instances)
-    directed = instances[0].graph.directed
-    c = _selector_cost(k)
-    con = _embed(instances, c, directed)
-    p = len(instances)
-    q = p.bit_length() - 1
-    k_prime = c * (q + 1) + k
-    params = {"p": p, "q": q, "c": c, "k": k, "ell": ell,
-              "k_prime": k_prime, "n_max": max(i.graph.n for i in instances),
-              "L": None}
-    if mode == "weighted":
-        ell_prime = ell + q
-        inst = ProblemInstance("lbec", con.graph, s=0, t=1 << q,
-                               k=k_prime, ell=ell_prime)
-        expanded = None
-    else:
-        # Subdividing the whole graph makes every deletion question exactly
-        # the weighted one with all distances doubled.  Expanding only the
-        # fractal edges is not sound: instance hops then stay undoubled and
-        # the non-cut distance ceiling 2(|D|+1) meets ell + 2 log p already
-        # at ell <= 4.
-        ell_prime = 2 * (ell + q)
-        g2, expanded = _expand_marked(con.graph,
-                                      set(range(len(con.graph.edges))))
-        inst = ProblemInstance("lbec", g2, s=0, t=1 << q,
-                               k=k_prime, ell=ell_prime)
-    params["ell_prime"] = ell_prime
-    return CompositionArtifact(
-        composed=inst, selector={i: i for i in range(1, p + 1)},
-        params=params, mode=mode, fractal=con.fractal,
-        vertex_maps=con.vertex_maps, edge_ranges=con.edge_ranges,
-        expanded_edges=expanded)
+    return _compose_cut("lbec", instances, mode)
 
 
 def compose_dsct(instances: Sequence[ProblemInstance],
@@ -343,38 +366,7 @@ def compose_dsct(instances: Sequence[ProblemInstance],
     *at most* the threshold, and so ell' = ell + log p in weighted mode;
     simple mode subdivides everything and doubles it to 2 (ell + log p).
     """
-    _check_mode(mode)
-    k, ell = _common_class(instances)
-    if not instances[0].graph.directed:
-        raise InputError("short-cycle composition takes directed acyclic inputs")
-    c = _selector_cost(k)
-    con = _embed(instances, c, directed=True)
-    p = len(instances)
-    q = p.bit_length() - 1
-    k_prime = c * (q + 1) + k
-    tau = 1 << q
-    edges = [(e.u, e.v, e.cost, e.length) for e in con.graph.edges]
-    edges.append((tau, 0, k_prime + 1, 1))
-    g = Graph(True, con.graph.n, edges, con.graph.labels)
-    params = {"p": p, "q": q, "c": c, "k": k, "ell": ell,
-              "k_prime": k_prime, "n_max": max(i.graph.n for i in instances),
-              "L": None, "back_arc_cost": k_prime + 1}
-    if mode == "weighted":
-        ell_prime = ell + q
-        inst = ProblemInstance("dsct", g, k=k_prime, ell=ell_prime)
-        expanded = None
-    else:
-        # Whole-graph subdivision, as for the cut composition: every cycle
-        # length doubles, so the threshold does too.
-        ell_prime = 2 * (ell + q)
-        g2, expanded = _expand_marked(g, set(range(len(g.edges))))
-        inst = ProblemInstance("dsct", g2, k=k_prime, ell=ell_prime)
-    params["ell_prime"] = ell_prime
-    return CompositionArtifact(
-        composed=inst, selector={i: i for i in range(1, p + 1)},
-        params=params, mode=mode, fractal=con.fractal,
-        vertex_maps=con.vertex_maps, edge_ranges=con.edge_ranges,
-        expanded_edges=expanded)
+    return _compose_cut("dsct", instances, mode)
 
 
 def _augment_directed_input(inst: ProblemInstance) -> ProblemInstance:
@@ -411,13 +403,9 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
     priced above the whole budget (see the inline note on why the one-way
     chains need short ways around).
     """
-    _check_mode(mode)
-    k, ell = _common_class(instances)
-    p = len(instances)
-    q = _check_power_of_two(p)
-    n_max = max(i.graph.n for i in instances)
-    c = _selector_cost(k)
-    k_prime = c * (q + 1) + k
+    params = _prologue("mded", instances, mode)
+    k, ell, q, c = params["k"], params["ell"], params["q"], params["c"]
+    n_max = params["n_max"]
 
     if not directed:
         for i, inst in enumerate(instances):
@@ -490,7 +478,7 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
         # to the sigma-tau distance exactly as intended.
         for arc in ((tau, 0), (tau, sigma_tip), (tau_tip, 0)):
             wrap_arcs.append(len(edges))
-            edges.append((arc[0], arc[1], k_prime + 1, 1))
+            edges.append((arc[0], arc[1], params["k_prime"] + 1, 1))
     labels = dict(con.graph.labels or {})
     labels[sigma_tip] = "sigma_tip"
     labels[tau_tip] = "tau_tip"
@@ -502,25 +490,26 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
     elif not is_connected(g):
         raise RuntimeError("diameter composition must be connected")
 
-    params = {"p": p, "q": q, "c": c, "k": k, "ell": ell,
-              "k_prime": k_prime, "n_max": n_max, "L": L}
-    ell_prime = 2 * L + q + ell
-    if mode == "weighted":
-        inst = ProblemInstance("mded", g, k=k_prime, ell=ell_prime)
-        expanded = None
-    else:
-        # Parallel unit copies only, never subdivision: a severed two-hop
-        # path strands its midpoint, which the directed variant's strong
-        # connectivity outright forbids, and in the undirected variant a
-        # pair of pendant midpoints realizes distances up to two beyond the
-        # doubled originals, spoiling the diameter threshold.  Copies leave
-        # every distance unchanged, so the threshold stays the weighted one.
-        marked = set(range(len(con.fractal.graph.edges))) | set(wrap_arcs)
-        g2, expanded = _expand_marked(g, marked, subdivide=False)
-        inst = ProblemInstance("mded", g2, k=k_prime, ell=ell_prime)
-    params["ell_prime"] = ell_prime
-    return CompositionArtifact(
-        composed=inst, selector={i: i for i in range(1, p + 1)},
-        params=params, mode=mode, fractal=con.fractal,
-        vertex_maps=con.vertex_maps, edge_ranges=con.edge_ranges,
-        expanded_edges=expanded)
+    params["L"] = L
+    # Simple mode lays down parallel unit copies, never subdivision: a
+    # severed two-hop path strands its midpoint, which the directed
+    # variant's strong connectivity outright forbids, and in the undirected
+    # variant a pair of pendant midpoints realizes distances up to two
+    # beyond the doubled originals, spoiling the diameter threshold.  Copies
+    # leave every distance unchanged, so the threshold stays the weighted one.
+    copies = set(range(len(con.fractal.graph.edges))) | set(wrap_arcs)
+    return _epilogue("mded", params, con, g, mode, 2 * L + q + ell, copies)
+
+
+def compose(problem: str, instances: Sequence[ProblemInstance],
+            mode: str = "weighted") -> CompositionArtifact:
+    """Compose the inputs for one target problem: "lbec", "dsct" or "mded".
+
+    The diameter composition is directed exactly when its inputs are.
+    """
+    if problem == "mded":
+        directed = bool(instances) and instances[0].graph.directed
+        return compose_mded(instances, directed=directed, mode=mode)
+    if problem in ("lbec", "dsct"):
+        return _compose_cut(problem, instances, mode)
+    raise InputError(f"unknown composition target {problem!r}")

@@ -332,17 +332,9 @@ def min_cut(g: Graph, s: int, t: int) -> CutCertificate:
             v = head[a ^ 1]
         flow += bottleneck
 
-    side = bytearray(g.n)
-    side[s] = 1
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for a in nxt[u]:
-            v = head[a]
-            if cap[a] > 0 and not side[v]:
-                side[v] = 1
-                queue.append(v)
-
+    # The last search emptied its queue without reaching t, so the vertices
+    # it labelled are exactly the source side of the residual network.
+    side = [a != -1 for a in pred_arc]
     cut = []
     for idx, e in enumerate(g.edges):
         if g.directed:

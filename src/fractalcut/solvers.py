@@ -133,9 +133,15 @@ def _connected_after(g: Graph, dead: frozenset[int]) -> bool:
 
 
 def instance_predicate(inst: ProblemInstance, deleted: Iterable[int]) -> bool:
-    """Does deleting these edge indices satisfy the instance's question?"""
-    dead = frozenset(deleted)
+    """Does deleting these edge indices satisfy the instance's question?
+
+    Every question is asked in hops, so edge lengths other than 1 are
+    refused rather than read as 1.
+    """
     g = inst.graph
+    if not g._unit and any(e.length != 1 for e in g.edges):
+        raise InputError("instance_predicate requires unit edge lengths")
+    dead = frozenset(deleted)
     if inst.kind == "lbec":
         return bfs_distance(g, inst.s, inst.t, dead) >= inst.ell
     if inst.kind == "mded":

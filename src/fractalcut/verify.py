@@ -10,9 +10,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .composer import (CompositionArtifact, compose_dsct, compose_lbec,
-                       compose_mded)
-from .errors import InputError
+from .composer import compose
 from .fixtures import VC_FIXTURES
 from .fractal import build_fractal, cut_for_instance, enumerate_min_cuts, selected_instance
 from .generators import (random_dag_lbec_input, random_lbec_input,
@@ -282,16 +280,6 @@ def _branch_limit(kind: str, k: int, ell: int) -> int:
 # -- compositions -------------------------------------------------------------
 
 
-def _compose(problem: str, inputs, directed: bool, mode: str) -> CompositionArtifact:
-    if problem == "lbec":
-        return compose_lbec(inputs, mode=mode)
-    if problem == "dsct":
-        return compose_dsct(inputs, mode=mode)
-    if problem == "mded":
-        return compose_mded(inputs, directed=directed, mode=mode)
-    raise InputError(f"unknown composition target {problem}")
-
-
 def _make_inputs(rnd, p: int, k: int, ell: int, flavor: str, n_hi: int,
                  m_slack: int = 2):
     # n = 3 has room for only three simple edges (or short forward arcs),
@@ -322,31 +310,24 @@ _INPUT_FLAVOR = {"lbec-und": "undirected", "lbec-dag": "dag", "dsct": "dag",
                  "mded-und": "uncuttable", "mded-dir": "dag"}
 
 
-def or_composition_trial(rnd, problem: str, flavor: str, p: int, k: int,
-                         ell: int, n_hi: int, check_simple: bool,
-                         m_slack: int = 2):
-    """One seeded trial: composed verdict must equal the OR of input verdicts.
+def or_composition_trial(rnd, flavor: str, p: int, k: int, ell: int,
+                         n_hi: int, check_simple: bool, m_slack: int = 2):
+    """One seeded trial: composed verdict must equal the OR of input verdicts,
+    and a yes must come with a witness that replays on the composed instance.
 
     Returns a failure string or None.
     """
     inputs = _make_inputs(rnd, p, k, ell, _INPUT_FLAVOR[flavor], n_hi, m_slack)
     expected = any(solve_bruteforce(i).answer for i in inputs)
-    art = _compose(problem, inputs, directed=(flavor == "mded-dir"),
-                   mode="weighted")
-    got = solve_bruteforce_costaware(art.composed)
-    if got.answer != expected:
-        return (f"{flavor} p={p} k={k} ell={ell}: weighted verdict "
-                f"{got.answer} != OR {expected}")
-    if got.answer and art.mode == "weighted":
-        if not check_witness(art.composed, got.witness):
-            return f"{flavor} p={p} k={k} ell={ell}: composed witness replay failed"
-    if check_simple:
-        art_s = _compose(problem, inputs, directed=(flavor == "mded-dir"),
-                         mode="simple")
-        got_s = solve_bruteforce_costaware(art_s.composed)
-        if got_s.answer != expected:
-            return (f"{flavor} p={p} k={k} ell={ell}: simple-mode verdict "
-                    f"{got_s.answer} != OR {expected}")
+    problem = flavor.split("-")[0]
+    for mode in ("weighted", "simple") if check_simple else ("weighted",):
+        art = compose(problem, inputs, mode)
+        got = solve_bruteforce_costaware(art.composed)
+        if got.answer != expected:
+            return (f"{flavor} p={p} k={k} ell={ell}: {mode} verdict "
+                    f"{got.answer} != OR {expected}")
+        if got.answer and not check_witness(art.composed, got.witness):
+            return f"{flavor} p={p} k={k} ell={ell}: {mode} witness replay failed"
     return None
 
 
@@ -364,8 +345,6 @@ def check_or_composition(flavor: str, trials: int, seed: int,
     """
     rnd = random.Random(seed)
     failures = []
-    problem = {"lbec-und": "lbec", "lbec-dag": "lbec", "dsct": "dsct",
-               "mded-und": "mded", "mded-dir": "mded"}[flavor]
     for trial in range(trials):
         ell = rnd.choice((3, 4))
         if flavor in ("lbec-und", "lbec-dag", "dsct"):
@@ -385,8 +364,8 @@ def check_or_composition(flavor: str, trials: int, seed: int,
             p, k = 2, 1
             n_hi, m_slack = 4, 1
             check_simple = trial % 5 == 0 and simple_k1
-        fail = or_composition_trial(rnd, problem, flavor, p, k, ell, n_hi,
-                                    check_simple, m_slack)
+        fail = or_composition_trial(rnd, flavor, p, k, ell, n_hi, check_simple,
+                                    m_slack)
         if fail:
             failures.append(f"trial {trial}: {fail}")
     return _result(f"or-composition [{flavor}]", failures,
@@ -401,7 +380,7 @@ def check_selector_soundness(q_max: int = 4) -> CheckResult:
         p = 1 << q
         rnd = random.Random(1000 + q)
         inputs = _make_inputs(rnd, p, 1, 3, "undirected", 4)
-        art = compose_lbec(inputs, mode="weighted")
+        art = compose("lbec", inputs)
         g = art.composed.graph
         for i in range(1, p + 1):
             cert = cut_for_instance(art.fractal, i)

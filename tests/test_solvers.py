@@ -143,6 +143,18 @@ def test_dsct_rejects_undirected():
         ProblemInstance("dsct", triangle(), k=1, ell=2)
 
 
+@pytest.mark.parametrize("kind", ["lbec", "mded", "dsct"])
+def test_reference_predicate_refuses_non_unit_lengths(kind):
+    # The lone cycle 0 -> 1 -> 2 -> 0 is 7 long; read in hops it would be 3,
+    # and the dsct question (no cycle of length at most 3) would read no.
+    g = Graph(True, 3, [(0, 1, 1, 5), (1, 2), (2, 0)])
+    terminals = {"s": 0, "t": 2} if kind == "lbec" else {}
+    inst = ProblemInstance(kind, g, k=1, ell=3, **terminals)
+    for replay in (instance_predicate, check_witness):
+        with pytest.raises(InputError, match="unit edge lengths"):
+            replay(inst, [])
+
+
 def test_split_vertex_matches_shortest_cycle():
     rnd = random.Random(5)
     pick = random.Random(6)
