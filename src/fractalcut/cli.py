@@ -163,7 +163,7 @@ def main(argv=None) -> int:
     except FractalcutError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (KeyError, TypeError, ValueError) as exc:

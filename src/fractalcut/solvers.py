@@ -636,25 +636,49 @@ class _CostAwareSearch(_Support):
       eccentricity below ell.  So a source needs BFS work only from its
       lowest orphaned head on, or from scratch when the parent handed down
       no arrays.
+    * Reverse array.  Directed, the distances *to* sources[0] are the
+      distances from it in the reversed support, where the arc (u, v)
+      reads v -> u and the in-neighbours of u are its out-neighbours.  So
+      the rule above, read backwards, reuses a handed-down reverse array
+      (rdist, rreach): a severed pair (u, v) is tight when rdist(u) ==
+      rdist(v) + 1, its tail u is orphaned when out_masks[u] has no bit
+      in rreach[rdist(u) - 1], and the BFS along the in-masks resumes from
+      the lowest orphaned level.  This BFS has no ell cutoff: it runs
+      until its frontier runs out.
     * Connectivity from the arrays.  A reused or completed array shows
-      that its source reaches every vertex, and a BFS whose frontier runs
-      out first shows that it does not.  Undirected, that decides
-      connectivity; directed, one sweep over the in-masks adds that every
-      vertex reaches the first source.  Only a BFS that stops early, at
-      ell hops, leaves it open, and then one sweep decides it.  Severing
-      more pairs never reconnects a support, so the children of a
-      disconnected state fail without any of this.
+      that its source reaches every vertex (reverse: is reached from every
+      vertex), and a BFS whose frontier runs out first shows that it does
+      not.  Undirected, the forward array of the first source decides
+      connectivity; directed, the reverse array comes first, and a state
+      where some vertex does not reach sources[0] fails at once.  Only a
+      forward BFS that stops early, at ell hops, leaves it open, and then
+      one sweep decides it.  Severing more pairs never reconnects a
+      support, so the children of a disconnected state fail without any of
+      this.
 
-    The LBEC predicate hands its obstruction down.  A state fails exactly
-    when some s-t path of fewer than ell hops survives, and then the
-    predicate hands its children the pair ids of one such path, P.  A
-    child's support is the parent's with the child's severed pairs taken
-    out: severing only removes pairs and never adds one.  If none of the
-    severed pairs is on P, every pair of P survives in the child, so P is
-    still an s-t path of fewer than ell hops there and the child fails; it
-    hands P on unchanged.  Only a child that severed a pair of P searches
-    again.  So every verdict, witness and state count is the one a fresh
-    search at every state gives.
+    The LBEC and DSCT predicates hand their obstructions down.  An LBEC
+    state fails exactly when some s-t path of fewer than ell hops
+    survives, a DSCT state exactly when some directed cycle of at most ell
+    arcs survives, and then the predicate hands its children the pair ids
+    of one such path or cycle, P.  A child's support is the parent's with
+    the child's severed pairs taken out: severing only removes pairs and
+    never adds one.  If none of the severed pairs is on P, every pair of P
+    survives in the child, so P is still an obstruction there and the
+    child fails; it hands P on unchanged.  Only a child that severed a
+    pair of P searches again.  So every verdict, witness and state count
+    is the one a fresh search at every state gives.
+
+    The DSCT search finds its cycle the way a bare yes/no search would.
+    Out of each vertex v in turn, a BFS that never re-enters v keeps its
+    levels: level 1 is the out-neighbours of v, and level j + 1 the
+    unseen out-neighbours of level j, so every vertex of level j + 1 has
+    an in-neighbour on level j.  At the first level j < ell that holds an
+    in-neighbour w of v, walking back from w through the levels along the
+    in-masks gives distinct vertices v -> x1 -> ... -> xj = w, each arc
+    surviving, and the arc w -> v closes a cycle of j + 1 <= ell arcs.
+    When no level below ell holds one, no cycle of at most ell arcs runs
+    through v, since such a cycle would put its last vertex before v
+    within ell - 1 hops of v.
     """
 
     def __init__(self, inst: ProblemInstance, symmetry: bool = True):
@@ -667,6 +691,14 @@ class _CostAwareSearch(_Support):
                           for idxs in self.pair_edges]
         if inst.kind == "mded":
             self.sources = self._diameter_sources()
+            # The BFS of each array _mded_holds hands down: (source, masks
+            # walked, masks read back, cutoff, reverse).  Directed, the
+            # first is the reverse one of sources[0], with no cutoff.
+            self.walks = [(src, self.out_masks, self.in_masks, inst.ell, False)
+                          for src in self.sources]
+            if self.directed:
+                self.walks.insert(0, (self.sources[0], self.in_masks,
+                                      self.out_masks, self.n, True))
 
         excluded = self._excluded_pairs() if symmetry else set()
         if symmetry and inst.kind in ("lbec", "dsct"):
@@ -809,43 +841,62 @@ class _CostAwareSearch(_Support):
         return True if path is None else path
 
     def _dsct_holds(self, parent, severed):
-        # The DSCT brancher's shortest_cycle_slots could find an obstruction
-        # to hand down, but it searches on to the shortest cycle through
-        # every vertex where _has_cycle_within stops at the first short one:
-        # used here it doubled compose-cut's wall_s (2.84-2.95 s against
-        # 1.32-1.37 s, two runs each, seed 61, --seconds 5, 2-core VM).
-        return not self._has_cycle_within(self.inst.ell)
+        """No directed cycle of at most ell arcs.  A failing state hands
+        down the pair ids of such a cycle, and a child that severed none of
+        them fails with that cycle (see the class docstring)."""
+        if parent and not any(pid in parent for pid in severed):
+            return parent
+        cycle = self._cycle_within(self.inst.ell)
+        return True if cycle is None else cycle
 
-    def _has_cycle_within(self, limit: int) -> bool:
+    def _cycle_within(self, limit: int):
+        """Pair ids of some directed cycle of at most limit arcs, else None.
+
+        Unlike shortest_cycle_slots this stops at the first level, out of
+        the first vertex v, that holds an in-neighbour w of v; the cycle is
+        then walked back from w through the kept levels (see the class
+        docstring)."""
         if limit < 2:
-            return False
+            return None
+        out_masks, in_masks, pair_id = self.out_masks, self.in_masks, self.pair_id
         for v in range(self.n):
-            ins = self.in_masks[v]
-            if not ins or not self.out_masks[v]:
+            ins = in_masks[v]
+            if not ins or not out_masks[v]:
                 continue
-            seen = 0
-            frontier = self.out_masks[v]
-            vbit = 1 << v
+            seen = 1 << v
+            frontier = out_masks[v]
+            levels = []
             for _ in range(limit - 1):
                 frontier &= ~seen
-                frontier &= ~vbit
                 if not frontier:
                     break
+                levels.append(frontier)
                 if frontier & ins:
-                    return True
+                    last = frontier & ins
+                    w = (last & -last).bit_length() - 1
+                    cycle = [pair_id[w, v]]
+                    for level in reversed(levels[:-1]):
+                        ahead = in_masks[w] & level
+                        u = (ahead & -ahead).bit_length() - 1
+                        cycle.append(pair_id[u, w])
+                        w = u
+                    cycle.append(pair_id[v, w])
+                    cycle.reverse()
+                    return cycle
                 seen |= frontier
                 nxt = 0
                 for i in _bits(frontier):
-                    nxt |= self.out_masks[i]
+                    nxt |= out_masks[i]
                 frontier = nxt
-        return False
+        return None
 
     def _mded_holds(self, parent, severed):
         """Connected (strongly, if directed) with diameter >= ell.
 
         A connected state that fails hands down, for each fixed source, its
-        distance array and reach masks; a disconnected one hands down False.
-        A handed-down array is reused as it stands, or its BFS resumed below
+        distance array and reach masks, and, directed, first the reverse
+        array of sources[0]; a disconnected one hands down False.  A
+        handed-down array is reused as it stands, or its BFS resumed below
         the lowest orphaned head (see the class docstring).
         """
         if parent is False:
@@ -853,54 +904,48 @@ class _CostAwareSearch(_Support):
         ell = self.inst.ell
         if self.n <= 1:
             return ell <= 0
-        full = self.full_mask
-        sources = self.sources
-        in_masks = self.in_masks
-        # Every vertex reaches sources[0]; its array below shows the converse.
-        if self.directed and self._sweep(in_masks, sources[0]) != full:
-            return False
-        undirected = not self.directed
         cut = [self.pairs[pid] for pid in severed]
+        back = [(v, u) for u, v in cut]
+        ahead = cut if self.directed else cut + back
         arrays = []
-        for i, src in enumerate(sources):
+        for i, (src, masks, into, limit, reverse) in enumerate(self.walks):
             if parent:
                 dist, reach = parent[i]
-                # The lowest level of an orphaned head.
+                # The lowest level of an orphaned head, with the severed
+                # pairs read the way the BFS walks them.
                 redo = len(reach)
-                for u, v in cut:
-                    du, dv = dist[u], dist[v]
-                    if dv - du == 1 and not in_masks[v] & reach[du]:
-                        redo = min(redo, dv)
-                    elif (undirected and du - dv == 1
-                          and not in_masks[u] & reach[dv]):
-                        redo = min(redo, du)
+                for u, v in back if reverse else ahead:
+                    du = dist[u]
+                    if dist[v] - du == 1 and not into[v] & reach[du]:
+                        redo = min(redo, du + 1)
                 if redo == len(reach):
                     arrays.append(parent[i])
                     continue
-                got = self._distances_below(ell, dist[:], reach[:redo])
+                got = self._distances_below(masks, limit, dist[:], reach[:redo])
             else:
-                got = self._distances_below(ell, [0] * self.n, [1 << src])
+                got = self._distances_below(masks, limit, [0] * self.n,
+                                            [1 << src])
             if got is None:
                 # Some vertex is ell or more hops away: the state passes if
-                # connected, which an earlier source's array shows.
-                if i or self._sweep(self.out_masks, src) == full:
-                    return True
-                return False
+                # connected, which an earlier forward array shows (the
+                # first forward walk is walks[self.directed]).
+                return (i > self.directed
+                        or self._sweep(self.out_masks, src) == self.full_mask)
             if not got:
                 return False
             arrays.append(got)
         return arrays
 
-    def _distances_below(self, ell: int, dist: list[int], reach: list[int]):
-        """Finish a BFS on the surviving support, given the masks reach[j]
-        of the vertices within j hops of its source for j < len(reach) and
-        a dist array that is right on those vertices.
+    def _distances_below(self, masks, ell: int, dist: list[int],
+                         reach: list[int]):
+        """Finish a BFS along masks on the surviving support, given the
+        masks reach[j] of the vertices within j hops of its source for
+        j < len(reach) and a dist array that is right on those vertices.
 
         Returns (dist, reach) when every vertex lies within ell - 1 hops,
         None as soon as some vertex lies ell or more hops away, and False
         when the frontier runs out before reaching every vertex.
         """
-        masks = self.out_masks
         d = len(reach) - 1
         seen = reach[d]
         frontier = seen & ~reach[d - 1] if d else seen

@@ -207,6 +207,18 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--method", "fpt", "--input", "{dir}"),
+    ("reduce", "--vc", "{dir}",
+     "--embedding", str(FIXTURES / "embedding_cycle4.json")),
+])
+def test_directory_as_input_exits_two(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
 def test_bool_for_int_field_exits_two(capsys, tmp_path):
     doc = json.loads((FIXTURES / "lbec_a.json").read_text())
     doc["k"] = True

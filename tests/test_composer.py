@@ -399,6 +399,34 @@ def test_mded_undirected_or_spot():
         assert solve_bruteforce_costaware(art.composed).answer == expected
 
 
+def _paths_input(hops):
+    """An undirected LBEC input with s = 0, t = 1, k = 1 and ell = 3: one
+    s-t path of each listed hop count, through vertices of its own."""
+    edges, n = [], 2
+    for h in hops:
+        prev = 0
+        for _ in range(h - 1):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+        edges.append((prev, 1))
+    return ProblemInstance("lbec", Graph(False, n, edges), s=0, t=1, k=1, ell=3)
+
+
+@pytest.mark.parametrize("mode", ["weighted", "simple"])
+def test_mded_undirected_or_yes_direction(mode):
+    # Seeded uncuttable inputs at these sizes are all no-instances, so the
+    # yes direction needs inputs built by hand.
+    yes = _paths_input((2, 3, 3))  # severing the 2-hop path leaves 3 hops
+    no = _paths_input((2, 2, 2))   # one deletion leaves a 2-hop path
+    assert solve_bruteforce(yes).answer and not solve_bruteforce(no).answer
+    for gap, inputs in ((0, [yes, no]), (1, [no, yes]), (None, [no, no])):
+        composed = compose_mded(inputs, mode=mode).composed
+        got = solve_bruteforce_costaware(composed)
+        assert got.answer == (gap is not None), gap
+        if got.answer:
+            assert check_witness(composed, got.witness), gap
+
+
 def test_simple_mode_mded_uses_parallel_copies():
     rnd = random.Random(9)
     ins = [random_uncuttable_lbec_input(rnd, n=4, m=5, k=2, ell=3)

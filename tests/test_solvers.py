@@ -455,7 +455,8 @@ def _severed_edges(search):
 class _ReplayedMded(_CostAwareSearch):
     """Checks the incremental diameter predicate at every visited state
     against the replay-grade predicate on the severed edges, every distance
-    array and reach mask it hands down against a fresh BFS, and, at every
+    array and reach mask it hands down against a fresh BFS (directed, the
+    first array is the reverse one of the first source), and, at every
     connected state, that the diameter sources recomputed from the current
     support are among the search's fixed sources."""
 
@@ -468,9 +469,13 @@ class _ReplayedMded(_CostAwareSearch):
         if _connected_after(self.inst.graph, dead):
             assert set(self._diameter_sources()) <= set(self.sources), dead
         if isinstance(got, list):
-            assert len(got) == len(self.sources)
-            for src, (dist, reach) in zip(self.sources, got):
-                assert dist == distances(self.inst.graph, src, dead), (dead, src)
+            walks = [(src, False) for src in self.sources]
+            if self.directed:
+                walks.insert(0, (self.sources[0], True))
+            assert len(got) == len(walks)
+            for (src, reverse), (dist, reach) in zip(walks, got):
+                assert dist == distances(self.inst.graph, src, dead,
+                                         reverse=reverse), (dead, src)
                 assert reach == [sum(1 << v for v in range(self.n)
                                      if dist[v] <= j)
                                  for j in range(max(dist) + 1)], (dead, src)
@@ -615,6 +620,61 @@ def test_lbec_obstruction_inheritance_matches_replay(symmetry):
         got = _replay_states(inst, symmetry,
                              max_states=50_000_000 if symmetry else 20_000,
                              replayed=_ReplayedLbec)
+        assert got is not None or not symmetry
+        if got is not None:
+            inherited += got[1].inherited
+    assert inherited > 0
+
+
+# -- DSCT obstruction inheritance ------------------------------------------------------
+
+class _ReplayedDsct(_CostAwareSearch):
+    """Checks the DSCT predicate at every visited state against the
+    replay-grade predicate on the severed edges, and that every obstruction
+    it returns, handed down or found afresh, is a closed walk of at most ell
+    arcs along pairs that survive."""
+
+    visited = 0
+    inherited = 0
+
+    def _dsct_holds(self, parent, severed):
+        got = super()._dsct_holds(parent, severed)
+        dead = _severed_edges(self)
+        assert (got is True) == instance_predicate(self.inst, dead), dead
+        if got is not True:
+            assert 2 <= len(got) <= self.inst.ell, (dead, got)
+            arcs = [self.pairs[pid] for pid in got]
+            for (u, v), (nxt, _) in zip(arcs, arcs[1:] + arcs[:1]):
+                assert self.out_masks[u] >> v & 1, (dead, got)
+                assert v == nxt, (dead, got)
+            self.inherited += got is parent
+        self.visited += 1
+        return got
+
+
+@pytest.mark.parametrize("symmetry", [True, False])
+def test_dsct_obstruction_inheritance_matches_replay(symmetry):
+    rnd = random.Random(2018)
+    instances = [random_solver_instance(rnd, "dsct", n_max=7, k_max=3,
+                                        ell_max=5) for _ in range(60)]
+    instances += [_composed_cut(*params) for params, _ in PINNED_COSTAWARE
+                  if params[1] == "dsct"]
+    instances += [_composed_cut(seed, "dsct", p, 1, ell, mode)
+                  for seed in range(4) for p, ell in ((2, 3), (4, 4))
+                  for mode in ("weighted", "simple")]
+    # Two parallel corridors severed as one unit, closed by a back arc: the
+    # cycle found runs through the second, so the unit's first pair is not
+    # on it.
+    corridors = Graph(True, 6, [(0, 3), (3, 5), (0, 2), (2, 5), (5, 0)])
+    instances.append(ProblemInstance("dsct", corridors, k=2, ell=3))
+    inherited = 0
+    for inst in instances:
+        # Without the symmetry reductions a composed simple-mode instance
+        # spans many thousands of states, each replayed with one BFS per
+        # arc; the capped run replays the first ones.
+        got = _replay_states(inst, symmetry,
+                             max_states=50_000_000 if symmetry else 300,
+                             replayed=_ReplayedDsct)
         assert got is not None or not symmetry
         if got is not None:
             inherited += got[1].inherited
