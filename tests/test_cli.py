@@ -331,12 +331,14 @@ def test_vertex_count_over_cap_exits_two(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("lemmas", "--q-max", "-3", "--samples", "5"), "--q-max must be in 0..20, got -3"),
-    (("lemmas", "--q-max", "21"), "--q-max must be in 0..20, got 21"),
+    (("lemmas", "--q-max", "-3", "--samples", "5"), "--q-max must be in 0..12, got -3"),
+    (("lemmas", "--q-max", "21"), "--q-max must be in 0..12, got 21"),
     (("lemmas", "--q-max", "2", "--samples", "-5"),
      "--samples must be non-negative, got -5"),
     (("compositions", "--trials", "-2"), "--trials must be at least 1, got -2"),
     (("compositions", "--trials", "0"), "--trials must be at least 1, got 0"),
+    # the first depth whose distance-split check runs for over a minute
+    (("lemmas", "--q-max", "13"), "--q-max must be in 0..12, got 13"),
 ])
 def test_verify_refuses_ranges_that_check_nothing(capsys, argv, message):
     code, out, err = run(capsys, "verify", "--suite", *argv)

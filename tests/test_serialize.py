@@ -110,6 +110,9 @@ def test_parse_error_diagnostics():
     with pytest.raises(ParseError):
         parse('{"problem": "lbec", "directed": false, "n": 2, '
               '"edges": [[0, 1]], "k": 1, "ell": 1}')  # missing terminals
+    with pytest.raises(ParseError, match="unknown problem kind 'cut'"):
+        parse('{"problem": "cut", "directed": false, "n": 2, '
+              '"edges": [[0, 1]], "k": 1, "ell": 1}')
 
 
 def _with(doc, **changes):

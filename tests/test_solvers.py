@@ -162,12 +162,33 @@ def test_split_vertex_matches_shortest_cycle():
         inst = random_solver_instance(rnd, "dsct")
         g = inst.graph
         state = _SlotState(g)
+        search = _CostAwareSearch(inst, symmetry=False)
         dead = frozenset()
         while True:
             # the mask search against the reference girth on what survives
             cycle = state.shortest_cycle_slots(len(g.edges) + 1)
             girth = _girth_directed(g, dead)
             assert (len(cycle) if cycle is not None else float("inf")) == girth
+            # the oracle's finder: a shortest cycle through the lowest vertex
+            # on a cycle of at most limit arcs, or None when there is none
+            through = [min((distances(g, v, dead)[e.u] + 1
+                            for i, e in enumerate(g.edges)
+                            if e.v == v and i not in dead), default=UNREACHABLE)
+                       for v in range(g.n)]
+            for limit in range(5):
+                first = search._first_cycle(limit)
+                assert (first is not None) == (girth <= limit), (dead, limit)
+                if limit < 2:
+                    assert first is None, (dead, limit)
+                if first is None:
+                    continue
+                arcs = [search.pairs[pid] for pid in first]
+                assert all(search.out_masks[u] >> v & 1 for u, v in arcs)
+                assert all(arcs[i][1] == arcs[(i + 1) % len(arcs)][0]
+                           for i in range(len(arcs)))
+                lowest = min(v for v in range(g.n) if through[v] <= limit)
+                assert lowest in {u for u, _ in arcs}, (dead, limit, first)
+                assert len(first) == through[lowest], (dead, limit, first)
             if cycle is None:
                 break
             # a closed directed walk of surviving pairs
@@ -179,6 +200,7 @@ def test_split_vertex_matches_shortest_cycle():
             pid = pick.choice(cycle)
             while state.mult[pid]:
                 dead |= {state.delete_copy(pid)}
+            search.sever(pid)
 
 
 def test_connected_without_matches_reference():
@@ -584,8 +606,8 @@ class _ReplayedLbec(_CostAwareSearch):
     visited = 0
     inherited = 0
 
-    def _lbec_holds(self, parent, severed):
-        got = super()._lbec_holds(parent, severed)
+    def _obstruction_holds(self, parent, severed):
+        got = super()._obstruction_holds(parent, severed)
         dead = _severed_edges(self)
         assert (got is True) == instance_predicate(self.inst, dead), dead
         if got is not True:
@@ -637,8 +659,8 @@ class _ReplayedDsct(_CostAwareSearch):
     visited = 0
     inherited = 0
 
-    def _dsct_holds(self, parent, severed):
-        got = super()._dsct_holds(parent, severed)
+    def _obstruction_holds(self, parent, severed):
+        got = super()._obstruction_holds(parent, severed)
         dead = _severed_edges(self)
         assert (got is True) == instance_predicate(self.inst, dead), dead
         if got is not True:
