@@ -194,8 +194,10 @@ class _Support:
     and ``alive[pid]`` is true, while the pair survives; an undirected
     graph's in-masks are its out-masks.  ``sever`` takes a surviving pair
     out and ``restore`` puts a severed one back; each touches only the
-    pair's own bits and flag.  ``adj[u]`` lists u's (neighbour, pid) pairs,
-    severed or not, in ascending order for the s-t path search.
+    pair's own bits and flag.  ``adj[u]`` lists u's (neighbour, pid,
+    (pid, u)) triples, severed or not, in ascending order for the s-t path
+    search; the last item is what the search records as the neighbour's
+    parent.
     """
 
     def __init__(self, g: Graph):
@@ -212,12 +214,12 @@ class _Support:
         self.full_mask = (1 << g.n) - 1
 
     @cached_property
-    def adj(self) -> list[list[tuple[int, int]]]:
+    def adj(self) -> list[list[tuple[int, int, tuple[int, int]]]]:
         adj = [[] for _ in range(self.n)]
         for pid, (u, v) in enumerate(self.pairs):
-            adj[u].append((v, pid))
+            adj[u].append((v, pid, (pid, u)))
             if not self.directed:
-                adj[v].append((u, pid))
+                adj[v].append((u, pid, (pid, v)))
         for lst in adj:
             lst.sort()
         return adj
@@ -265,47 +267,89 @@ class _Support:
             seen |= nxt
         return seen
 
-    def shortest_path_slots(self, s: int, t: int, limit: int):
+    def shortest_path_slots(self, s: int, t: int, limit: int, tree=None,
+                            cut: int = 0):
         """Pair ids of a shortest surviving s-t path if its length is
-        <= limit, else None.
+        <= limit, else None; and, with a path, the BFS tree that found it.
 
         Ties are broken toward smaller vertex ids (adjacency is sorted), so
         branching order is reproducible.  The BFS stays on lists: it visits
         almost every vertex, where walking masks bit by bit is slower.  A
         mask BFS with the same tie-break kept every pinned count, but on
-        perfbench at seed 59 it took fpt-branch from 0.86 to 1.50 s of
-        wall time and gave compose-cut only 1.24 to 1.18 s.
+        perfbench at seed 59, measured before the branchers resumed this
+        search, it took fpt-branch from 0.86 to 1.50 s of wall time and
+        gave compose-cut only 1.24 to 1.18 s.
+
+        The tree is (path, par, levels).  levels[j] lists the vertices at
+        distance j in the order the BFS discovered them, the last level
+        ending at t, and par[v] is (pid, parent) for each of them but s.
+        The branchers hand a tree back with the index cut of the path pair
+        whose slot lost a copy since.  If the pair survives, the support
+        is unchanged, and the search returns the path and tree as they
+        are.  If it is gone, the support has lost only that pair, and the
+        search resumes the tree from level cut.  Either way it returns
+        what a search from scratch would; for the resume:
+
+        * The BFS builds level j + 1 by scanning, in level order, the
+          ascending pair lists of the vertices on level j, so levels
+          0..cut, their order and their parents are fixed by the pairs of
+          the vertices on levels 0..cut - 1.
+        * path[cut] joins path vertex cut, on level cut, to path vertex
+          cut + 1, on level cut + 1.  Neither lies on levels 0..cut - 1,
+          so the pair is in none of their lists (directed, an arc is
+          listed at its tail only), and a search without it builds the
+          same levels 0..cut with the same parents.
+        * Those levels are complete in the tree: the search stopped while
+          building level len(path) > cut.
+        * So resetting every vertex past level cut and running the loop
+          on from levels[cut] is the search from scratch at the moment it
+          finishes level cut.  Its tie-break and its path are the same.
+
+        A resume copies par, n entries, and builds its own levels past
+        cut, at most n more, leaving the handed tree as it was for the
+        parent's next child; so a brancher at depth j holds at most
+        2n(j + 1) entries.  An undo log on one shared par, rolled back as
+        each child returns, holds nearly as many when the tail past cut is
+        most of the graph, and walks each tail three more times; on the VC
+        reductions it gave back most of the time that resuming saves.
         """
         if s == t:
-            return []
+            return [], None
         adj, alive = self.adj, self.alive
-        par_slot = [-1] * self.n
-        par_vert = [-1] * self.n
-        dist = [-1] * self.n
-        dist[s] = 0
-        frontier = [s]
-        d = 0
+        if tree is None:
+            par = [None] * self.n
+            par[s] = ()
+            levels = [[s]]
+        else:
+            path, par, levels = tree
+            if alive[path[cut]]:
+                return path, tree
+            par = par[:]
+            for level in levels[cut + 1:]:
+                for v in level:
+                    par[v] = None
+            levels = levels[:cut + 1]
+        d = len(levels) - 1
+        frontier = levels[d]
         while frontier and d < limit:
             nxt = []
+            levels.append(nxt)
             for u in frontier:
-                for v, sid in adj[u]:
-                    if not alive[sid] or dist[v] >= 0:
+                for v, sid, back in adj[u]:
+                    if not alive[sid] or par[v] is not None:
                         continue
-                    dist[v] = d + 1
-                    par_slot[v] = sid
-                    par_vert[v] = u
+                    par[v] = back
+                    nxt.append(v)
                     if v == t:
                         path = []
-                        cur = t
-                        while cur != s:
-                            path.append(par_slot[cur])
-                            cur = par_vert[cur]
+                        while v != s:
+                            sid, v = par[v]
+                            path.append(sid)
                         path.reverse()
-                        return path
-                    nxt.append(v)
+                        return path, (path, par, levels)
             frontier = nxt
             d += 1
-        return None
+        return None, None
 
     def shortest_cycle_slots(self, limit: int):
         """Pair ids of a shortest directed cycle of length <= limit, else None.
@@ -411,27 +455,34 @@ def _require_solvable(inst: ProblemInstance, kind: str) -> None:
                          "cost-aware brute force for weighted instances")
 
 
-def _branch(state: _SlotState, find: Callable[[], Optional[list[int]]],
-            budget: int, keep_connected: bool = False):
+def _branch(state: _SlotState, find: Callable, budget: int,
+            keep_connected: bool = False):
     """Core brancher: destroy every obstruction with <= budget deletions.
 
-    ``find()`` returns the slot ids of an obstruction on the surviving
-    support (a too-short s-t path, a too-short directed cycle) or None when
-    none is left.  At each node the brancher deletes one surviving copy of
-    each of the obstruction's slots in turn, skipping slots whose
-    multiplicity exceeds the remaining budget: they cannot be emptied, and a
-    partial deletion changes no distance.  With connectivity enforcement, a
-    branch that would disconnect the surviving support is skipped, which is
-    exactly the diameter problem's requirement.
+    ``find(tree, cut)`` returns (obstruction, tree): the slot ids of an
+    obstruction on the surviving support (a too-short s-t path, a
+    too-short directed cycle) or None when none is left, and what the
+    search hands down with it.  At each node the brancher deletes one
+    surviving copy of each of the obstruction's slots in turn, skipping
+    slots whose multiplicity exceeds the remaining budget: they cannot be
+    emptied, and a partial deletion changes no distance.  With connectivity
+    enforcement, a branch that would disconnect the surviving support is
+    skipped, which is exactly the diameter problem's requirement.
+
+    The root's obstruction comes from ``find(None, 0)``, and the child that
+    deletes a copy of slot obstruction[i] gets its own from ``find(tree,
+    i)``, with its parent's tree.  The s-t search reuses or resumes that
+    tree (see ``_Support.shortest_path_slots``); the cycle search ignores
+    it.
 
     Returns (witness edge list or None, leaves explored).
     """
     leaves = 0
     deleted: list[int] = []
 
-    def rec(budget_left: int):
+    def rec(budget_left: int, found):
         nonlocal leaves
-        obstruction = find()
+        obstruction, tree = found
         if obstruction is None:
             leaves += 1
             return list(deleted)
@@ -439,7 +490,7 @@ def _branch(state: _SlotState, find: Callable[[], Optional[list[int]]],
             leaves += 1
             return None
         branched = False
-        for sid in obstruction:
+        for i, sid in enumerate(obstruction):
             if state.mult[sid] > budget_left:
                 continue
             if keep_connected and state.mult[sid] == 1 and \
@@ -447,7 +498,7 @@ def _branch(state: _SlotState, find: Callable[[], Optional[list[int]]],
                 continue
             branched = True
             deleted.append(state.delete_copy(sid))
-            res = rec(budget_left - 1)
+            res = rec(budget_left - 1, find(tree, i))
             state.restore_copy(sid)
             deleted.pop()
             if res is not None:
@@ -456,7 +507,7 @@ def _branch(state: _SlotState, find: Callable[[], Optional[list[int]]],
             leaves += 1
         return None
 
-    return rec(budget), leaves
+    return rec(budget, find(None, 0)), leaves
 
 
 def solve_lbec_fpt(inst: ProblemInstance) -> Verdict:
@@ -525,7 +576,10 @@ def solve_dsct_fpt(inst: ProblemInstance) -> Verdict:
     if inst.ell <= 0:
         return Verdict(True, (), 0)
     state = _SlotState(inst.graph)
-    find = partial(state.shortest_cycle_slots, inst.ell)
+
+    def find(tree, cut):
+        return state.shortest_cycle_slots(inst.ell), None
+
     witness, leaves = _branch(state, find, inst.k)
     if witness is None:
         return Verdict(False, None, leaves)
@@ -846,7 +900,7 @@ class _CostAwareSearch(_Support):
         # generation, which raised compose-cut's peak RSS by 2%.
         inst = self.inst
         if inst.kind == "lbec":
-            found = self.shortest_path_slots(inst.s, inst.t, inst.ell - 1)
+            found, _ = self.shortest_path_slots(inst.s, inst.t, inst.ell - 1)
         else:
             found = self._first_cycle(inst.ell)
         return True if found is None else found

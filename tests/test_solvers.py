@@ -16,6 +16,7 @@ from fractalcut.generators import random_solver_instance
 from fractalcut.graph import UNREACHABLE, bfs_distance, distances
 from fractalcut.composer import compose_dsct, compose_lbec, compose_mded
 from fractalcut.reducer import reduce_vc_to_planar_lbec
+from fractalcut import solvers
 from fractalcut.solvers import (_CostAwareSearch, _SlotState, _Support,
                                 _connected_after, _diameter, _girth_directed,
                                 instance_predicate)
@@ -245,7 +246,10 @@ def test_dsct_exclusions_are_the_arcs_on_no_cycle():
 
 # (source, seed or k) -> (answer, witness, nodes) of solve_fpt, recorded
 # before the branchers moved onto the shared pair masks: the branching order
-# and with it every witness and leaf count must not drift.
+# and with it every witness and leaf count must not drift.  The VC-fixture
+# reductions after vc/k4/2, which with it cover all nine fixtures at k = 2
+# and 3, were recorded before the branchers began resuming the s-t search
+# from the severed level.
 PINNED_FPT = [
     (("lbec", 111), (True, (0, 3), 1)),
     (("lbec", 187), (False, None, 4)),
@@ -259,6 +263,22 @@ PINNED_FPT = [
     (("dsct", 262), (True, (7, 11, 12), 8)),
     (("vc/diamond", 2), (True, (47, 58, 89, 100), 59)),
     (("vc/k4", 2), (False, None, 140)),
+    (("vc/path4", 2), (True, (5, 16, 89, 100), 5)),
+    (("vc/path4", 3), (True, (14, 43, 114, 143, 214, 243), 1)),
+    (("vc/star4", 2), (True, (5, 16, 47, 58), 1)),
+    (("vc/star4", 3), (True, (14, 43, 114, 143, 214, 243), 1)),
+    (("vc/cycle4", 2), (True, (5, 16, 89, 100), 5)),
+    (("vc/cycle4", 3), (True, (14, 43, 114, 143, 214, 243), 1)),
+    (("vc/diamond", 3), (True, (14, 43, 114, 143, 214, 243), 1)),
+    (("vc/k4", 3), (True, (14, 43, 114, 143, 214, 243), 1)),
+    (("vc/cycle5", 2), (False, None, 372)),
+    (("vc/cycle5", 3), (True, (14, 43, 114, 143, 314, 343), 5)),
+    (("vc/bull", 2), (True, (47, 58, 131, 142), 134)),
+    (("vc/bull", 3), (True, (14, 43, 114, 143, 314, 343), 5)),
+    (("vc/cycle6", 2), (False, None, 1020)),
+    (("vc/cycle6", 3), (True, (14, 43, 214, 243, 414, 443), 142)),
+    (("vc/prism", 2), (False, None, 879)),
+    (("vc/prism", 3), (False, None, 15421)),
 ]
 
 
@@ -273,6 +293,59 @@ def test_fpt_pinned_verdicts(params, expected):
                                       k_max=3, ell_max=6)
     v = solve_fpt(inst)
     assert (v.answer, v.witness, v.nodes) == expected
+
+
+# -- resumed s-t search -------------------------------------------------------------
+
+class _ReplayedSlots(_SlotState):
+    """Checks every s-t search a brancher makes, resumed, reused or from
+    scratch, against a search from scratch on the current support: the
+    same path and the same BFS tree.  Counts the searches that resumed a
+    handed-down tree and those that reused it as it stood."""
+
+    resumed = 0
+    reused = 0
+
+    def shortest_path_slots(self, s, t, limit, tree=None, cut=0):
+        got = super().shortest_path_slots(s, t, limit, tree, cut)
+        assert got == super().shortest_path_slots(s, t, limit), (s, t, cut)
+        if tree is not None:
+            if got[1] is tree:
+                self.reused += 1
+            else:
+                self.resumed += 1
+        return got
+
+
+def _with_parallel_copies(rnd, inst):
+    """The instance with a random third of its edges doubled."""
+    g = inst.graph
+    pairs = [(e.u, e.v) for e in g.edges]
+    pairs += rnd.sample(pairs, len(pairs) // 3)
+    return ProblemInstance(inst.kind, Graph(g.directed, g.n, sorted(pairs)),
+                           s=inst.s, t=inst.t, k=inst.k, ell=inst.ell)
+
+
+def test_resumed_search_matches_search_from_scratch(monkeypatch):
+    made = []
+
+    def replayed(g):
+        made.append(_ReplayedSlots(g))
+        return made[-1]
+
+    monkeypatch.setattr(solvers, "_SlotState", replayed)
+    rnd = random.Random(2019)
+    instances = []
+    for kind in ("lbec", "mded"):
+        for _ in range(60):
+            inst = random_solver_instance(rnd, kind)
+            instances += [inst, _with_parallel_copies(rnd, inst)]
+    instances += [reduce_vc_to_planar_lbec(fx.instance(2), fx.embedding())
+                  for fx in VC_FIXTURES]
+    for inst in instances:
+        solve_fpt(inst)
+    assert sum(state.resumed for state in made) > 0
+    assert sum(state.reused for state in made) > 0
 
 
 # -- oracle agreement -------------------------------------------------------------
