@@ -25,6 +25,13 @@ edge, so a cut is looked up in O(q) arithmetic.  The tree itself (2**(q+1)
 nodes) is built only when ``TFractal.dual`` is first read; nothing on the
 construction, cut or serialization path needs it.
 
+Construction runs the marked-edge rounds and cross-checks their edge set
+against the recursive form (the top edge plus two half-depth fractals).
+The two sets are compared as integer keys ``a << (q+1) | b``, one-to-one on
+the position pairs 0 <= a < b <= 2**q, so the check allocates no tuple or
+other container per edge.  The builder then hands its position pairs to
+``Graph`` as they are.
+
 Depths above ``MAX_DEPTH`` are refused before anything is allocated: a
 depth-q fractal has 2**(q+1) - 1 edges.
 """
@@ -118,16 +125,21 @@ def _iterative_edges(q: int) -> list[list[tuple[int, int]]]:
     return boundaries
 
 
-def _recursive_edges(q: int, lo: int, hi: int) -> set[tuple[int, int]]:
+def _recursive_edges(q: int, lo: int, hi: int) -> set[int]:
     """Recursive construction: the top edge plus two half-depth fractals.
 
-    Every level adds into one shared set instead of merging its children's
-    sets, so the construction makes one insertion per edge.
+    Each edge (a, b) is stored as the integer key ``a << shift | b`` with
+    ``shift = hi.bit_length()``, which is one-to-one on the pairs
+    lo <= a < b <= hi.  Every level adds into one shared set instead of
+    merging its children's sets, so the construction makes one insertion
+    per edge.
     """
-    edges: set[tuple[int, int]] = set()
+    edges: set[int] = set()
+    add = edges.add
+    shift = hi.bit_length()
 
     def grow(q: int, lo: int, hi: int) -> None:
-        edges.add((lo, hi))
+        add(lo << shift | hi)
         if q:
             mid = (lo + hi) // 2
             grow(q - 1, lo, mid)
@@ -189,13 +201,14 @@ def build_fractal(q: int, directed: bool = False, cost: int = 1) -> TFractal:
     boundaries_pos = _iterative_edges(q)
 
     flat = [pair for boundary in boundaries_pos for pair in boundary]
-    if set(flat) != _recursive_edges(q, 0, p):
+    shift = p.bit_length()
+    if {a << shift | b for a, b in flat} != _recursive_edges(q, 0, p):
         raise RuntimeError("iterative and recursive fractal constructions disagree")
 
     graph = Graph(
         directed,
         p + 1,
-        [(a, b, cost, 1) for a, b in flat],
+        flat if cost == 1 else ((a, b, cost) for a, b in flat),
         labels={0: "sigma", p: "tau"},
     )
 

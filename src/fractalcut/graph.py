@@ -61,18 +61,22 @@ class Graph:
         append = canon.append
         unit = True
         for e in edges:
-            u, v = e[0], e[1]
-            size = len(e)
-            cost = e[2] if size > 2 else 1
-            length = e[3] if size > 3 else 1
+            u = e[0]
+            v = e[1]
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) references unknown vertex (n={n})")
             if u == v:
                 raise InputError(f"self-loop at vertex {u} is not allowed")
-            if cost < 1 or length < 1:
-                raise InputError(f"edge ({u},{v}) needs positive cost and length")
-            if cost != 1 or length != 1:
-                unit = False
+            # A bare (u, v) pair, such as a fractal edge, is a unit edge.
+            if len(e) == 2:
+                cost = length = 1
+            else:
+                cost = e[2]
+                length = e[3] if len(e) > 3 else 1
+                if cost < 1 or length < 1:
+                    raise InputError(f"edge ({u},{v}) needs positive cost and length")
+                if cost != 1 or length != 1:
+                    unit = False
             if not directed and u > v:
                 u, v = v, u
             append(make(Edge, (u, v, cost, length)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 from typing import Optional
 
 from .errors import ParseError
@@ -43,7 +44,8 @@ def graph_to_json_obj(g: Graph) -> dict:
         "type": "graph",
         "directed": g.directed,
         "n": g.n,
-        "edges": [[e.u, e.v, e.cost, e.length] for e in g.edges],
+        # Edge rows are tuples, which JSON writes as arrays.
+        "edges": list(g.edges),
     }
     if g.labels:
         obj["labels"] = {str(v): name for v, name in sorted(g.labels.items())}
@@ -55,7 +57,7 @@ def instance_to_json_obj(inst: ProblemInstance) -> dict:
         "problem": inst.kind,
         "directed": inst.graph.directed,
         "n": inst.graph.n,
-        "edges": [[e.u, e.v] for e in inst.graph.edges],
+        "edges": [(e.u, e.v) for e in inst.graph.edges],
         "k": inst.k,
         "ell": inst.ell,
     }
@@ -76,8 +78,8 @@ def fractal_to_json_obj(f: TFractal) -> dict:
         "sigma": f.sigma,
         "tau": f.tau,
         "n": f.graph.n,
-        "edges": [[e.u, e.v] for e in f.graph.edges],
-        "boundaries": [list(b) for b in f.boundaries],
+        "edges": [(e.u, e.v) for e in f.graph.edges],
+        "boundaries": f.boundaries,
     }
 
 
@@ -107,10 +109,12 @@ def _emit(obj, pad: str) -> str:
     ``json.dumps`` drops to its pure-Python encoder whenever ``indent`` is
     set, which dominates writing a large fractal.  This writer takes the
     same type tests in the same order, sends strings, floats, booleans and
-    None to ``json.dumps`` (so escaping is the standard library's), and
-    joins a list of ints, or of [int, int] pairs such as edges, in one
-    ``join``.  A dict key that is not a string raises TypeError instead of
-    being coerced, and so does any value ``json.dumps`` would reject.
+    None to ``json.dumps`` (so escaping is the standard library's), joins a
+    list of ints in one ``join``, and writes a list of int pairs (list or
+    tuple rows, such as edges) with one ``%`` format.  The type tests run
+    as set comparisons over ``map``, with no Python-level loop per item.  A
+    dict key that is not a string raises TypeError instead of being
+    coerced, and so does any value ``json.dumps`` would reject.
     """
     if isinstance(obj, (str, float)) or obj is None or obj is True or obj is False:
         return json.dumps(obj)
@@ -120,15 +124,20 @@ def _emit(obj, pad: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(type(x) is int for x in obj):
-            items = map(str, obj)
-        elif all(type(x) is list and len(x) == 2 and type(x[0]) is int
-                 and type(x[1]) is int for x in obj):
+        sep = f",\n{inner}"
+        kinds = set(map(type, obj))
+        # Row types are tested first, so len() and the flattening are safe.
+        flat = (tuple(chain.from_iterable(obj))
+                if kinds <= {list, tuple} and set(map(len, obj)) == {2} else ())
+        if kinds == {int}:
+            body = sep.join(map(str, obj))
+        elif flat and set(map(type, flat)) == {int}:
             inner2 = inner + "  "
-            items = [f"[\n{inner2}{u},\n{inner2}{v}\n{inner}]" for u, v in obj]
+            row = f"[\n{inner2}%d,\n{inner2}%d\n{inner}]"
+            body = sep.join([row] * len(obj)) % flat
         else:
-            items = (_emit(x, inner) for x in obj)
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+            body = sep.join([_emit(x, inner) for x in obj])
+        return f"[\n{inner}{body}\n{pad}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -166,13 +175,11 @@ def _vertex_count(obj: dict) -> int:
 def _parse_graph_obj(obj: dict) -> Graph:
     directed = _field(obj, "directed", bool)
     n = _vertex_count(obj)
-    raw = _field(obj, "edges", list)
-    edges = []
-    for i, entry in enumerate(raw):
+    edges = _field(obj, "edges", list)
+    for i, entry in enumerate(edges):
         if not (isinstance(entry, list) and 2 <= len(entry) <= 4
                 and all(type(x) is int for x in entry)):
             raise ParseError(f"edges[{i}] must be [u, v(, cost(, length))]")
-        edges.append(tuple(entry))
     labels = None
     if "labels" in obj:
         labels = {}
@@ -201,13 +208,13 @@ def _parse_instance_obj(obj: dict) -> ProblemInstance:
         if not all(type(c) is int for c in costs):
             raise ParseError("costs must be integers")
     s, t = _optional_int(obj, "s"), _optional_int(obj, "t")
-    edges = []
     for i, entry in enumerate(raw):
         if not (isinstance(entry, list) and len(entry) == 2
                 and all(type(x) is int for x in entry)):
             raise ParseError(f"edges[{i}] must be [u, v]")
-        cost = costs[i] if costs is not None else 1
-        edges.append((entry[0], entry[1], cost, 1))
+    # The checked rows go to Graph as they are; only costed rows are
+    # rebuilt, one at a time as Graph reads them.
+    edges = raw if costs is None else ((u, v, c) for (u, v), c in zip(raw, costs))
     try:
         g = Graph(directed, n, edges)
         return ProblemInstance(kind, g, s=s, t=t,
@@ -260,12 +267,11 @@ def parse_vc(text: str) -> VcInstance:
     """Parse a vertex-cover input: {"n": int, "edges": [[u, v], ...], "k": int}."""
     obj = _json_object(text)
     n = _vertex_count(obj)
-    edges = []
-    for i, entry in enumerate(_field(obj, "edges", list)):
+    edges = _field(obj, "edges", list)
+    for i, entry in enumerate(edges):
         if not (isinstance(entry, list) and len(entry) == 2
                 and all(type(x) is int for x in entry)):
             raise ParseError(f"edges[{i}] must be [u, v]")
-        edges.append(tuple(entry))
     k = _field(obj, "k", int)
     return VcInstance(Graph(False, n, edges), k)
 
@@ -292,31 +298,45 @@ def parse_embedding(text: str) -> TwoPageEmbedding:
 # -- exports -----------------------------------------------------------------
 
 
+def _dot_string(text: str) -> str:
+    """``text`` as a quoted DOT string, with backslashes, double quotes and
+    line breaks escaped."""
+    text = (text.replace("\\", "\\\\").replace('"', '\\"')
+            .replace("\n", "\\n").replace("\r", "\\r"))
+    return f'"{text}"'
+
+
 def to_dot(g: Graph, roles: dict[int, str] | None = None,
            edge_colors: dict[int, str] | None = None,
            name: str = "g") -> str:
-    """DOT export; terminal roles land in a node attribute, one graph per file."""
+    """DOT export; terminal roles land in a node attribute, one graph per file.
+
+    Roles, labels and colors are written as escaped DOT strings.
+    """
     roles = roles or {}
+    labels = g.labels or {}
     edge_colors = edge_colors or {}
+    # Each distinct color is quoted once, not once per edge.
+    quoted = {c: _dot_string(c) for c in set(edge_colors.values())}
     kind = "digraph" if g.directed else "graph"
     arrow = "->" if g.directed else "--"
     lines = [f"{kind} {name} {{"]
     for v in range(g.n):
-        attrs = []
-        if v in roles:
-            attrs.append(f'role="{roles[v]}"')
-        if g.labels and v in g.labels:
-            attrs.append(f'label="{g.labels[v]}"')
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {v}{suffix};")
+        if v in roles or v in labels:
+            attrs = []
+            if v in roles:
+                attrs.append(f"role={_dot_string(roles[v])}")
+            if v in labels:
+                attrs.append(f"label={_dot_string(labels[v])}")
+            lines.append(f"  {v} [{', '.join(attrs)}];")
+        else:
+            lines.append(f"  {v};")
     for idx, e in enumerate(g.edges):
-        attrs = []
-        if idx in edge_colors:
-            attrs.append(f'color="{edge_colors[idx]}"')
+        attrs = f"color={quoted[edge_colors[idx]]}" if idx in edge_colors else ""
         if e.cost != 1:
-            attrs.append(f'weight="{e.cost}"')
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {e.u} {arrow} {e.v}{suffix};")
+            attrs = f'{attrs}, weight="{e.cost}"' if attrs else f'weight="{e.cost}"'
+        lines.append(f"  {e.u} {arrow} {e.v} [{attrs}];" if attrs
+                     else f"  {e.u} {arrow} {e.v};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -325,8 +345,7 @@ def fractal_to_dot(f: TFractal) -> str:
     """DOT export with one color per boundary ring."""
     colors = {}
     for level, boundary in enumerate(f.boundaries):
-        for idx in boundary:
-            colors[idx] = _DOT_PALETTE[level % len(_DOT_PALETTE)]
+        colors.update(dict.fromkeys(boundary, _DOT_PALETTE[level % len(_DOT_PALETTE)]))
     return to_dot(f.graph, roles={f.sigma: "sigma", f.tau: "tau"},
                   edge_colors=colors, name=f"fractal_q{f.depth}")
 

@@ -78,7 +78,19 @@ def _merging_recursive_edges(q, lo, hi):
 
 def test_recursive_edges_match_the_merging_construction():
     for q in range(15):
-        assert _recursive_edges(q, 0, 1 << q) == _merging_recursive_edges(q, 0, 1 << q)
+        # _recursive_edges returns the keys a << (q + 1) | b; decode them.
+        mask = (1 << (q + 1)) - 1
+        pairs = {(key >> (q + 1), key & mask) for key in _recursive_edges(q, 0, 1 << q)}
+        assert pairs == _merging_recursive_edges(q, 0, 1 << q)
+
+
+def test_costed_fractal_keeps_the_unit_edge_order():
+    for q in range(6):
+        for directed in (False, True):
+            unit = build_fractal(q, directed=directed).graph.edges
+            costed = build_fractal(q, directed=directed, cost=3).graph.edges
+            assert [(e.u, e.v) for e in costed] == [(e.u, e.v) for e in unit]
+            assert all(e.cost == 3 and e.length == 1 for e in costed)
 
 
 @pytest.mark.parametrize("level", [0, 1, -1], ids=["top", "second", "deepest"])

@@ -27,6 +27,14 @@ def test_graph_round_trip_with_labels_and_costs():
     assert parse(to_json(g)) == g
 
 
+def test_graph_document_with_two_three_and_four_item_rows():
+    doc = {"type": "graph", "directed": False, "n": 4,
+           "edges": [[1, 0], [1, 2, 3], [3, 2, 2, 4]]}
+    g = parse(json.dumps(doc))
+    assert [tuple(e) for e in g.edges] == [(0, 1, 1, 1), (1, 2, 3, 1), (2, 3, 2, 4)]
+    assert parse(to_json(g)) == g
+
+
 def test_instance_round_trip():
     g = Graph(False, 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     inst = ProblemInstance("lbec", g, s=0, t=2, k=1, ell=3)
@@ -85,6 +93,8 @@ def test_to_json_matches_stdlib_on_graphs_and_instances():
 @pytest.mark.parametrize("payload", [
     [], {}, [[]], [[], [1]], [[1, 2], [3, 4, 5]], [[1, 2], (3, 4)],
     (1, (2, 3)), [True, 1, None], [1.5, -0.0, float("inf"), 10 ** 30],
+    [(0, 1), (1, 2), (-3, 10 ** 30)], [(0, 1), [1, 2], (2, 3)],
+    [(0, 1), (1, 2, 3)], [(True, 1), (0, 1)], [(0, 1), (1, 2.0)], (), [()],
     {"z": {}, "a": [], "m": {"n": [["x", 1]]}, "\u00e9": "\\"},
     {"witness": None, "answer": False, "nodes": 0},
 ])
@@ -232,6 +242,18 @@ def test_dot_export_shape():
     assert 'role="sigma"' in dot and 'role="tau"' in dot
     directed = to_dot(Graph(True, 2, [(0, 1)]))
     assert " -> " in directed
+
+
+def test_dot_escapes_labels_and_roles():
+    g = Graph(False, 2, [(0, 1)], labels={0: 'a"b', 1: "x\ny"})
+    dot = to_dot(g, roles={0: "back\\slash"}, edge_colors={0: 'r"ed'})
+    assert dot.splitlines() == [
+        "graph g {",
+        '  0 [role="back\\\\slash", label="a\\"b"];',
+        '  1 [label="x\\ny"];',
+        '  0 -- 1 [color="r\\"ed"];',
+        "}",
+    ]
 
 
 def test_dimacs_export():
