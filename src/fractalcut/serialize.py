@@ -306,12 +306,26 @@ def _dot_string(text: str) -> str:
     return f'"{text}"'
 
 
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph",
+                           "strict"})
+
+
+def _dot_id(name: str) -> str:
+    """``name`` as a DOT graph ID: as it is when it is a plain identifier
+    and no keyword (DOT keywords ignore case), else as a quoted string."""
+    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) and \
+            name.lower() not in _DOT_KEYWORDS:
+        return name
+    return _dot_string(name)
+
+
 def to_dot(g: Graph, roles: dict[int, str] | None = None,
            edge_colors: dict[int, str] | None = None,
            name: str = "g") -> str:
     """DOT export; terminal roles land in a node attribute, one graph per file.
 
-    Roles, labels and colors are written as escaped DOT strings.
+    Roles, labels and colors are written as escaped DOT strings, and so is
+    a name that is not a plain DOT identifier.
     """
     roles = roles or {}
     labels = g.labels or {}
@@ -320,7 +334,7 @@ def to_dot(g: Graph, roles: dict[int, str] | None = None,
     quoted = {c: _dot_string(c) for c in set(edge_colors.values())}
     kind = "digraph" if g.directed else "graph"
     arrow = "->" if g.directed else "--"
-    lines = [f"{kind} {name} {{"]
+    lines = [f"{kind} {_dot_id(name)} {{"]
     for v in range(g.n):
         if v in roles or v in labels:
             attrs = []

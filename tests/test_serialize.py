@@ -256,6 +256,21 @@ def test_dot_escapes_labels_and_roles():
     ]
 
 
+@pytest.mark.parametrize("name,header", [
+    ("g", "graph g {"),
+    ("_Fractal_q7", "graph _Fractal_q7 {"),
+    ("my graph", 'graph "my graph" {'),
+    ("7up", 'graph "7up" {'),
+    ('say "hi"', 'graph "say \\"hi\\"" {'),
+    ("", 'graph "" {'),
+    ("Graph", 'graph "Graph" {'),
+    ("strict", 'graph "strict" {'),
+])
+def test_dot_quotes_names_that_are_not_identifiers(name, header):
+    dot = to_dot(Graph(False, 2, [(0, 1)]), name=name)
+    assert dot.splitlines()[0] == header
+
+
 def test_dimacs_export():
     for q in (0, 3):
         f = build_fractal(q)

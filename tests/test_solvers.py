@@ -348,6 +348,94 @@ def test_resumed_search_matches_search_from_scratch(monkeypatch):
     assert sum(state.reused for state in made) > 0
 
 
+# -- replayed failed subtrees ------------------------------------------------------
+
+def _branch_searching_every_subtree(state, find, budget, keep_connected=False):
+    """``solvers._branch`` without its table of failed subtrees: every
+    child runs its own search."""
+    leaves = 0
+    deleted = []
+
+    def rec(budget_left, found):
+        nonlocal leaves
+        obstruction, tree = found
+        if obstruction is None:
+            leaves += 1
+            return list(deleted)
+        if budget_left == 0:
+            leaves += 1
+            return None
+        branched = False
+        for i, sid in enumerate(obstruction):
+            if state.mult[sid] > budget_left:
+                continue
+            if keep_connected and state.mult[sid] == 1 and \
+                    not state.connected_without(sid):
+                continue
+            branched = True
+            deleted.append(state.delete_copy(sid))
+            res = rec(budget_left - 1, find(tree, i))
+            state.restore_copy(sid)
+            deleted.pop()
+            if res is not None:
+                return res
+        if not branched:
+            leaves += 1
+        return None
+
+    return rec(budget, find(None, 0)), leaves
+
+
+def _fpt_outcome(inst):
+    v = solve_fpt(inst)
+    return v.answer, v.witness, v.nodes
+
+
+def test_replayed_subtrees_match_searching_every_subtree(monkeypatch):
+    rnd = random.Random(2020)
+    instances = []
+    for kind in ("lbec", "mded", "dsct"):
+        for _ in range(60):
+            inst = random_solver_instance(rnd, kind)
+            instances += [inst, _with_parallel_copies(rnd, inst)]
+    instances += [reduce_vc_to_planar_lbec(fx.instance(2), fx.embedding())
+                  for fx in VC_FIXTURES]
+    got = [_fpt_outcome(inst) for inst in instances]
+    monkeypatch.setattr(solvers, "_branch", _branch_searching_every_subtree)
+    for inst, outcome in zip(instances, got):
+        assert outcome == _fpt_outcome(inst), inst
+    assert {answer for answer, _, _ in got} == {False, True}
+
+
+class _CountedSlots(_SlotState):
+    """Counts the s-t searches a brancher makes."""
+
+    searches = 0
+
+    def shortest_path_slots(self, s, t, limit, tree=None, cut=0):
+        self.searches += 1
+        return super().shortest_path_slots(s, t, limit, tree, cut)
+
+
+def test_replayed_subtrees_search_each_mask_once(monkeypatch):
+    # Most of vc/prism's slots at k = 3 are bundles of seven copies, so
+    # its 20,195 nodes reach only 592 distinct sets of deleted edges.
+    (fx,) = [fx for fx in VC_FIXTURES if fx.name == "prism"]
+    inst = reduce_vc_to_planar_lbec(fx.instance(3), fx.embedding())
+    made = []
+
+    def counted(g):
+        made.append(_CountedSlots(g))
+        return made[-1]
+
+    monkeypatch.setattr(solvers, "_SlotState", counted)
+    assert _fpt_outcome(inst) == (False, None, 15421)
+    assert made[-1].searches <= 592
+    monkeypatch.setattr(solvers, "_branch", _branch_searching_every_subtree)
+    assert _fpt_outcome(inst) == (False, None, 15421)
+    assert made[-1].searches == 20195
+
+
 # -- oracle agreement -------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ["lbec", "mded", "dsct"])
