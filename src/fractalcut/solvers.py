@@ -116,11 +116,19 @@ def _diameter(g: Graph, dead: frozenset[int]) -> float:
 
 
 def _girth_directed(g: Graph, dead: frozenset[int]) -> float:
-    """Length of the shortest directed cycle; inf when acyclic."""
-    best = UNREACHABLE
+    """Length of the shortest directed cycle; inf when acyclic.
+
+    A live arc u -> v closes a cycle of dist(v, u) + 1 arcs, so one BFS
+    per distinct arc head serves all of that head's in-arcs.
+    """
+    tails: dict[int, list[int]] = {}
     for idx, e in enumerate(g.edges):
         if idx not in dead:
-            best = min(best, distances(g, e.v, dead)[e.u] + 1)
+            tails.setdefault(e.v, []).append(e.u)
+    best = UNREACHABLE
+    for v, us in tails.items():
+        dist = distances(g, v, dead)
+        best = min(best, min(dist[u] for u in us) + 1)
     return best
 
 
@@ -392,8 +400,11 @@ class _Support:
                 break
             seen |= level
             nxt = 0
-            for x in _bits(level):
-                nxt |= out_masks[x]
+            # _bits inlined: this loop is most of a search that finds no cycle.
+            while level:
+                b = level & -level
+                nxt |= out_masks[b.bit_length() - 1]
+                level ^= b
             level = nxt & ~seen
         if not levels or not levels[-1] & into:
             return None
@@ -759,28 +770,46 @@ class _CostAwareSearch(_Support):
     For LBEC and DSCT one predicate hands obstructions down.  An LBEC
     state fails exactly when some s-t path of fewer than ell hops
     survives, a DSCT state exactly when some directed cycle of at most ell
-    arcs survives, and then the predicate hands its children the pair ids
-    of one such path or cycle, P.  A child's support is the parent's with
-    the child's severed pairs taken out: severing only removes pairs and
-    never adds one.  If none of the severed pairs is on P, every pair of P
-    survives in the child, so P is still an obstruction there and the
-    child fails; it hands P on unchanged.  Only a child that severed a
-    pair of P searches again.  Which obstruction is handed down changes
-    no verdict, witness or state count: a state passes or fails whatever
-    P is, the units alone fix the enumeration order, and ``tested`` counts
-    every state.  So the DSCT finder need not find a shortest cycle.  It
-    returns the shortest cycle through the first vertex, in id order, that
-    lies on a cycle of at most ell arcs; that one is within ell arcs too,
-    since no cycle through a vertex is shorter than its shortest one.
+    arcs survives, and then the predicate hands its children one such
+    path or cycle, P, as the int mask with bit pid set for each pair of P.
+    Each unit carries the same kind of mask of its own pairs.  A child's
+    support is the parent's with the child's unit taken out: severing
+    only removes pairs and never adds one.  If the unit's mask and P's
+    share no bit, every pair of P survives in the child, so P is still an
+    obstruction there and the child fails; it hands P on unchanged.  Only
+    a child whose unit meets P searches again.  Which obstruction is
+    handed down changes no verdict, witness or state count: a state
+    passes or fails whatever P is, the units alone fix the enumeration
+    order, and ``tested`` counts every state.  So the DSCT finder need not
+    find a shortest cycle.  It returns the shortest cycle through the
+    first vertex, in id order, that lies on a cycle of at most ell arcs;
+    that one is within ell arcs too, since no cycle through a vertex is
+    shorter than its shortest one.
+
+    Severance is deferred to the states that search.  The enumeration
+    keeps the chosen units on the stack ``chosen``, of which the first
+    ``synced`` are severed in the masks.  A predicate that reads the masks
+    first severs the rest (``_sever_chosen``), and the state puts them
+    back when it is left, so at every state that searches the masks are
+    the full support less the pairs of every chosen unit, as if each unit
+    had been severed when it was chosen.  Every search therefore returns
+    what it would under eager severance.  An inherited state's verdict and
+    hand-down depend only on the parent's obstruction and the unit's mask,
+    so they never read the masks and the state severs nothing: for LBEC
+    and DSCT that is every state whose unit misses the handed-down mask,
+    and for MDED every child of a disconnected state, which hands down
+    False.  Every other MDED state reuses its parent's arrays by reading
+    the masks, so it severs its unit.  The witness is read off ``chosen``.
     """
 
     def __init__(self, inst: ProblemInstance, symmetry: bool = True):
         g = inst.graph
-        if any(e.length != 1 for e in g.edges):
+        if not g._unit and any(e.length != 1 for e in g.edges):
             raise InputError("cost-aware search requires unit hop lengths")
         super().__init__(g)
         self.inst = inst
-        self.pair_cost = [sum(g.edges[i].cost for i in idxs)
+        costs = [e.cost for e in g.edges]
+        self.pair_cost = [sum(map(costs.__getitem__, idxs))
                           for idxs in self.pair_edges]
         if inst.kind == "mded":
             self.sources = self._diameter_sources()
@@ -800,42 +829,33 @@ class _CostAwareSearch(_Support):
             chains = []
         in_chain = {pid for ch, _, _ in chains for pid in ch}
 
-        # Units: (cost, effect pair ids, witness edge indices, symmetry key).
-        units = []
+        # Units: (cost, pair ids, witness edge indices, mask of the pair ids),
+        # in the order of their witnesses' first edges.  Identical parallel
+        # corridors merge into one all-or-nothing unit: severing some but
+        # not all of them leaves the endpoint adjacency intact through the
+        # survivors, so every distance is unchanged and the partial
+        # severance is wasted.  Only the full severance (total cost)
+        # matters, which also retires over-budget parallel bundles (for
+        # example a back arc realized as budget+1 parallel paths).
+        merged: dict = {}
         for ch, head, tail in chains:
-            costs = [self.pair_cost[p] for p in ch]
-            best = min(range(len(ch)), key=lambda i: (costs[i], ch[i]))
+            # The corridor's cheapest pair, the lowest id among equals.
+            cost, best = min((self.pair_cost[p], p) for p in ch)
             if not self.directed:
                 head, tail = min(head, tail), max(head, tail)
-            key = ("chain", head, tail, len(ch), costs[best])
-            units.append((costs[best], tuple(ch),
-                          self.pair_edges[ch[best]], key))
-        for pid in range(len(self.pairs)):
-            if pid in in_chain or pid in excluded:
-                continue
-            units.append((self.pair_cost[pid], (pid,),
-                          self.pair_edges[pid], ("pair", pid)))
-
-        # Merge identical parallel corridors into one all-or-nothing unit:
-        # severing some but not all of them leaves the endpoint adjacency
-        # intact through the survivors, so every distance is unchanged and
-        # the partial severance is wasted.  Only the full severance (total
-        # cost) matters, which also retires over-budget parallel bundles
-        # (for example a back arc realized as budget+1 parallel paths).
-        merged: dict = {}
-        order = []
-        for cost, pids, wit, key in units:
-            if key not in merged:
-                merged[key] = [0, [], []]
-                order.append(key)
-            merged[key][0] += cost
-            merged[key][1].extend(pids)
-            merged[key][2].extend(wit)
-        self.units = []
-        for key in order:
-            cost, pids, wit = merged[key]
-            self.units.append((cost, tuple(pids), tuple(sorted(wit))))
-        self.units.sort(key=lambda u: u[2][0])
+            unit = merged.setdefault((head, tail, len(ch), cost), [0, [], []])
+            unit[0] += cost
+            unit[1] += ch
+            unit[2] += self.pair_edges[best]
+        units = []
+        for cost, pids, wit in merged.values():
+            units.append((cost, tuple(pids), tuple(sorted(wit)),
+                          sum(1 << pid for pid in pids)))
+        units += [(self.pair_cost[pid], (pid,), self.pair_edges[pid], 1 << pid)
+                  for pid in range(len(self.pairs))
+                  if pid not in in_chain and pid not in excluded]
+        units.sort(key=lambda u: u[2][0])
+        self.units = units
 
     # ---- structural preprocessing
 
@@ -872,16 +892,14 @@ class _CostAwareSearch(_Support):
         protected = set()
         if self.inst.kind == "lbec":
             protected = {self.inst.s, self.inst.t}
-        if self.directed:
-            def interior(v):
-                return (v not in protected
-                        and self.in_masks[v].bit_count() == 1
-                        and self.out_masks[v].bit_count() == 1)
-        else:
-            def interior(v):
-                return v not in protected and self.out_masks[v].bit_count() == 2
-
-        out_masks = self.out_masks
+        out_masks, in_masks = self.out_masks, self.in_masks
+        inner = 0  # the mask of the interior vertices
+        for v in range(self.n):
+            if v in protected:
+                continue
+            if (out_masks[v].bit_count() == 1 and in_masks[v].bit_count() == 1
+                    if self.directed else out_masks[v].bit_count() == 2):
+                inner |= 1 << v
         chains = []
         used_pairs: set[int] = set()
 
@@ -891,7 +909,7 @@ class _CostAwareSearch(_Support):
             backward.  Returns the pair ids met, claimed in used_pairs, and
             the vertex where the walk stops."""
             met = []
-            while interior(cur):
+            while inner >> cur & 1:
                 if self.directed:
                     nxt = masks[cur].bit_length() - 1
                     pair = (cur, nxt) if masks is out_masks else (nxt, cur)
@@ -907,10 +925,12 @@ class _CostAwareSearch(_Support):
             return met, cur
 
         for pid, (u, v) in enumerate(self.pairs):
-            if pid in used_pairs or pid in excluded:
+            # A corridor runs on from a pair only through an interior end.
+            if (pid in used_pairs or pid in excluded
+                    or not (inner >> u | inner >> v) & 1):
                 continue
             ahead, tail = walk(pid, u, v, out_masks)
-            behind, head = walk(pid, v, u, self.in_masks)
+            behind, head = walk(pid, v, u, in_masks)
             if ahead or behind:
                 used_pairs.add(pid)
                 chains.append((behind[::-1] + [pid] + ahead, head, tail))
@@ -918,18 +938,21 @@ class _CostAwareSearch(_Support):
 
     # ---- predicates on the current masks
     #
-    # Each predicate takes what the parent state handed down and the pair ids
-    # severed to reach the current state.  It returns True when the current
-    # state answers the question, and otherwise what the state's children
-    # inherit.
+    # Each predicate takes what the parent state handed down and the pair
+    # mask of the unit chosen to reach the current state (0 at the root).
+    # It returns True when the current state answers the question, and
+    # otherwise what the state's children inherit.  Only a predicate that
+    # reads the masks calls _sever_chosen first.
 
-    def _obstruction_holds(self, parent, severed):
+    def _obstruction_holds(self, parent, mask: int):
         """No obstruction survives: for LBEC an s-t path of fewer than ell
         hops, for DSCT a directed cycle of at most ell arcs.  A failing
-        state hands down the pair ids of the one it found, and a child that
-        severed none of them fails with it (see the class docstring)."""
-        if parent and not any(pid in parent for pid in severed):
+        state hands down the mask of the pairs of the one it found, and a
+        child whose unit misses them fails with it, unsevered (see the
+        class docstring)."""
+        if parent and not parent & mask:
             return parent
+        self._sever_chosen()
         # Picked here, not stored as a bound method in __init__: a search
         # that refers to itself waits for a collection of an older GC
         # generation, which raised compose-cut's peak RSS by 2%.
@@ -938,7 +961,29 @@ class _CostAwareSearch(_Support):
             found, _ = self.shortest_path_slots(inst.s, inst.t, inst.ell - 1)
         else:
             found = self._first_cycle(inst.ell)
-        return True if found is None else found
+        if found is None:
+            return True
+        blocked = 0
+        for pid in found:
+            blocked |= 1 << pid
+        return blocked
+
+    def _sever_chosen(self) -> list[int]:
+        """Sever the pairs of the chosen units that are not severed yet,
+        and return their ids."""
+        chosen = self.chosen
+        pids = [pid for unit in chosen[self.synced:] for pid in unit[1]]
+        for pid in pids:
+            self.sever(pid)
+        self.synced = len(chosen)
+        return pids
+
+    def _restore_chosen(self, keep: int) -> None:
+        """Put back the severed pairs of the chosen units past the first keep."""
+        for unit in self.chosen[keep:self.synced]:
+            for pid in unit[1]:
+                self.restore(pid)
+        self.synced = keep
 
     def _first_cycle(self, limit: int):
         """Pair ids of the shortest cycle through the first vertex that
@@ -949,7 +994,7 @@ class _CostAwareSearch(_Support):
                 return cycle
         return None
 
-    def _mded_holds(self, parent, severed):
+    def _mded_holds(self, parent, mask: int):
         """Connected (strongly, if directed) with diameter >= ell.
 
         A connected state that fails hands down, for each fixed source, its
@@ -960,6 +1005,10 @@ class _CostAwareSearch(_Support):
         """
         if parent is False:
             return False
+        # The parent, if any, searched too, so its masks lacked the pairs of
+        # every chosen unit but this state's: the pairs severed now are the
+        # unit's.
+        severed = self._sever_chosen()
         ell = self.inst.ell
         if self.n <= 1:
             return ell <= 0
@@ -1061,44 +1110,39 @@ class _CostAwareSearch(_Support):
 
     def solve(self, budget: int, max_states: int) -> Verdict:
         tested = 0
-        chosen: list[int] = []
+        chosen = self.chosen = []
+        self.synced = 0
         units = [u for u in self.units if u[0] <= budget]
-        result: Optional[tuple[int, ...]] = None
         holds = (self._mded_holds if self.inst.kind == "mded"
                  else self._obstruction_holds)
 
-        def rec(start: int, budget_left: int, parent, severed) -> bool:
-            nonlocal tested, result
+        def rec(start: int, budget_left: int, parent, mask: int) -> bool:
+            nonlocal tested
             tested += 1
             if tested > max_states:
                 raise ResourceBudgetError(
                     f"cost-aware search exceeded {max_states} states")
-            inherited = holds(parent, severed)
+            synced = self.synced
+            inherited = holds(parent, mask)
             if inherited is True:
-                out = []
-                for ui in chosen:
-                    out.extend(units[ui][2])
-                result = tuple(sorted(out))
                 return True
             for ui in range(start, len(units)):
-                cost, pids, _ = units[ui]
-                if cost > budget_left:
+                unit = units[ui]
+                if unit[0] > budget_left:
                     continue
-                for pid in pids:
-                    self.sever(pid)
-                chosen.append(ui)
-                ok = rec(ui + 1, budget_left - cost, inherited, pids)
-                chosen.pop()
-                for pid in pids:
-                    self.restore(pid)
-                if ok:
+                chosen.append(unit)
+                if rec(ui + 1, budget_left - unit[0], inherited, unit[3]):
                     return True
+                chosen.pop()
+            if self.synced != synced:
+                self._restore_chosen(synced)
             return False
 
-        found = rec(0, budget, None, ())
-        if found:
-            return Verdict(True, result, tested)
-        return Verdict(False, None, tested)
+        if not rec(0, budget, None, 0):
+            return Verdict(False, None, tested)
+        witness = tuple(sorted(i for unit in chosen for i in unit[2]))
+        self._restore_chosen(0)
+        return Verdict(True, witness, tested)
 
 
 def solve_bruteforce_costaware(inst: ProblemInstance, *, symmetry: bool = True,

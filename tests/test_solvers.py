@@ -204,6 +204,31 @@ def test_split_vertex_matches_shortest_cycle():
             search.sever(pid)
 
 
+def _girth_per_arc(g, dead):
+    """The shortest directed cycle by its definition: one BFS per live arc
+    u -> v, closing a cycle of dist(v, u) + 1 arcs."""
+    return min((distances(g, e.v, dead)[e.u] + 1
+                for idx, e in enumerate(g.edges) if idx not in dead),
+               default=UNREACHABLE)
+
+
+def test_girth_directed_matches_per_arc_definition():
+    rnd = random.Random(1515)
+    parallel = two_cycles = 0
+    for _ in range(300):
+        n = rnd.randint(1, 7)
+        pool = [(u, v) for u in range(n) for v in range(n) if u != v]
+        # Drawn with replacement, so parallel arcs and 2-cycles both occur.
+        arcs = [rnd.choice(pool) for _ in range(rnd.randint(0, 3 * n))] \
+            if pool else []
+        g = Graph(True, n, arcs)
+        dead = frozenset(i for i in range(len(arcs)) if rnd.random() < 0.3)
+        parallel += len(set(arcs)) < len(arcs)
+        two_cycles += any((v, u) in arcs for u, v in arcs)
+        assert _girth_directed(g, dead) == _girth_per_arc(g, dead), (arcs, dead)
+    assert parallel >= 50 and two_cycles >= 50
+
+
 def test_connected_without_matches_reference():
     rnd = random.Random(808)
     outcomes = set()
@@ -594,6 +619,43 @@ def test_costaware_cut_pinned_verdicts(params, expected):
     assert (v.answer, v.witness, v.nodes) == expected
 
 
+class _CountedSevers(_CostAwareSearch):
+    """Counts the sever calls made on the way to each state, up to the end
+    of its predicate, and checks that a state that inherits its parent's
+    obstruction made none."""
+
+    severs = 0
+    searched = 0
+    inherited = 0
+
+    def sever(self, pid):
+        self.severs += 1
+        super().sever(pid)
+
+    def _obstruction_holds(self, parent, mask):
+        got = super()._obstruction_holds(parent, mask)
+        if got is parent:
+            assert self.severs == 0
+            self.inherited += 1
+        else:
+            self.searched += 1
+        self.severs = 0
+        return got
+
+
+@pytest.mark.parametrize("params,expected", [
+    case for case in PINNED_COSTAWARE
+    if case[0] in ((0, "lbec-und", 2, 1, 3, "weighted"),
+                   (3, "dsct", 2, 1, 3, "simple"))])
+def test_costaware_inherited_states_sever_nothing(params, expected):
+    inst = _composed_cut(*params)
+    search = _CountedSevers(inst)
+    v = search.solve(inst.k, 50_000_000)
+    assert (v.answer, v.witness, v.nodes) == expected
+    assert search.inherited > search.searched > 0
+    assert search.inherited + search.searched == v.nodes
+
+
 def test_replay_predicate_matches_manual_checks():
     inst = ProblemInstance("mded", cycle4(), k=1, ell=3)
     assert instance_predicate(inst, (0,))     # P4: connected, diameter 3
@@ -629,15 +691,30 @@ def test_costaware_mded_pinned_verdicts(params, expected):
     assert (v.answer, v.witness, v.nodes) == expected
 
 
+def _severed_pairs(search):
+    """The pair ids of the search's chosen units: the pairs severed at the
+    current state, whether or not its masks show them yet."""
+    return {pid for unit in search.chosen for pid in unit[1]}
+
+
 def _severed_edges(search):
-    """The edge indices of the pairs missing from the search's masks."""
-    return frozenset(i for (u, v), idxs in zip(search.pairs, search.pair_edges)
-                     if not search.out_masks[u] >> v & 1 for i in idxs)
+    """The edge indices of the pairs of the search's chosen units."""
+    return frozenset(i for pid in _severed_pairs(search)
+                     for i in search.pair_edges[pid])
+
+
+def _masks_in_step(search):
+    """Do the search's masks lack exactly the pairs of its chosen units?
+    Checked at every state that searched, which must see them all severed."""
+    missing = {pid for pid, (u, v) in enumerate(search.pairs)
+               if not search.out_masks[u] >> v & 1}
+    return missing == _severed_pairs(search)
 
 
 class _ReplayedMded(_CostAwareSearch):
     """Checks the incremental diameter predicate at every visited state
-    against the replay-grade predicate on the severed edges, every distance
+    against the replay-grade predicate on the edges of the chosen units,
+    that a state that searched saw all of them severed, every distance
     array and reach mask it hands down against a fresh BFS (directed, the
     first array is the reverse one of the first source), and, at every
     connected state, that the diameter sources recomputed from the current
@@ -645,10 +722,11 @@ class _ReplayedMded(_CostAwareSearch):
 
     visited = 0
 
-    def _mded_holds(self, parent, severed):
-        got = super()._mded_holds(parent, severed)
+    def _mded_holds(self, parent, mask):
+        got = super()._mded_holds(parent, mask)
         dead = _severed_edges(self)
         assert (got is True) == instance_predicate(self.inst, dead), dead
+        assert got is parent or _masks_in_step(self), dead
         if _connected_after(self.inst.graph, dead):
             assert set(self._diameter_sources()) <= set(self.sources), dead
         if isinstance(got, list):
@@ -760,24 +838,33 @@ def test_diameter_sources_realize_the_diameter():
 
 class _ReplayedLbec(_CostAwareSearch):
     """Checks the LBEC predicate at every visited state against the
-    replay-grade predicate on the severed edges, and that every obstruction
-    it returns, handed down or found afresh, is an s-t path of fewer than
-    ell hops along pairs that survive."""
+    replay-grade predicate on the edges of the chosen units, that a state
+    that searched saw all of them severed, and that every obstruction it
+    returns, handed down or found afresh, is the mask of an s-t path of
+    fewer than ell hops along pairs that survive."""
 
     visited = 0
     inherited = 0
 
-    def _obstruction_holds(self, parent, severed):
-        got = super()._obstruction_holds(parent, severed)
+    def _obstruction_holds(self, parent, mask):
+        got = super()._obstruction_holds(parent, mask)
+        gone = _severed_pairs(self)
         dead = _severed_edges(self)
         assert (got is True) == instance_predicate(self.inst, dead), dead
+        assert got is parent or _masks_in_step(self), dead
         if got is not True:
-            assert 0 < len(got) < self.inst.ell, (dead, got)
+            left = set(solvers._bits(got))
+            assert 0 < len(left) < self.inst.ell, (dead, got)
             at = self.inst.s
-            for pid in got:
+            while left:
+                # The one pair of the path left that leaves the vertex reached.
+                step = [pid for pid in left if at == self.pairs[pid][0] or
+                        (not self.directed and at == self.pairs[pid][1])]
+                assert len(step) == 1, (dead, got)
+                pid = step[0]
+                left.remove(pid)
+                assert pid not in gone, (dead, got)
                 u, v = self.pairs[pid]
-                assert self.out_masks[u] >> v & 1, (dead, got)
-                assert at == u or (not self.directed and at == v), (dead, got)
                 at = v if at == u else u
             assert at == self.inst.t, (dead, got)
             self.inherited += got is parent
@@ -813,23 +900,34 @@ def test_lbec_obstruction_inheritance_matches_replay(symmetry):
 
 class _ReplayedDsct(_CostAwareSearch):
     """Checks the DSCT predicate at every visited state against the
-    replay-grade predicate on the severed edges, and that every obstruction
-    it returns, handed down or found afresh, is a closed walk of at most ell
-    arcs along pairs that survive."""
+    replay-grade predicate on the edges of the chosen units, that a state
+    that searched saw all of them severed, and that every obstruction it
+    returns, handed down or found afresh, is the mask of a closed walk of
+    at most ell arcs along pairs that survive."""
 
     visited = 0
     inherited = 0
 
-    def _obstruction_holds(self, parent, severed):
-        got = super()._obstruction_holds(parent, severed)
+    def _obstruction_holds(self, parent, mask):
+        got = super()._obstruction_holds(parent, mask)
+        gone = _severed_pairs(self)
         dead = _severed_edges(self)
         assert (got is True) == instance_predicate(self.inst, dead), dead
+        assert got is parent or _masks_in_step(self), dead
         if got is not True:
-            assert 2 <= len(got) <= self.inst.ell, (dead, got)
-            arcs = [self.pairs[pid] for pid in got]
-            for (u, v), (nxt, _) in zip(arcs, arcs[1:] + arcs[:1]):
-                assert self.out_masks[u] >> v & 1, (dead, got)
-                assert v == nxt, (dead, got)
+            pids = list(solvers._bits(got))
+            assert 2 <= len(pids) <= self.inst.ell, (dead, got)
+            assert not gone.intersection(pids), (dead, got)
+            # One closed walk: following each arc's head to the arc it is
+            # the tail of visits every arc and comes back.
+            arcs = [self.pairs[pid] for pid in pids]
+            succ = dict(arcs)
+            assert len(succ) == len(arcs), (dead, got)
+            at, walk = arcs[0][0], []
+            for _ in arcs:
+                walk.append(at)
+                at = succ.get(at)
+            assert at == arcs[0][0] and set(walk) == set(succ), (dead, got)
             self.inherited += got is parent
         self.visited += 1
         return got
