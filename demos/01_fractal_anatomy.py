@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Walk through the triangle fractal: counts, boundaries, and the dual tree.
+"""Walk through the triangle fractal: counts, boundaries, and minimum cuts.
 
 The selector graph starts as a single marked edge between two terminals and
 grows by erecting a triangle on every marked edge, one round per depth
@@ -7,7 +7,7 @@ level.  Each round's fresh edges form a boundary ring, and every boundary is
 an edge-disjoint terminal-to-terminal path.
 """
 
-from fractalcut import build_fractal, fractal_to_dot
+from fractalcut import build_fractal, enumerate_min_cuts, fractal_to_dot
 
 for q in range(0, 5):
     f = build_fractal(q)
@@ -22,13 +22,12 @@ for level, boundary in enumerate(f.boundaries):
     stops = [path[0].u] + [e.v for e in path]
     print(f"  boundary {level}: visits {stops}")
 
-d = f.dual
-print(f"\ndual tree: {d.node_count} nodes, {len(d.leaf_order)} leaves")
-print("each root-leaf path names one minimum terminal cut:")
-for leaf in d.leaf_order[:3]:
-    edges = d.root_leaf_edges(leaf)
-    pairs = [(f.graph.edges[i].u, f.graph.edges[i].v) for i in edges]
-    print(f"  leaf gap {d.leaf_gap[leaf]}: cut {pairs}")
+cuts = enumerate_min_cuts(f)
+print(f"\n{len(cuts)} minimum terminal cuts, one edge per boundary;")
+print("the cut for gap i separates deepest-boundary vertices i-1 and i:")
+for gap, cut in enumerate(cuts[:3], start=1):
+    pairs = [(f.graph.edges[i].u, f.graph.edges[i].v) for i in cut.edges]
+    print(f"  gap {gap}: cut {pairs}")
 
 print("\nDOT export (boundaries colored by ring):\n")
 print(fractal_to_dot(build_fractal(2)))

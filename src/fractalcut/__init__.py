@@ -16,7 +16,7 @@ from .composer import (CompositionArtifact, EquivalenceClass, check_equivalent,
                        pad_to_power_of_two, trivial_no_instance)
 from .errors import (EquivalenceError, FractalcutError, InputError, ParseError,
                      ResourceBudgetError, UnsupportedParameterError)
-from .fractal import (DualTree, TFractal, build_fractal, cut_for_instance,
+from .fractal import (TFractal, build_fractal, cut_for_instance,
                       enumerate_min_cuts, selected_instance)
 from .graph import (CutCertificate, Edge, Graph, UNREACHABLE, bfs_distance,
                     is_connected, is_edge_cut, is_minimal_edge_cut,

@@ -155,7 +155,15 @@ def _embed(instances: Sequence[ProblemInstance], cost: int,
     """Merge p terminal instances onto the deepest boundary of a cost-c
     fractal: input i's source lands on vertex i-1 and its sink on vertex i,
     so consecutive inputs share a vertex.  Directed inputs must be acyclic
-    and go onto the directed fractal; the composed graph is again acyclic.
+    and go onto the directed fractal; the composed graph is again acyclic,
+    by construction rather than by a re-check.  Fractal arcs only go up in
+    position.  Input i's fresh vertices touch only input i, so a walk that
+    leaves position i-1 or i through them comes back to i-1 or i.  The
+    input checks forbid it to come back to where it left (a cycle in input
+    i) or to go from i to i-1 (a path from input i's sink to its source).
+    So positions strictly increase along any walk between positions, and
+    a cycle inside one input's fresh vertices is again a cycle of that
+    input.
     """
     q = _check_power_of_two(len(instances))
     if cost < 1:
@@ -192,8 +200,6 @@ def _embed(instances: Sequence[ProblemInstance], cost: int,
         vertex_maps.append(vmap)
         edge_ranges.append((start, len(edges)))
     g = Graph(directed, next_id, edges, labels={0: "sigma", p: "tau"})
-    if directed and not _is_acyclic(g):
-        raise RuntimeError("composed graph unexpectedly cyclic")
     return _Construction(g, fractal, tuple(vertex_maps), tuple(edge_ranges))
 
 

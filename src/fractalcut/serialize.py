@@ -234,8 +234,13 @@ def _parse_fractal_obj(obj: dict) -> TFractal:
         f = build_fractal(q, directed=directed, cost=cost)
     except Exception as exc:
         raise ParseError(f"invalid fractal parameters: {exc}") from exc
+    for name, want in (("n", f.graph.n), ("sigma", f.sigma), ("tau", f.tau)):
+        if _field(obj, name, int) != want:
+            raise ParseError(f"fractal field {name!r} does not match its parameters")
     if [[e.u, e.v] for e in f.graph.edges] != obj.get("edges"):
         raise ParseError("fractal edge list does not match its parameters")
+    if [list(b) for b in f.boundaries] != obj.get("boundaries"):
+        raise ParseError("fractal boundaries do not match its parameters")
     return f
 
 

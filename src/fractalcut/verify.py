@@ -67,11 +67,18 @@ def check_fractal_formulas(q_max: int = 10) -> CheckResult:
                 failures.append(f"q={q}: vertex count {g.n} != {p + 1}")
             if len(g.edges) != 2 * p - 1:
                 failures.append(f"q={q}: edge count {len(g.edges)} != {2 * p - 1}")
+            # The closed form in the fractal module's docstring, a reference
+            # independent of the marked-edge rounds that build the graph.
+            closed = {(j << (q - i), (j + 1) << (q - i))
+                      for i in range(q + 1) for j in range(1 << i)}
+            if {(e.u, e.v) for e in g.edges} != closed:
+                failures.append(f"q={q}: edge set differs from the closed form")
             sizes = [len(b) for b in f.boundaries]
             if sizes != [1 << i for i in range(q + 1)]:
                 failures.append(f"q={q}: boundary sizes {sizes}")
             if sorted(i for b in f.boundaries for i in b) != list(range(len(g.edges))):
                 failures.append(f"q={q}: boundaries do not partition the edges")
+                continue  # the path checks below would index past the edges
             for i, b in enumerate(f.boundaries):
                 if not _boundary_is_terminal_path(f, b):
                     failures.append(f"q={q}: boundary {i} is not a sigma-tau path")

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from fractalcut import (EquivalenceError, Graph, InputError, ProblemInstance,
-                        bfs_distance, check_equivalent, check_witness,
+                        bfs_distance, check_equivalent, check_witness, verify,
                         compose_dsct, compose_lbec, compose_mded,
                         cut_for_instance, is_strongly_connected,
                         pad_to_power_of_two, solve_bruteforce,
@@ -214,6 +214,21 @@ def test_dsct_back_arc_and_acyclic_remainder():
     assert not _is_acyclic(g)
     assert _is_acyclic(g.delete_edges([back]))
     assert art.params["ell_prime"] == 4  # ell + log p under the at-most reading
+
+
+@pytest.mark.parametrize("p", [2, 4, 8])
+def test_directed_compositions_are_acyclic_by_construction(p):
+    # _embed builds no re-check of the composed graph: its docstring argues
+    # acyclicity from the input checks, and this test holds it to that.
+    rnd = random.Random(1600 + p)
+    for _ in range(10):
+        k, ell = rnd.choice((1, 2)), rnd.choice((3, 4))
+        inputs = verify._make_inputs(rnd, p, k, ell, "dag", 5)
+        assert _is_acyclic(compose_lbec(inputs).composed.graph)
+        g = compose_dsct(inputs).composed.graph
+        back = len(g.edges) - 1
+        assert (g.edges[back].u, g.edges[back].v) == (p, 0)
+        assert _is_acyclic(g.delete_edges([back]))
 
 
 def test_parameters_polynomial_in_input_size_plus_logp():

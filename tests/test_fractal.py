@@ -1,14 +1,20 @@
-"""Fractal construction, boundaries, dual tree, and cut enumeration."""
+"""Fractal construction, boundaries, dual tree, and cut enumeration.
+
+The library builds the fractal one way, by marked-edge rounds, and reads its
+minimum cuts off the position labels.  The recursive construction and the
+dual tree live here, as the independent references both are checked
+against.
+"""
 
 import itertools
+from typing import NamedTuple
 
 import pytest
 
 from fractalcut import (InputError, build_fractal, cut_for_instance,
                         enumerate_min_cuts, is_edge_cut,
-                        is_minimal_edge_cut, selected_instance, to_json)
-from fractalcut import fractal as fractal_mod
-from fractalcut.fractal import MAX_DEPTH, _recursive_edges
+                        is_minimal_edge_cut, selected_instance)
+from fractalcut.fractal import MAX_DEPTH
 from fractalcut.graph import bfs_distance
 
 
@@ -76,12 +82,14 @@ def _merging_recursive_edges(q, lo, hi):
     return edges
 
 
-def test_recursive_edges_match_the_merging_construction():
+def test_builder_matches_the_recursive_construction():
     for q in range(15):
-        # _recursive_edges returns the keys a << (q + 1) | b; decode them.
-        mask = (1 << (q + 1)) - 1
-        pairs = {(key >> (q + 1), key & mask) for key in _recursive_edges(q, 0, 1 << q)}
-        assert pairs == _merging_recursive_edges(q, 0, 1 << q)
+        want = _merging_recursive_edges(q, 0, 1 << q)
+        for directed in (False, True):
+            for cost in (1, 3):
+                edges = build_fractal(q, directed=directed, cost=cost).graph.edges
+                assert len(edges) == len(want)
+                assert {(e.u, e.v) for e in edges} == want
 
 
 def test_costed_fractal_keeps_the_unit_edge_order():
@@ -93,25 +101,67 @@ def test_costed_fractal_keeps_the_unit_edge_order():
             assert all(e.cost == 3 and e.length == 1 for e in costed)
 
 
-@pytest.mark.parametrize("level", [0, 1, -1], ids=["top", "second", "deepest"])
-def test_cross_check_catches_a_dropped_edge(monkeypatch, level):
-    iterative = fractal_mod._iterative_edges
-
-    def dropping(q):
-        boundaries = iterative(q)
-        boundaries[level].pop()
-        return boundaries
-
-    monkeypatch.setattr(fractal_mod, "_iterative_edges", dropping)
-    with pytest.raises(RuntimeError, match="disagree"):
-        build_fractal(3)
-
-
 # -- dual tree -----------------------------------------------------------------
 
+class _DualTree(NamedTuple):
+    """Rooted binary tree whose edges biject with fractal edges.
+
+    Node 0 is the root (the split vertex next to the {sigma, tau} edge); the
+    internal nodes are the triangles, preorder left to right; the leaves are
+    the remaining split vertices.  ``edge_map[(parent, child)]`` is the
+    fractal edge index dual to that tree edge.  ``leaf_gap[leaf]`` is the
+    index i such that the cut through that leaf separates deepest-boundary
+    vertices i-1 and i.
+    """
+
+    parent: list
+    children: list
+    edge_map: dict
+    leaf_order: list
+    leaf_gap: dict
+
+    def root_leaf_edges(self, leaf):
+        """Fractal edge indices along the root-leaf path, root end first."""
+        out = []
+        node = leaf
+        while node != 0:
+            out.append(self.edge_map[(self.parent[node], node)])
+            node = self.parent[node]
+        out.reverse()
+        return out
+
+
+def _build_dual(q):
+    parent = [0]
+    children = [[]]
+    edge_map = {}
+    leaf_order = []
+    leaf_gap = {}
+
+    # Depth-first, left child before right, so leaves come out left to right.
+    # stack holds (level, j, parent_node): the tree node below the j-th edge
+    # (1-indexed) of boundary ``level``, which has index 2**level - 1 + j - 1.
+    stack = [(0, 1, 0)]
+    while stack:
+        level, j, par = stack.pop()
+        node = len(parent)
+        parent.append(par)
+        children.append([])
+        children[par].append(node)
+        edge_map[(par, node)] = (1 << level) - 1 + (j - 1)
+        if level == q:
+            leaf_order.append(node)
+            leaf_gap[node] = j
+        else:
+            # Right pushed first so the left branch is explored first.
+            stack.append((level + 1, 2 * j, node))
+            stack.append((level + 1, 2 * j - 1, node))
+
+    return _DualTree(parent, children, edge_map, leaf_order, leaf_gap)
+
+
 def test_dual_tree_depth_zero():
-    f = build_fractal(0)
-    d = f.dual
+    d = _build_dual(0)
     assert len(d.leaf_order) == 1
     leaf = d.leaf_order[0]
     assert d.edge_map[(0, leaf)] == 0  # the single tree edge maps to {sigma, tau}
@@ -119,7 +169,7 @@ def test_dual_tree_depth_zero():
 
 def test_dual_tree_leaf_counts_and_gaps():
     for q in range(0, 7):
-        d = build_fractal(q).dual
+        d = _build_dual(q)
         assert len(d.leaf_order) == 1 << q
         assert sorted(d.leaf_gap.values()) == list(range(1, (1 << q) + 1))
 
@@ -127,14 +177,13 @@ def test_dual_tree_leaf_counts_and_gaps():
 def test_dual_tree_edge_map_bijection():
     for q in range(0, 6):
         f = build_fractal(q)
-        d = f.dual
-        mapped = sorted(d.edge_map.values())
+        mapped = sorted(_build_dual(q).edge_map.values())
         assert mapped == list(range(len(f.graph.edges)))
 
 
 def test_root_leaf_paths_have_one_edge_per_boundary():
     f = build_fractal(2)
-    d = f.dual
+    d = _build_dual(2)
     for leaf in d.leaf_order:
         path = d.root_leaf_edges(leaf)
         assert len(path) == 3
@@ -144,9 +193,9 @@ def test_root_leaf_paths_have_one_edge_per_boundary():
 
 def test_internal_nodes_have_two_children():
     for q in range(0, 6):
-        d = build_fractal(q).dual
+        d = _build_dual(q)
         leaves = set(d.leaf_order)
-        for node in range(1, d.node_count):
+        for node in range(1, len(d.parent)):
             if node not in leaves:
                 assert len(d.children[node]) == 2
         assert len(d.children[0]) == 1  # root hangs off the depth-0 edge
@@ -167,31 +216,23 @@ def closed_form_cut(f, i):
 
 
 def test_cut_for_instance_matches_closed_form():
-    for q in range(0, 7):
-        f = build_fractal(q)
-        for i in range(1, (1 << q) + 1):
-            assert cut_for_instance(f, i).edges == closed_form_cut(f, i)
+    for q in range(0, 11):
+        for directed in (False, True):
+            f = build_fractal(q, directed=directed, cost=3)
+            for i in range(1, (1 << q) + 1):
+                cert = cut_for_instance(f, i)
+                assert cert.edges == closed_form_cut(f, i)
+                assert cert.total_cost == 3 * (q + 1)
 
 
 def test_cut_for_instance_matches_dual_tree_paths():
     for q in range(0, 11):
+        d = _build_dual(q)
         for directed in (False, True):
             f = build_fractal(q, directed=directed)
-            d = f.dual
             for i in range(1, (1 << q) + 1):
                 path = d.root_leaf_edges(d.leaf_order[i - 1])
                 assert cut_for_instance(f, i).edges == tuple(sorted(path))
-
-
-def test_dual_tree_is_built_only_on_first_use():
-    f = build_fractal(5, directed=True, cost=2)
-    for cert in enumerate_min_cuts(f):
-        selected_instance(f, cert)
-    to_json(f)
-    assert "dual" not in vars(f)
-    d = f.dual
-    assert vars(f)["dual"] is d and f.dual is d
-    assert f == build_fractal(5, directed=True, cost=2)  # dual takes no part
 
 
 def test_depth_cap():

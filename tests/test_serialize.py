@@ -166,10 +166,16 @@ def test_parse_accepts_the_same_documents_with_ints():
 
 
 def test_parse_rejects_tampered_fractal():
-    f = build_fractal(2)
-    text = to_json(f).replace('"q": 2', '"q": 3')
-    with pytest.raises(ParseError):
-        parse(text)
+    doc = json.loads(to_json(build_fractal(2)))
+    for field, value, message in (
+            ("q", 3, "does not match its parameters"),
+            ("edges", [[0, 4]], "edge list"),
+            ("boundaries", [[9], [9, 9]], "boundaries"),
+            ("sigma", 3, "'sigma'"),
+            ("n", 99, "'n'"),
+            ("tau", "x", "'tau'")):
+        with pytest.raises(ParseError, match=message):
+            parse(_with(doc, **{field: value}))
 
 
 def test_parse_refuses_fractal_deeper_than_cap():
