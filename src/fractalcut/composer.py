@@ -17,17 +17,22 @@ graph is expanded and subdivided (a cost-c edge becomes c parallel two-hop
 paths, a unit edge one such path), which doubles every distance and
 threshold; the diameter target instead lays down c parallel unit copies,
 because a severed two-hop path would strand its midpoint.
+
+A composition travels as edge rows from ``_embed`` to ``_epilogue``, which
+builds the one composed graph.  Nothing re-checks it: ``_embed`` argues why
+directed embeddings are acyclic and ``compose_mded`` why its graphs are
+(strongly) connected, and tests/test_composer.py checks both on seeded inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Container, Optional, Sequence
 
 from .errors import EquivalenceError, InputError
 from .fractal import TFractal, build_fractal
 from .graph import (Graph, UNREACHABLE, bfs_distance, distances,
-                    is_connected, is_strongly_connected, min_cut)
+                    is_connected, min_cut)
 from .solvers import ProblemInstance
 
 
@@ -118,14 +123,20 @@ def pad_to_power_of_two(instances: Sequence[ProblemInstance]) -> list[ProblemIns
 # -- embedding the inputs into the fractal ----------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Construction:
-    graph: Graph
+    """``n`` vertices and (u, v, cost, length) ``rows``, fractal edges first.
+    Undirected rows are written u < v, as ``Graph`` stores them, because
+    simple mode subdivides a row from u to v.  The closings extend it."""
+
+    n: int
+    rows: list
+    labels: dict[int, str]
     fractal: TFractal
     # Per input instance: original-vertex -> composed-vertex map and the
     # composed edge indices of its embedded edges.
-    vertex_maps: tuple[dict, ...] = field(compare=False)
-    edge_ranges: tuple[tuple[int, int], ...] = ()
+    vertex_maps: tuple[dict, ...]
+    edge_ranges: tuple[tuple[int, int], ...]
 
 
 def _is_acyclic(g: Graph) -> bool:
@@ -183,8 +194,7 @@ def _embed(instances: Sequence[ProblemInstance], cost: int,
 
     fractal = build_fractal(q, directed=directed, cost=cost)
     p = 1 << q
-    edges: list[tuple[int, int, int, int]] = [
-        (e.u, e.v, e.cost, e.length) for e in fractal.graph.edges]
+    rows = list(fractal.graph.edges)
     next_id = p + 1
     vertex_maps = []
     edge_ranges = []
@@ -194,13 +204,14 @@ def _embed(instances: Sequence[ProblemInstance], cost: int,
             if v not in vmap:
                 vmap[v] = next_id
                 next_id += 1
-        start = len(edges)
+        start = len(rows)
         for e in inst.graph.edges:
-            edges.append((vmap[e.u], vmap[e.v], 1, 1))
+            u, v = vmap[e.u], vmap[e.v]
+            rows.append((u, v, 1, 1) if directed or u < v else (v, u, 1, 1))
         vertex_maps.append(vmap)
-        edge_ranges.append((start, len(edges)))
-    g = Graph(directed, next_id, edges, labels={0: "sigma", p: "tau"})
-    return _Construction(g, fractal, tuple(vertex_maps), tuple(edge_ranges))
+        edge_ranges.append((start, len(rows)))
+    return _Construction(next_id, rows, {0: "sigma", p: "tau"}, fractal,
+                         tuple(vertex_maps), tuple(edge_ranges))
 
 
 # -- composition artifacts ---------------------------------------------------
@@ -229,8 +240,8 @@ class CompositionArtifact:
     expanded_edges: Optional[dict] = field(default=None, compare=False)
 
 
-def _expand_marked(g: Graph, marked: set[int],
-                   subdivide: bool = True) -> tuple[Graph, dict]:
+def _expand_marked(rows: Sequence[tuple], n: int, marked: Container[int],
+                   subdivide: bool = True) -> tuple[int, list, dict]:
     """Realize the deletion cost of each marked edge with unit edges.
 
     With ``subdivide`` (the default), a cost-c edge becomes c parallel
@@ -238,30 +249,24 @@ def _expand_marked(g: Graph, marked: set[int],
     Without it, it becomes c parallel unit edges, leaving distances alone;
     the directed diameter composition needs this flavor because a severed
     two-hop path would strand its midpoint and break strong connectivity.
-    Unmarked edges are kept as they are.  Returns the new graph and a map
-    from old edge index to the tuple of replacement edge indices.
+    Unmarked rows are kept as they are.  Returns the new vertex count and
+    rows, and a map from old row index to its replacements' row indices.
     """
-    edges: list[tuple[int, int, int, int]] = []
+    out: list[tuple[int, int, int, int]] = []
     mapping: dict[int, tuple[int, ...]] = {}
-    mid = g.n
-    for idx, e in enumerate(g.edges):
-        if idx in marked:
-            new_ids = []
-            for _ in range(e.cost):
-                if subdivide:
-                    new_ids.append(len(edges))
-                    edges.append((e.u, mid, 1, 1))
-                    new_ids.append(len(edges))
-                    edges.append((mid, e.v, 1, 1))
-                    mid += 1
-                else:
-                    new_ids.append(len(edges))
-                    edges.append((e.u, e.v, 1, 1))
-            mapping[idx] = tuple(new_ids)
+    for idx, row in enumerate(rows):
+        start = len(out)
+        u, v, cost = row[0], row[1], row[2]
+        if idx not in marked:
+            out.append(row)
+        elif subdivide:
+            for mid in range(n, n + cost):
+                out += ((u, mid, 1, 1), (mid, v, 1, 1))
+            n += cost
         else:
-            mapping[idx] = (len(edges),)
-            edges.append((e.u, e.v, e.cost, e.length))
-    return Graph(g.directed, mid, edges, g.labels), mapping
+            out += [(u, v, 1, 1)] * cost
+        mapping[idx] = tuple(range(start, len(out)))
+    return n, out, mapping
 
 
 def _selector_cost(k: int) -> int:
@@ -302,10 +307,11 @@ def _prologue(problem: str, instances: Sequence[ProblemInstance],
             "n_max": max(i.graph.n for i in instances), "L": None}
 
 
-def _epilogue(problem: str, params: dict, con: _Construction, g: Graph,
-              mode: str, ell_prime: int,
+def _epilogue(problem: str, params: dict, con: _Construction, mode: str,
+              ell_prime: int,
               copies: Optional[set[int]] = None) -> CompositionArtifact:
-    """Realize the mode on the closed composed graph g and build the artifact.
+    """Realize the mode on the closed construction's rows, build the one
+    composed graph and the artifact.
 
     Simple mode subdivides the whole graph unless ``copies`` names the edges
     to lay down as parallel unit copies instead.  Subdividing everything
@@ -314,12 +320,13 @@ def _epilogue(problem: str, params: dict, con: _Construction, g: Graph,
     not sound: instance hops then stay undoubled and the non-cut distance
     ceiling 2(|D|+1) meets ell + 2 log p already at ell <= 4.
     """
-    expanded = None
+    n, rows, expanded = con.n, con.rows, None
     if mode == "simple" and copies is None:
         ell_prime *= 2
-        g, expanded = _expand_marked(g, set(range(len(g.edges))))
+        n, rows, expanded = _expand_marked(rows, n, range(len(rows)))
     elif mode == "simple":
-        g, expanded = _expand_marked(g, copies, subdivide=False)
+        n, rows, expanded = _expand_marked(rows, n, copies, subdivide=False)
+    g = Graph(con.fractal.graph.directed, n, rows, con.labels)
     params["ell_prime"] = ell_prime
     p = params["p"]
     s, t = (0, p) if problem == "lbec" else (None, None)
@@ -338,13 +345,10 @@ def _compose_cut(problem: str, instances: Sequence[ProblemInstance],
     params = _prologue(problem, instances, mode)
     q = params["q"]
     con = _embed(instances, params["c"], instances[0].graph.directed)
-    g = con.graph
     if problem == "dsct":
         back = params["back_arc_cost"] = params["k_prime"] + 1
-        edges = [(e.u, e.v, e.cost, e.length) for e in g.edges]
-        edges.append((1 << q, 0, back, 1))
-        g = Graph(True, g.n, edges, g.labels)
-    return _epilogue(problem, params, con, g, mode, params["ell"] + q)
+        con.rows.append((1 << q, 0, back, 1))
+    return _epilogue(problem, params, con, mode, params["ell"] + q)
 
 
 def compose_lbec(instances: Sequence[ProblemInstance],
@@ -383,15 +387,12 @@ def _augment_directed_input(inst: ProblemInstance) -> ProblemInstance:
     solutions never touch the detours.
     """
     g = inst.graph
-    edges = [(e.u, e.v, 1, 1) for e in g.edges]
+    edges = [(e.u, e.v) for e in g.edges]
     nid = g.n
     for e in g.edges:
-        prev = e.u
-        for step in range(inst.ell - 1):
-            edges.append((prev, nid, 1, 1))
-            prev = nid
-            nid += 1
-        edges.append((prev, e.v, 1, 1))
+        hops = [e.u, *range(nid, nid + inst.ell - 1), e.v]
+        nid += inst.ell - 1
+        edges += zip(hops, hops[1:])
     return ProblemInstance("lbec", Graph(True, nid, edges), s=inst.s,
                            t=inst.t, k=inst.k, ell=inst.ell)
 
@@ -408,6 +409,17 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
     then closes the graph with the arc (tau', sigma') plus three wrap arcs
     priced above the whole budget (see the inline note on why the one-way
     chains need short ways around).
+
+    The composed graph is connected, and strongly connected when directed,
+    by construction rather than by a re-check.  Every fractal vertex lies on
+    the deepest boundary path, which runs from sigma to tau.  Input i's
+    vertices are reached from its source at position i-1 and reach its
+    sink at position i: the input checks ask exactly that of a directed
+    input (and connectivity of an undirected one), and each detour runs
+    from its arc's tail to its head.  sigma_tip's chain leads into sigma
+    and tau's chain out to tau_tip.  So every vertex is reached from
+    sigma_tip and reaches tau_tip, and the arc tau_tip -> sigma_tip closes
+    the graph.  Simple mode's unit copies keep every adjacency.
     """
     params = _prologue("mded", instances, mode)
     k, ell, q, c = params["k"], params["ell"], params["q"], params["c"]
@@ -451,27 +463,21 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
                      directed=True)
 
     tau = 1 << q
-    edges = [(e.u, e.v, e.cost, e.length) for e in con.graph.edges]
-    nid = con.graph.n
+    rows = con.rows
 
     def attach_path(anchor: int, toward_anchor: bool) -> int:
-        nonlocal nid
-        prev = anchor
-        for _ in range(L):
-            cur = nid
-            nid += 1
-            if directed and toward_anchor:
-                edges.append((cur, prev, 1, 1))
-            else:
-                edges.append((prev, cur, 1, 1))
-            prev = cur
-        return prev
+        chain = [anchor, *range(con.n, con.n + L)]
+        con.n += L
+        flip = directed and toward_anchor
+        rows.extend((b, a, 1, 1) if flip else (a, b, 1, 1)
+                    for a, b in zip(chain, chain[1:]))
+        return chain[-1]
 
     sigma_tip = attach_path(0, toward_anchor=True)
     tau_tip = attach_path(tau, toward_anchor=False)
     wrap_arcs: list[int] = []
     if directed:
-        edges.append((tau_tip, sigma_tip, 1, 1))
+        rows.append((tau_tip, sigma_tip, 1, 1))
         # Budget-priced wrap arcs.  (tau, sigma) closes the big cycle as in
         # the undirected case.  The other two give the one-way appended
         # chains a short way around: without them, a vertex one step into
@@ -483,19 +489,10 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
         # stays below 2L + dist(sigma, tau), so the diameter question reduces
         # to the sigma-tau distance exactly as intended.
         for arc in ((tau, 0), (tau, sigma_tip), (tau_tip, 0)):
-            wrap_arcs.append(len(edges))
-            edges.append((arc[0], arc[1], params["k_prime"] + 1, 1))
-    labels = dict(con.graph.labels or {})
-    labels[sigma_tip] = "sigma_tip"
-    labels[tau_tip] = "tau_tip"
-    g = Graph(directed, nid, edges, labels)
-
-    if directed:
-        if not is_strongly_connected(g):
-            raise RuntimeError("directed diameter composition must be strongly connected")
-    elif not is_connected(g):
-        raise RuntimeError("diameter composition must be connected")
-
+            wrap_arcs.append(len(rows))
+            rows.append((arc[0], arc[1], params["k_prime"] + 1, 1))
+    con.labels[sigma_tip] = "sigma_tip"
+    con.labels[tau_tip] = "tau_tip"
     params["L"] = L
     # Simple mode lays down parallel unit copies, never subdivision: a
     # severed two-hop path strands its midpoint, which the directed
@@ -504,7 +501,7 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
     # beyond the doubled originals, spoiling the diameter threshold.  Copies
     # leave every distance unchanged, so the threshold stays the weighted one.
     copies = set(range(len(con.fractal.graph.edges))) | set(wrap_arcs)
-    return _epilogue("mded", params, con, g, mode, 2 * L + q + ell, copies)
+    return _epilogue("mded", params, con, mode, 2 * L + q + ell, copies)
 
 
 def compose(problem: str, instances: Sequence[ProblemInstance],

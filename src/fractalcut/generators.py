@@ -12,6 +12,16 @@ from .graph import Graph, is_strongly_connected
 from .solvers import ProblemInstance
 
 
+def _fill(edges: set, pool, m: int) -> set:
+    """Add ``pool``'s items to ``edges``, in pool order, until it holds m.
+    It draws nothing: the caller shuffles the pool."""
+    for item in pool:
+        if len(edges) >= m:
+            break
+        edges.add(item)
+    return edges
+
+
 def _random_edge_pool(rnd: random.Random, n: int) -> list[tuple[int, int]]:
     pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rnd.shuffle(pool)
@@ -36,11 +46,7 @@ def random_lbec_input(rnd: random.Random, *, n: int, m: int, k: int,
     chain = [0] + inner + [n - 1]
     for a, b in zip(chain, chain[1:]):
         edges.add((min(a, b), max(a, b)))
-    pool = _random_edge_pool(rnd, n)
-    for u, v in pool:
-        if len(edges) >= m:
-            break
-        edges.add((u, v))
+    _fill(edges, _random_edge_pool(rnd, n), m)
     g = Graph(False, n, sorted(edges))
     return ProblemInstance("lbec", g, s=0, t=n - 1, k=k, ell=ell)
 
@@ -67,11 +73,7 @@ def random_uncuttable_lbec_input(rnd: random.Random, *, n: int, m: int,
     m = max(m, max(k, ell), len(edges))
     if m > n * (n - 1) // 2:
         raise ValueError(f"n={n} cannot carry {m} simple edges")
-    pool = _random_edge_pool(rnd, n)
-    for u, v in pool:
-        if len(edges) >= m:
-            break
-        edges.add((u, v))
+    _fill(edges, _random_edge_pool(rnd, n), m)
     g = Graph(False, n, sorted(edges))
     return ProblemInstance("lbec", g, s=s, t=t, k=k, ell=ell)
 
@@ -90,10 +92,7 @@ def random_dag_lbec_input(rnd: random.Random, *, n: int, m: int, k: int,
     edges = {(i, i + 1) for i in range(n - 1)}
     pool = [(i, i + 2) for i in range(n - 2)]
     rnd.shuffle(pool)
-    for arc in pool:
-        if len(edges) >= m:
-            break
-        edges.add(arc)
+    _fill(edges, pool, m)
     g = Graph(True, n, sorted(edges))
     return ProblemInstance("lbec", g, s=0, t=n - 1, k=k, ell=ell)
 
@@ -121,11 +120,7 @@ def random_solver_instance(rnd: random.Random, kind: str,
             arcs = {(i, i + 1) for i in range(n - 1)}
             pool = [(u, v) for u in range(n) for v in range(n) if u != v]
             rnd.shuffle(pool)
-            m = pick_m(lo, cap)
-            for a in pool:
-                if len(arcs) >= m:
-                    break
-                arcs.add(a)
+            _fill(arcs, pool, pick_m(lo, cap))
             g = Graph(True, n, sorted(arcs))
         else:
             while n * (n - 1) // 2 < max(k, ell):
@@ -145,11 +140,7 @@ def random_solver_instance(rnd: random.Random, kind: str,
             arcs = {(i, (i + 1) % n) for i in range(n)}
             pool = [(u, v) for u in range(n) for v in range(n) if u != v]
             rnd.shuffle(pool)
-            m = pick_m(max(k, ell, n), n * (n - 1))
-            for a in pool:
-                if len(arcs) >= m:
-                    break
-                arcs.add(a)
+            _fill(arcs, pool, pick_m(max(k, ell, n), n * (n - 1)))
             g = Graph(True, n, sorted(arcs))
             assert is_strongly_connected(g)
         else:
@@ -165,15 +156,10 @@ def random_solver_instance(rnd: random.Random, kind: str,
     if kind == "dsct":
         while n * (n - 1) < max(k, ell, n):
             n += 1
-        arcs = set()
         # 2- and 3-cycles sprinkled over random arcs keep girth interesting
         pool = [(u, v) for u in range(n) for v in range(n) if u != v]
         rnd.shuffle(pool)
-        m = pick_m(max(k, ell, n), n * (n - 1))
-        for a in pool:
-            if len(arcs) >= m:
-                break
-            arcs.add(a)
+        arcs = _fill(set(), pool, pick_m(max(k, ell, n), n * (n - 1)))
         g = Graph(True, n, sorted(arcs))
         return ProblemInstance(kind, g, k=k, ell=ell)
 

@@ -172,14 +172,32 @@ def _vertex_count(obj: dict) -> int:
     return n
 
 
+def _first_bad_row(rows: list, lengths: Optional[set] = None) -> Optional[int]:
+    """Index of the first entry of ``rows`` that is not a list of integers
+    proper (JSON true, false and 1.0 are not) with a length in ``lengths``
+    (any when None), or None.  Clean rows pass set tests over ``map`` and
+    ``chain``, as in ``_emit``, with no Python-level loop per row."""
+    if (set(map(type, rows)) <= {list}
+            and (lengths is None or set(map(len, rows)) <= lengths)
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
+        return None
+    return next(i for i, row in enumerate(rows) if not (
+        type(row) is list and (lengths is None or len(row) in lengths)
+        and all(type(x) is int for x in row)))
+
+
+def _edge_rows(edges: list, lengths: set, shape: str) -> list:
+    bad = _first_bad_row(edges, lengths)
+    if bad is not None:
+        raise ParseError(f"edges[{bad}] must be {shape}")
+    return edges
+
+
 def _parse_graph_obj(obj: dict) -> Graph:
     directed = _field(obj, "directed", bool)
     n = _vertex_count(obj)
-    edges = _field(obj, "edges", list)
-    for i, entry in enumerate(edges):
-        if not (isinstance(entry, list) and 2 <= len(entry) <= 4
-                and all(type(x) is int for x in entry)):
-            raise ParseError(f"edges[{i}] must be [u, v(, cost(, length))]")
+    edges = _edge_rows(_field(obj, "edges", list), {2, 3, 4},
+                       "[u, v(, cost(, length))]")
     labels = None
     if "labels" in obj:
         labels = {}
@@ -208,10 +226,7 @@ def _parse_instance_obj(obj: dict) -> ProblemInstance:
         if not all(type(c) is int for c in costs):
             raise ParseError("costs must be integers")
     s, t = _optional_int(obj, "s"), _optional_int(obj, "t")
-    for i, entry in enumerate(raw):
-        if not (isinstance(entry, list) and len(entry) == 2
-                and all(type(x) is int for x in entry)):
-            raise ParseError(f"edges[{i}] must be [u, v]")
+    _edge_rows(raw, {2}, "[u, v]")
     # The checked rows go to Graph as they are; only costed rows are
     # rebuilt, one at a time as Graph reads them.
     edges = raw if costs is None else ((u, v, c) for (u, v), c in zip(raw, costs))
@@ -237,9 +252,13 @@ def _parse_fractal_obj(obj: dict) -> TFractal:
     for name, want in (("n", f.graph.n), ("sigma", f.sigma), ("tau", f.tau)):
         if _field(obj, name, int) != want:
             raise ParseError(f"fractal field {name!r} does not match its parameters")
-    if [[e.u, e.v] for e in f.graph.edges] != obj.get("edges"):
+    def same(name: str, want: list) -> bool:
+        got = obj.get(name)  # == alone takes false, true and 1.0 for 0 and 1
+        return type(got) is list and _first_bad_row(got) is None and got == want
+
+    if not same("edges", [[e.u, e.v] for e in f.graph.edges]):
         raise ParseError("fractal edge list does not match its parameters")
-    if [list(b) for b in f.boundaries] != obj.get("boundaries"):
+    if not same("boundaries", [list(b) for b in f.boundaries]):
         raise ParseError("fractal boundaries do not match its parameters")
     return f
 
@@ -272,11 +291,7 @@ def parse_vc(text: str) -> VcInstance:
     """Parse a vertex-cover input: {"n": int, "edges": [[u, v], ...], "k": int}."""
     obj = _json_object(text)
     n = _vertex_count(obj)
-    edges = _field(obj, "edges", list)
-    for i, entry in enumerate(edges):
-        if not (isinstance(entry, list) and len(entry) == 2
-                and all(type(x) is int for x in entry)):
-            raise ParseError(f"edges[{i}] must be [u, v]")
+    edges = _edge_rows(_field(obj, "edges", list), {2}, "[u, v]")
     k = _field(obj, "k", int)
     return VcInstance(Graph(False, n, edges), k)
 

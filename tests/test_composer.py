@@ -8,7 +8,7 @@ import pytest
 from fractalcut import (EquivalenceError, Graph, InputError, ProblemInstance,
                         bfs_distance, check_equivalent, check_witness, verify,
                         compose_dsct, compose_lbec, compose_mded,
-                        cut_for_instance, is_strongly_connected,
+                        cut_for_instance, is_connected, is_strongly_connected,
                         pad_to_power_of_two, solve_bruteforce,
                         solve_bruteforce_costaware, trivial_no_instance)
 from fractalcut.composer import _embed, _is_acyclic
@@ -89,9 +89,15 @@ def test_pad_rejects_tiny_threshold():
 
 # -- constructions -----------------------------------------------------------------
 
+def embedded(instances, cost, directed):
+    """_embed's construction and the graph of its rows."""
+    con = _embed(instances, cost, directed=directed)
+    return con, Graph(directed, con.n, con.rows, con.labels)
+
+
 def test_construct1_merge_arithmetic():
-    con = _embed([petite(), petite()], 4, directed=False)
-    g, f = con.graph, con.fractal
+    con, g = embedded([petite(), petite()], 4, directed=False)
+    f = con.fractal
     assert g.n == 5  # 3 fractal vertices + one interior per input
     assert f.depth == 1
     # fractal edges first, at unchanged indices, carrying the deletion cost
@@ -101,16 +107,16 @@ def test_construct1_merge_arithmetic():
 
 
 def test_construct1_degenerate_single_input():
-    con = _embed([petite()], 2, directed=False)
-    g, f = con.graph, con.fractal
+    con, g = embedded([petite()], 2, directed=False)
+    f = con.fractal
     assert f.depth == 0
     assert g.n == 3  # the input glued across the single fractal edge
 
 
 def test_construct1_eight_gaps():
     inputs = [petite() for _ in range(8)]
-    con = _embed(inputs, 4, directed=False)
-    g, f = con.graph, con.fractal
+    con, g = embedded(inputs, 4, directed=False)
+    f = con.fractal
     assert f.depth == 3
     assert g.n == (8 + 1) + 8 * 1
 
@@ -123,15 +129,15 @@ def test_construct1_rejects_non_power_of_two():
 
 
 def test_construct2_three_vertex_inputs():
-    g = _embed([petite(directed=True), petite(directed=True)], 4,
-               directed=True).graph
+    g = embedded([petite(directed=True), petite(directed=True)], 4,
+                 directed=True)[1]
     assert g.n == 5
     assert _is_acyclic(g)
 
 
 def test_construct2_single_arc_inputs():
     arc = ProblemInstance("lbec", Graph(True, 2, [(0, 1)]), s=0, t=1, k=1, ell=1)
-    g = _embed([arc, arc], 2, directed=True).graph
+    g = embedded([arc, arc], 2, directed=True)[1]
     assert g.n == 3  # no interior vertices to add
 
 
@@ -144,8 +150,8 @@ def test_construct2_rejects_cyclic_input():
 
 def test_construct2_gap_spanning():
     ins = [petite(directed=True), petite(directed=True)]
-    con = _embed(ins, 4, directed=True)
-    g, f = con.graph, con.fractal
+    con, g = embedded(ins, 4, directed=True)
+    f = con.fractal
     fcount = len(f.graph.edges)
     # each gap's instance edges connect only vertices of that gap's embedding
     first = [g.edges[i] for i in range(fcount, fcount + 3)]
@@ -229,6 +235,23 @@ def test_directed_compositions_are_acyclic_by_construction(p):
         back = len(g.edges) - 1
         assert (g.edges[back].u, g.edges[back].v) == (p, 0)
         assert _is_acyclic(g.delete_edges([back]))
+
+
+@pytest.mark.parametrize("mode", ["weighted", "simple"])
+@pytest.mark.parametrize("p", [2, 4, 8])
+def test_mded_compositions_are_connected_by_construction(p, mode):
+    # compose_mded builds no re-check of the composed graph: its docstring
+    # argues connectivity (strong connectivity when directed) from the
+    # input checks, and this test holds it to that.
+    rnd = random.Random(1700 + p)
+    for _ in range(10):
+        k, ell = rnd.choice((1, 2)), rnd.choice((3, 4))
+        inputs = verify._make_inputs(rnd, p, k, ell, "uncuttable", 5)
+        g = compose_mded(inputs, mode=mode).composed.graph
+        assert not g.directed and is_connected(g)
+        inputs = verify._make_inputs(rnd, p, k, ell, "dag", 5)
+        g = compose_mded(inputs, directed=True, mode=mode).composed.graph
+        assert g.directed and is_strongly_connected(g)
 
 
 def test_parameters_polynomial_in_input_size_plus_logp():
@@ -461,24 +484,36 @@ def test_simple_mode_mded_uses_parallel_copies():
 # -- adjacency on first query --------------------------------------------------------
 
 @pytest.mark.parametrize("mode", ["weighted", "simple"])
-def test_composers_build_no_adjacency_they_do_not_check(mode):
+def test_composers_build_no_adjacency_they_do_not_check(mode, monkeypatch):
     rnd = random.Random(3)
     und = [random_uncuttable_lbec_input(rnd, n=4, m=5, k=1, ell=3)
            for _ in range(2)]
     dag = [random_dag_lbec_input(rnd, n=4, m=5, k=1, ell=3) for _ in range(2)]
-    arts = {
-        "lbec-und": compose_lbec(und, mode=mode),
-        "lbec-dag": compose_lbec(dag, mode=mode),
-        "dsct": compose_dsct(dag, mode=mode),
-        "mded-und": compose_mded(und, mode=mode),
-        "mded-dir": compose_mded(dag, directed=True, mode=mode),
+    builds = []
+    init = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    calls = {
+        "lbec-und": lambda: compose_lbec(und, mode=mode),
+        "lbec-dag": lambda: compose_lbec(dag, mode=mode),
+        "dsct": lambda: compose_dsct(dag, mode=mode),
+        "mded-und": lambda: compose_mded(und, mode=mode),
+        "mded-dir": lambda: compose_mded(dag, directed=True, mode=mode),
     }
-    # The composers' own sanity checks walk the weighted composed graph for
-    # acyclicity (directed embedding) or connectivity (diameter); simple
-    # mode builds a fresh graph after them.  Nothing else needs neighbour
-    # lists, and the selector fractal never does.
-    walked = {"lbec-dag", "mded-und", "mded-dir"} if mode == "weighted" else set()
-    for name, art in arts.items():
+    # Each composition builds its selector fractal and, from edge rows, the
+    # one composed graph; the directed diameter composition also builds one
+    # detour-shadowed graph per input.  Nothing walks the fractal or the
+    # composed graph, so neither has neighbour lists.
+    for name, call in calls.items():
+        builds.clear()
+        art = call()
+        augmented = len(dag) if name == "mded-dir" else 0
+        assert len(builds) == 2 + augmented, name
+        assert builds[-2] is art.fractal.graph, name
+        assert builds[-1] is art.composed.graph, name
         assert art.fractal.graph._adj is None, name
-        if name not in walked:
-            assert art.composed.graph._adj is None, name
+        assert art.composed.graph._adj is None, name

@@ -232,7 +232,8 @@ def test_adjacency_is_not_built_by_construction_cuts_or_serialization():
 def subdivide(g):
     """Every edge of cost c becomes c parallel two-hop paths through fresh
     midpoints: the composer's expansion with every edge marked."""
-    return _expand_marked(g, set(range(len(g.edges))))[0]
+    n, rows, _ = _expand_marked(g.edges, g.n, set(range(len(g.edges))))
+    return Graph(g.directed, n, rows, g.labels)
 
 
 def test_subdivide_single_edge_cost3():

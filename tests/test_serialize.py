@@ -135,6 +135,7 @@ _GRAPH = {"type": "graph", "directed": False, "n": 3, "edges": [[0, 1, 1, 1]]}
 
 
 _FRACTAL = json.loads(to_json(build_fractal(1)))
+_FRACTAL0 = json.loads(to_json(build_fractal(0)))
 
 
 @pytest.mark.parametrize("text", [
@@ -152,8 +153,14 @@ _FRACTAL = json.loads(to_json(build_fractal(1)))
     _with(_GRAPH, edges=[[0, 1, 1, False]]),
     _with(_FRACTAL, q=True),
     _with(_FRACTAL, cost=True),
+    _with(_FRACTAL0, edges=[[False, True]]),
+    _with(_FRACTAL0, boundaries=[[False]]),
+    _with(_FRACTAL, edges=[[0, 2], [0, 1.0], [1, 2]]),
+    _with(_FRACTAL, boundaries=[[0.0], [1, 2]]),
 ], ids=["n", "k", "ell", "s", "t", "s-float", "edge", "costs", "costs-str",
-        "graph-n", "graph-cost", "graph-length", "fractal-q", "fractal-cost"])
+        "graph-n", "graph-cost", "graph-length", "fractal-q", "fractal-cost",
+        "fractal-edge-bool", "fractal-boundary-bool", "fractal-edge-float",
+        "fractal-boundary-float"])
 def test_parse_rejects_bool_and_float_where_int_expected(text):
     with pytest.raises(ParseError):
         parse(text)
