@@ -31,6 +31,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
+from heapq import heappop, heappush
+from operator import add
 from typing import Callable, Iterable, Optional
 
 from .errors import InputError, ResourceBudgetError
@@ -703,36 +705,26 @@ class _CostAwareSearch(_Support):
     The diameter problem keeps every non-bridge pair individually: corridor
     stubs change eccentricities, so the chain quotient does not apply to it.
 
-    The diameter predicate is incremental, with or without ``symmetry``.
+    Undirected, the diameter predicate is incremental, with or without
+    ``symmetry``.
 
     * Diameter sources.  Only vertices whose eccentricities can realize the
-      diameter are searched from (after Takes and Kosters, CIKM 2011).
-      Undirected: a diametral endpoint inside a pendant tree can be pushed
-      to one of the tree's leaves, so the 2-core plus all degree-1 vertices
-      suffice.  Directed (strongly connected): if some in-neighbour u of v
-      has out-degree one, every path out of u starts u -> v, so
-      dist(u, y) = 1 + dist(v, y) for y != u, and for y = u the predecessor
-      w of u on a shortest path from v gives dist(u, w) = dist(v, u); so
-      ecc(u) >= ecc(v) and v is dropped.  Following such dominators from a
-      dropped vertex ends at a kept one, unless they close a cycle of
-      out-degree-one vertices; strong connectivity makes that cycle the
-      whole graph, where any single source suffices.
+      diameter are searched from (after Takes and Kosters, CIKM 2011): a
+      diametral endpoint inside a pendant tree can be pushed to one of the
+      tree's leaves, so the 2-core plus all degree-1 vertices suffice.
     * Fixed sources.  The sources are taken once, on the full support.  A
       connected state's own source set is a subset of them, so the maximum
-      eccentricity over the fixed set is still the state's diameter.
-      Undirected: the 2-core only shrinks as pairs are severed, and a
-      vertex outside the root's 2-core has only bridges as edges, which a
-      connected state keeps, so its degree is unchanged and it is a source
-      of the state only if it is a degree-1 source of the root.  Directed:
-      if u has out-degree one at the root, a strongly connected state
-      keeps u's only arc u -> v, so u still has out-degree one and v is
-      still dropped.
+      eccentricity over the fixed set is still the state's diameter: the
+      2-core only shrinks as pairs are severed, and a vertex outside the
+      root's 2-core has only bridges as edges, which a connected state
+      keeps, so its degree is unchanged and it is a source of the state
+      only if it is a degree-1 source of the root.
     * Reused arrays.  The search expands a state only when the predicate
       failed there, so a connected parent hands its children, for each
       source x, the complete distance array d, every entry below ell (else
       it would have passed), and the masks reach[j] of the vertices within
       j hops of x.  Severing pairs only lengthens distances.  Call a pair
-      (u, v) *tight* in d when d(v) == d(u) + 1 (undirected: either
+      (u, v) *tight* in d when d(v) == d(u) + 1 (in either
       orientation), and the head v of a severed tight pair *orphaned* when
       no surviving in-neighbour of v lies in reach[d(v) - 1].  One that
       does lies at distance exactly d(v) - 1, since every in-neighbour w of
@@ -747,25 +739,48 @@ class _CostAwareSearch(_Support):
       eccentricity below ell.  So a source needs BFS work only from its
       lowest orphaned head on, or from scratch when the parent handed down
       no arrays.
-    * Reverse array.  Directed, the distances *to* sources[0] are the
-      distances from it in the reversed support, where the arc (u, v)
-      reads v -> u and the in-neighbours of u are its out-neighbours.  So
-      the rule above, read backwards, reuses a handed-down reverse array
-      (rdist, rreach): a severed pair (u, v) is tight when rdist(u) ==
-      rdist(v) + 1, its tail u is orphaned when out_masks[u] has no bit
-      in rreach[rdist(u) - 1], and the BFS along the in-masks resumes from
-      the lowest orphaned level.  This BFS has no ell cutoff: it runs
-      until its frontier runs out.
     * Connectivity from the arrays.  A reused or completed array shows
-      that its source reaches every vertex (reverse: is reached from every
-      vertex), and a BFS whose frontier runs out first shows that it does
-      not.  Undirected, the forward array of the first source decides
-      connectivity; directed, the reverse array comes first, and a state
-      where some vertex does not reach sources[0] fails at once.  Only a
-      forward BFS that stops early, at ell hops, leaves it open, and then
-      one sweep decides it.  Severing more pairs never reconnects a
+      that its source reaches every vertex, and a BFS whose frontier runs
+      out first shows that it does not.  So the first source's array
+      decides connectivity, unless its BFS stops early, at ell hops, and
+      then one sweep decides it.  Severing more pairs never reconnects a
       support, so the children of a disconnected state fail without any of
       this.
+
+    Directed, each state is decided afresh on its corridors.  A *branch
+    vertex* has in- or out-degree other than one at the root; the rest are
+    interior.  A corridor is a maximal path x -> i_1 -> ... -> i_a -> y
+    from a branch vertex through a >= 0 interior vertices to a branch
+    vertex (x == y for a loop); every other pair lies on a cycle of
+    interior vertices.
+
+    * Interior pairs are never units.  Severing a pair with an interior
+      end leaves that vertex no way in or out: the pair is a strong
+      bridge, which ``symmetry`` excludes, and without it the state fails.
+      So a state that gets further has lost only one-arc corridors.
+    * Distances.  The live corridors contract to arcs of weight a + 1, and
+      Dijkstra from each branch vertex gives the distances D[x][y]; the
+      state is strongly connected iff all are finite.  The only way out of
+      i_j leads on to y and the only way in comes from x, so dist(i_j, t)
+      = a + 1 - j + dist(y, t) and dist(s, i_j) = dist(s, x) + j, unless t
+      lies ahead of s on one corridor, which is nearer.
+    * Top two.  So the diameter is the maximum over x, y of D[x][y] + a +
+      b: a is the interior count of a corridor ending at x, or 0, b that
+      of one starting at y, or 0, and the two are not one corridor y -> x,
+      whose own vertices lie at most D[y][x] + a apart, as b = 0 counts.
+      Hence the two longest at each end suffice: max(a1 + b2, a2 + b1)
+      when a1 and b1 are one corridor.  Taking a1 + b1 overstates: on the
+      arcs (0, 1), (1, 2), (2, 0), (0, 3), (3, 0), (0, 4), (4, 0) it gives
+      4, but the diameter is 3.  These sums are fixed at the root
+      (``extra``), as the corridors with an interior vertex never change.
+    * Cycles of interior vertices.  With no branch vertex, every pair is
+      interior, so only the root can be strongly connected: iff it is one
+      cycle, which one sweep shows, and then its diameter is n - 1.  Beside
+      branch vertices, such a cycle has no pair in or out, and the sweep
+      fails.
+
+    A directed state that is not strongly connected hands down False, so
+    its children fail unsevered; any other failing one hands down None.
 
     For LBEC and DSCT one predicate hands obstructions down.  An LBEC
     state fails exactly when some s-t path of fewer than ell hops
@@ -798,8 +813,9 @@ class _CostAwareSearch(_Support):
     so they never read the masks and the state severs nothing: for LBEC
     and DSCT that is every state whose unit misses the handed-down mask,
     and for MDED every child of a disconnected state, which hands down
-    False.  Every other MDED state reuses its parent's arrays by reading
-    the masks, so it severs its unit.  The witness is read off ``chosen``.
+    False.  Every other MDED state reads the masks, to reuse its parent's
+    arrays or to find the live one-arc corridors, so it severs its unit.
+    The witness is read off ``chosen``.
     """
 
     def __init__(self, inst: ProblemInstance, symmetry: bool = True):
@@ -812,15 +828,10 @@ class _CostAwareSearch(_Support):
         self.pair_cost = [sum(map(costs.__getitem__, idxs))
                           for idxs in self.pair_edges]
         if inst.kind == "mded":
-            self.sources = self._diameter_sources()
-            # The BFS of each array _mded_holds hands down: (source, masks
-            # walked, masks read back, cutoff, reverse).  Directed, the
-            # first is the reverse one of sources[0], with no cutoff.
-            self.walks = [(src, self.out_masks, self.in_masks, inst.ell, False)
-                          for src in self.sources]
             if self.directed:
-                self.walks.insert(0, (self.sources[0], self.in_masks,
-                                      self.out_masks, self.n, True))
+                self._contract_corridors()
+            else:
+                self.sources = self._diameter_sources()
 
         excluded = self._excluded_pairs() if symmetry else set()
         if symmetry and inst.kind in ("lbec", "dsct"):
@@ -936,6 +947,40 @@ class _CostAwareSearch(_Support):
                 chains.append((behind[::-1] + [pid] + ahead, head, tail))
         return chains
 
+    def _contract_corridors(self) -> None:
+        """Contract the directed support's corridors (see the class
+        docstring).  ``interior_pairs`` masks the pairs with an interior
+        end.  Unless ``cycle_only``, ``branch_arcs[x]`` lists the (weight,
+        head, pair) arcs out of the x-th branch vertex, and ``extra[x][y]``
+        is the top-two sum of the x-th and the y-th."""
+        out_masks, in_masks = self.out_masks, self.in_masks
+        branch = [v for v in range(self.n) if out_masks[v].bit_count() != 1
+                  or in_masks[v].bit_count() != 1]
+        at = {v: i for i, v in enumerate(branch)}
+        chains = self._find_chains(set())
+        inner = self.interior_pairs = sum(1 << pid for ch, _, _ in chains
+                                          for pid in ch)
+        self.cycle_only = any(head not in at for _, head, _ in chains)
+        if self.cycle_only:
+            return
+        self.branch_arcs = [[] for _ in branch]
+        # The corridors ending and starting at each branch vertex, by
+        # interior count, and the vertex itself under ids no corridor has.
+        ends = [[(0, -1)] for _ in branch]
+        starts = [[(0, -2)] for _ in branch]
+        for c, (ch, head, tail) in enumerate(chains + [
+                ((pid,), u, v) for pid, (u, v) in enumerate(self.pairs)
+                if not inner >> pid & 1]):
+            if head != tail:
+                self.branch_arcs[at[head]].append((len(ch), at[tail], ch[0]))
+            ends[at[tail]].append((len(ch) - 1, c))
+            starts[at[head]].append((len(ch) - 1, c))
+        # Of two pairings, at most one meets a corridor twice.
+        ends = [sorted(e)[-2:] for e in ends]
+        starts = [sorted(s)[-2:] for s in starts]
+        self.extra = [[max(a + b for a, ca in e for b, cb in s if ca != cb)
+                       for s in starts] for e in ends]
+
     # ---- predicates on the current masks
     #
     # Each predicate takes what the parent state handed down and the pair
@@ -997,11 +1042,12 @@ class _CostAwareSearch(_Support):
     def _mded_holds(self, parent, mask: int):
         """Connected (strongly, if directed) with diameter >= ell.
 
-        A connected state that fails hands down, for each fixed source, its
-        distance array and reach masks, and, directed, first the reverse
-        array of sources[0]; a disconnected one hands down False.  A
-        handed-down array is reused as it stands, or its BFS resumed below
-        the lowest orphaned head (see the class docstring).
+        A disconnected state hands down False.  Directed, every other state
+        is decided on the corridors afresh and hands down None.  Undirected,
+        a connected state that fails hands down, for each fixed source, its
+        distance array and reach masks.  A handed-down array is reused as it
+        stands, or its BFS resumed below the lowest orphaned head (see the
+        class docstring).
         """
         if parent is False:
             return False
@@ -1012,41 +1058,65 @@ class _CostAwareSearch(_Support):
         ell = self.inst.ell
         if self.n <= 1:
             return ell <= 0
+        if self.directed:
+            return self._corridors_hold(mask, ell)
+        out_masks = self.out_masks
         cut = [self.pairs[pid] for pid in severed]
-        back = [(v, u) for u, v in cut]
-        ahead = cut if self.directed else cut + back
+        cut += [(v, u) for u, v in cut]
         arrays = []
-        for i, (src, masks, into, limit, reverse) in enumerate(self.walks):
+        for i, src in enumerate(self.sources):
             if parent:
                 dist, reach = parent[i]
-                # The lowest level of an orphaned head, with the severed
-                # pairs read the way the BFS walks them.
-                redo = len(reach)
-                for u, v in back if reverse else ahead:
+                redo = len(reach)  # the lowest level of an orphaned head
+                for u, v in cut:
                     du = dist[u]
-                    if dist[v] - du == 1 and not into[v] & reach[du]:
+                    if dist[v] - du == 1 and not out_masks[v] & reach[du]:
                         redo = min(redo, du + 1)
                 if redo == len(reach):
                     arrays.append(parent[i])
                     continue
-                got = self._distances_below(masks, limit, dist[:], reach[:redo])
+                got = self._distances_below(ell, dist[:], reach[:redo])
             else:
-                got = self._distances_below(masks, limit, [0] * self.n,
-                                            [1 << src])
+                got = self._distances_below(ell, [0] * self.n, [1 << src])
             if got is None:
                 # Some vertex is ell or more hops away: the state passes if
-                # connected, which an earlier forward array shows (the
-                # first forward walk is walks[self.directed]).
-                return (i > self.directed
-                        or self._sweep(self.out_masks, src) == self.full_mask)
+                # connected, which an earlier array shows.
+                return i > 0 or self._sweep(out_masks, src) == self.full_mask
             if not got:
                 return False
             arrays.append(got)
         return arrays
 
-    def _distances_below(self, masks, ell: int, dist: list[int],
-                         reach: list[int]):
-        """Finish a BFS along masks on the surviving support, given the
+    def _corridors_hold(self, mask: int, ell: int):
+        """The directed predicate on the contracted corridors: True, or
+        False when the support is not strongly connected, else None (see
+        the class docstring)."""
+        if mask & self.interior_pairs:
+            return False
+        if self.cycle_only:
+            return (self._sweep(self.out_masks, 0) == self.full_mask
+                    and (self.n - 1 >= ell or None))
+        branch_arcs, alive = self.branch_arcs, self.alive
+        worst = 0
+        for x, extra in enumerate(self.extra):
+            dist = [UNREACHABLE] * len(extra)
+            dist[x] = 0
+            heap = [(0, x)]
+            while heap:
+                d, y = heappop(heap)
+                if d > dist[y]:
+                    continue
+                for w, z, pid in branch_arcs[y]:
+                    if d + w < dist[z] and alive[pid]:
+                        dist[z] = d + w
+                        heappush(heap, (d + w, z))
+            if UNREACHABLE in dist:
+                return False
+            worst = max(worst, max(map(add, dist, extra)))
+        return worst >= ell or None
+
+    def _distances_below(self, ell: int, dist: list[int], reach: list[int]):
+        """Finish a BFS on the surviving undirected support, given the
         masks reach[j] of the vertices within j hops of its source for
         j < len(reach) and a dist array that is right on those vertices.
 
@@ -1054,6 +1124,7 @@ class _CostAwareSearch(_Support):
         None as soon as some vertex lies ell or more hops away, and False
         when the frontier runs out before reaching every vertex.
         """
+        masks = self.out_masks
         d = len(reach) - 1
         seen = reach[d]
         frontier = seen & ~reach[d - 1] if d else seen
@@ -1081,15 +1152,9 @@ class _CostAwareSearch(_Support):
 
     def _diameter_sources(self) -> list[int]:
         """Sources whose eccentricities realize the diameter of the
-        current support when it is (strongly) connected; see the class
+        current undirected support when it is connected; see the class
         docstring."""
         n = self.n
-        if self.directed:
-            dominated = 0
-            for out in self.out_masks:
-                if out and not out & (out - 1):
-                    dominated |= out
-            return [v for v in range(n) if not dominated >> v & 1] or [0]
         deg = [self.out_masks[v].bit_count() for v in range(n)]
         removed = bytearray(n)
         stack = [v for v in range(n) if deg[v] == 1]

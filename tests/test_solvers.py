@@ -1,7 +1,9 @@
 """Branching solvers against the exhaustive oracle, plus witness replay,
 branch-counter bounds, and the cost-aware search's symmetry reductions."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -676,12 +678,17 @@ def _composed_mded(seed, directed, k, ell, mode):
 
 
 # (seed, directed, k, ell, mode) -> (answer, witness, nodes), recorded before
-# the MDED predicate became incremental: the state count must not drift.
+# the MDED predicate became incremental, and the last three before the
+# directed one moved to the contracted corridors: the state count must not
+# drift.
 PINNED_MDED = [
     ((5, True, 1, 4, "weighted"), (True, (0, 2, 28), 20)),
     ((2, True, 1, 3, "simple"), (False, None, 92)),
     ((0, False, 1, 3, "weighted"), (False, None, 606)),
     ((0, False, 2, 3, "simple"), (False, None, 960)),
+    ((12, True, 1, 4, "weighted"), (False, None, 1756)),
+    ((11, True, 1, 3, "weighted"), (False, None, 1756)),
+    ((10, True, 1, 4, "weighted"), (True, (0, 2, 31), 23)),
 ]
 
 
@@ -712,31 +719,31 @@ def _masks_in_step(search):
 
 
 class _ReplayedMded(_CostAwareSearch):
-    """Checks the incremental diameter predicate at every visited state
-    against the replay-grade predicate on the edges of the chosen units,
-    that a state that searched saw all of them severed, every distance
-    array and reach mask it hands down against a fresh BFS (directed, the
-    first array is the reverse one of the first source), and, at every
-    connected state, that the diameter sources recomputed from the current
-    support are among the search's fixed sources."""
+    """Checks the diameter predicate at every visited state against the
+    replay-grade predicate on the edges of the chosen units, that it hands
+    down False exactly where the support is not (strongly) connected, and
+    that a state that searched saw all of them severed.  Undirected, it
+    also checks every distance array and reach mask handed down against a
+    fresh BFS and, at every connected state, that the diameter sources
+    recomputed from the current support are among the search's fixed
+    sources."""
 
     visited = 0
 
     def _mded_holds(self, parent, mask):
         got = super()._mded_holds(parent, mask)
         dead = _severed_edges(self)
+        connected = _connected_after(self.inst.graph, dead)
         assert (got is True) == instance_predicate(self.inst, dead), dead
-        assert got is parent or _masks_in_step(self), dead
-        if _connected_after(self.inst.graph, dead):
+        if self.n > 1:
+            assert (got is False) == (not connected), dead
+        assert got is False if parent is False else _masks_in_step(self), dead
+        if not self.directed and connected:
             assert set(self._diameter_sources()) <= set(self.sources), dead
         if isinstance(got, list):
-            walks = [(src, False) for src in self.sources]
-            if self.directed:
-                walks.insert(0, (self.sources[0], True))
-            assert len(got) == len(walks)
-            for (src, reverse), (dist, reach) in zip(walks, got):
-                assert dist == distances(self.inst.graph, src, dead,
-                                         reverse=reverse), (dead, src)
+            assert len(got) == len(self.sources)
+            for src, (dist, reach) in zip(self.sources, got):
+                assert dist == distances(self.inst.graph, src, dead), (dead, src)
                 assert reach == [sum(1 << v for v in range(self.n)
                                      if dist[v] <= j)
                                  for j in range(max(dist) + 1)], (dead, src)
@@ -811,27 +818,138 @@ def _random_strong_digraph(rnd, n, extra):
     return Graph(True, n, sorted(arcs))
 
 
-def _fed_by_out_degree_one(g):
-    """Vertices of in-degree >= 2 with an in-neighbour of out-degree 1."""
-    out_deg = [0] * g.n
-    in_deg = [0] * g.n
-    for e in g.edges:
-        out_deg[e.u] += 1
-        in_deg[e.v] += 1
-    return {e.v for e in g.edges if out_deg[e.u] == 1 and in_deg[e.v] >= 2}
+def _interior_count(g):
+    """The vertices with one distinct in-neighbour and one out-neighbour."""
+    pairs = {(e.u, e.v) for e in g.edges}
+    outs = Counter(u for u, _ in pairs)
+    ins = Counter(v for _, v in pairs)
+    return sum(outs[v] == 1 == ins[v] for v in range(g.n))
 
 
 def test_diameter_sources_realize_the_diameter():
-    rnd = random.Random(1512)
-    graphs = [_random_strong_digraph(rnd, rnd.randint(2, 9), rnd.randint(0, 8))
-              for _ in range(300)]
-    assert sum(bool(_fed_by_out_degree_one(g)) for g in graphs) >= 50
-    graphs += [_composed_mded(*params).graph for params in COMPOSED_MDED]
+    graphs = [_composed_mded(*params).graph for params in COMPOSED_MDED
+              if not params[1]]
     for g in graphs:
         assert _connected_after(g, frozenset())
         sources = _CostAwareSearch(ProblemInstance("mded", g, k=0, ell=1)).sources
         worst = max(max(distances(g, v)) for v in sources)
         assert worst == _diameter(g, frozenset()), (g.edges, sources)
+
+
+def _root_holds(g, ell):
+    """The diameter predicate at the root of a search on g."""
+    search = _CostAwareSearch(ProblemInstance("mded", g, k=0, ell=ell))
+    search.chosen, search.synced = [], 0
+    return search._mded_holds(None, 0)
+
+
+def test_corridor_predicate_matches_the_diameter_at_the_root():
+    rnd = random.Random(1512)
+    graphs = [_random_strong_digraph(rnd, rnd.randint(2, 9), rnd.randint(0, 8))
+              for _ in range(300)]
+    interior = [_interior_count(g) for g in graphs]
+    assert sum(0 < c < g.n for c, g in zip(interior, graphs)) >= 50
+    assert sum(c == g.n for c, g in zip(interior, graphs)) >= 10
+    graphs += [_composed_mded(*params).graph for params in COMPOSED_MDED
+               if params[1]]
+    for g in graphs:
+        diameter = _diameter(g, frozenset())
+        assert _root_holds(g, diameter) is True, g.edges
+        assert _root_holds(g, diameter + 1) is None, g.edges
+
+
+class _EveryMdedState(_ReplayedMded):
+    """Goes on past the states that pass, so the search visits every
+    deletion set within its budget; records what each state returned."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.outcomes = []
+
+    def _mded_holds(self, parent, mask):
+        got = super()._mded_holds(parent, mask)
+        self.outcomes.append(got)
+        return None if got is True else got
+
+
+def _every_state(g, ell):
+    """What the directed predicate returns on every deletion set of g of
+    up to two pairs within a budget of 2, without the symmetry reductions
+    (so the pairs inside corridors are units too), checked under replay;
+    the root comes first."""
+    inst = ProblemInstance("mded", g, k=2, ell=ell)
+    verdict, search = _replay_states(inst, False, replayed=_EveryMdedState)
+    sets = sum(sum(c) <= 2 for size in range(3)
+               for c in itertools.combinations(search.pair_cost, size))
+    assert not verdict.answer and verdict.nodes == sets
+    return search.outcomes
+
+
+def _corridor_digraph(rnd):
+    """Corridors of 1-5 arcs between 1-4 branch vertices: mostly a ring
+    through all of them, then random corridors, loops back to one branch
+    vertex, 2-cycles and parallel corridors.  Not always strongly
+    connected, and a vertex meant to branch may end up interior."""
+    b = rnd.randint(1, 4)
+    arcs, n = [], b
+
+    def corridor(x, y, length):
+        nonlocal n
+        path = [x, *range(n, n + length - 1), y]
+        n += length - 1
+        arcs.extend(zip(path, path[1:]))
+
+    if rnd.random() < 0.8:
+        for x in range(b):
+            corridor(x, (x + 1) % b, rnd.randint(1 if b > 1 else 2, 5))
+    for shape in rnd.choices(("corridor", "loop", "2-cycle", "parallel"),
+                             k=rnd.randint(1, 3)):
+        x, y = rnd.randrange(b), rnd.randrange(b)
+        if shape == "loop" or x == y:
+            corridor(x, x, rnd.randint(2, 5))
+        elif shape == "2-cycle":
+            corridor(x, y, 1)
+            corridor(y, x, 1)
+        else:
+            corridor(x, y, rnd.randint(1, 5))
+            if shape == "parallel":
+                corridor(x, y, rnd.randint(1, 5))
+    return Graph(True, n, arcs)
+
+
+def test_corridor_predicate_matches_replay_on_small_deletion_sets():
+    rnd = random.Random(1812)
+    seen = Counter()
+    for _ in range(300):
+        g = _corridor_digraph(rnd)
+        diameter = _diameter(g, frozenset())
+        if diameter == UNREACHABLE:
+            ell = rnd.randint(1, g.n)
+        else:
+            ell = diameter + rnd.randint(0, 2)
+        seen.update(_every_state(g, ell))
+    assert seen[True] and seen[None] and seen[False], seen
+
+
+CORRIDOR_CASES = {
+    # The longest corridor ending and starting at 0 is 0 -> 1 -> 2 -> 0, so
+    # pairing the longest at each end would read the diameter as 4.
+    "two-longest": (5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 0), (0, 4),
+                        (4, 0)]),
+    "one-cycle": (4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "two-cycles": (5, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)]),
+    "cycle-beside-branch": (6, [(0, 1), (1, 0), (0, 2), (2, 0), (3, 4),
+                                (4, 5), (5, 3)]),
+}
+
+
+@pytest.mark.parametrize("name,ell,root", [
+    ("two-longest", 3, True), ("two-longest", 4, None),
+    ("one-cycle", 3, True), ("one-cycle", 4, None),
+    ("two-cycles", 1, False), ("cycle-beside-branch", 1, False)])
+def test_corridor_predicate_named_cases(name, ell, root):
+    n, arcs = CORRIDOR_CASES[name]
+    assert _every_state(Graph(True, n, arcs), ell)[0] is root
 
 
 # -- LBEC obstruction inheritance ------------------------------------------------------
