@@ -134,7 +134,8 @@ class _Construction:
     labels: dict[int, str]
     fractal: TFractal
     # Per input instance: original-vertex -> composed-vertex map and the
-    # composed edge indices of its embedded edges.
+    # composed edge indices of its embedded edges.  Keys from the input's n
+    # on name its detour vertices, and its range covers its detour rows.
     vertex_maps: tuple[dict, ...]
     edge_ranges: tuple[tuple[int, int], ...]
 
@@ -162,7 +163,7 @@ def _check_power_of_two(p: int) -> int:
 
 
 def _embed(instances: Sequence[ProblemInstance], cost: int,
-           directed: bool) -> _Construction:
+           directed: bool, detour: int = 0) -> _Construction:
     """Merge p terminal instances onto the deepest boundary of a cost-c
     fractal: input i's source lands on vertex i-1 and its sink on vertex i,
     so consecutive inputs share a vertex.  Directed inputs must be acyclic
@@ -175,6 +176,13 @@ def _embed(instances: Sequence[ProblemInstance], cost: int,
     So positions strictly increase along any walk between positions, and
     a cycle inside one input's fresh vertices is again a cycle of that
     input.
+
+    With ``detour`` > 0, input i's rows go on, for each of its edges in
+    order, with a parallel path of ``detour`` unit edges through fresh
+    vertices, which ``vertex_maps[i]`` keys as n, n+1, ... in edge order.
+    A detour runs from its edge's tail to its head, so it closes no cycle
+    and no path from the sink to the source, and the input checks above
+    stand for the detour-shadowed input too.
     """
     q = _check_power_of_two(len(instances))
     if cost < 1:
@@ -199,15 +207,22 @@ def _embed(instances: Sequence[ProblemInstance], cost: int,
     vertex_maps = []
     edge_ranges = []
     for i, inst in enumerate(instances, start=1):
+        g = inst.graph
         vmap = {inst.s: i - 1, inst.t: i}
-        for v in range(inst.graph.n):
+        for v in range(g.n):
             if v not in vmap:
                 vmap[v] = next_id
                 next_id += 1
         start = len(rows)
-        for e in inst.graph.edges:
+        for e in g.edges:
             u, v = vmap[e.u], vmap[e.v]
             rows.append((u, v, 1, 1) if directed or u < v else (v, u, 1, 1))
+        first = next_id
+        for e in g.edges if detour else ():
+            hops = [vmap[e.u], *range(next_id, next_id + detour - 1), vmap[e.v]]
+            next_id += detour - 1
+            rows += ((a, b, 1, 1) for a, b in zip(hops, hops[1:]))
+        vmap.update(zip(range(g.n, g.n + next_id - first), range(first, next_id)))
         vertex_maps.append(vmap)
         edge_ranges.append((start, len(rows)))
     return _Construction(next_id, rows, {0: "sigma", p: "tau"}, fractal,
@@ -379,24 +394,6 @@ def compose_dsct(instances: Sequence[ProblemInstance],
     return _compose_cut("dsct", instances, mode)
 
 
-def _augment_directed_input(inst: ProblemInstance) -> ProblemInstance:
-    """Shadow every arc (v, w) with a parallel directed path of length ell.
-
-    The detours keep every vertex reachable after arc deletions without ever
-    offering a shorter route, so the instance's answer is unchanged; minimal
-    solutions never touch the detours.
-    """
-    g = inst.graph
-    edges = [(e.u, e.v) for e in g.edges]
-    nid = g.n
-    for e in g.edges:
-        hops = [e.u, *range(nid, nid + inst.ell - 1), e.v]
-        nid += inst.ell - 1
-        edges += zip(hops, hops[1:])
-    return ProblemInstance("lbec", Graph(True, nid, edges), s=inst.s,
-                           t=inst.t, k=inst.k, ell=inst.ell)
-
-
 def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
                  mode: str = "weighted") -> CompositionArtifact:
     """Compose p cut instances into one diameter instance.
@@ -404,11 +401,14 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
     A path of length L hangs off sigma (ending in sigma') and another off
     tau (ending in tau'); L is large enough that sigma' and tau' always
     realize the diameter, so the diameter question reduces to the sigma-tau
-    distance question inside the selector.  The directed variant first
-    shadows every input arc with an ell-hop detour, attaches directed paths,
-    then closes the graph with the arc (tau', sigma') plus three wrap arcs
-    priced above the whole budget (see the inline note on why the one-way
-    chains need short ways around).
+    distance question inside the selector.  The directed variant has
+    ``_embed`` shadow every input arc with a parallel ell-hop detour, which
+    keeps every vertex reachable after arc deletions without ever offering
+    a shorter route (minimal solutions never touch it, so each input's
+    answer stands).  It attaches directed paths, then closes the graph with
+    the arc (tau', sigma') plus three wrap arcs priced above the whole
+    budget (see the inline note on why the one-way chains need short ways
+    around).
 
     The composed graph is connected, and strongly connected when directed,
     by construction rather than by a re-check.  Every fractal vertex lies on
@@ -441,7 +441,6 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
                     f"input {i} has a terminal cut within budget; the diameter "
                     f"composition needs min-cut(s, t) > k")
         L = n_max * (2 * q + 3) + 1
-        con = _embed(instances, c, directed=False)
     else:
         for i, inst in enumerate(instances):
             if not inst.graph.directed:
@@ -459,8 +458,7 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
                 if to_t[v] == UNREACHABLE:
                     raise InputError(f"input {i}: vertex {v} does not reach the sink")
         L = ell * n_max * (2 * q + 3) + 1
-        con = _embed([_augment_directed_input(i) for i in instances], c,
-                     directed=True)
+    con = _embed(instances, c, directed, detour=ell if directed else 0)
 
     tau = 1 << q
     rows = con.rows

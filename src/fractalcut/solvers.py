@@ -36,8 +36,7 @@ from operator import add
 from typing import Callable, Iterable, Optional
 
 from .errors import InputError, ResourceBudgetError
-from .graph import (Graph, UNREACHABLE, bfs_distance, distances,
-                    is_connected, is_strongly_connected, min_cut)
+from .graph import Graph, UNREACHABLE, bfs_distance, distances, min_cut
 
 KINDS = ("lbec", "mded", "dsct")
 
@@ -589,11 +588,9 @@ def solve_mded_fpt(inst: ProblemInstance) -> Verdict:
     """
     _require_solvable(inst, "mded")
     g = inst.graph
-    if g.directed:
-        if not is_strongly_connected(g):
-            raise InputError("directed diameter instance must be strongly connected")
-    elif not is_connected(g):
-        raise InputError("diameter instance must be connected")
+    if not _connected_after(g, frozenset()):
+        raise InputError("directed diameter instance must be strongly connected"
+                         if g.directed else "diameter instance must be connected")
     if inst.ell <= 0:
         return Verdict(True, (), 0)
     if inst.ell == 1:
@@ -748,11 +745,11 @@ class _CostAwareSearch(_Support):
       this.
 
     Directed, each state is decided afresh on its corridors.  A *branch
-    vertex* has in- or out-degree other than one at the root; the rest are
+    vertex* has in- or out-degree other than one at the root, or is the
+    one vertex taken from a cycle of the others (see below); the rest are
     interior.  A corridor is a maximal path x -> i_1 -> ... -> i_a -> y
     from a branch vertex through a >= 0 interior vertices to a branch
-    vertex (x == y for a loop); every other pair lies on a cycle of
-    interior vertices.
+    vertex (x == y for a loop).
 
     * Interior pairs are never units.  Severing a pair with an interior
       end leaves that vertex no way in or out: the pair is a strong
@@ -773,11 +770,14 @@ class _CostAwareSearch(_Support):
       arcs (0, 1), (1, 2), (2, 0), (0, 3), (3, 0), (0, 4), (4, 0) it gives
       4, but the diameter is 3.  These sums are fixed at the root
       (``extra``), as the corridors with an interior vertex never change.
-    * Cycles of interior vertices.  With no branch vertex, every pair is
-      interior, so only the root can be strongly connected: iff it is one
-      cycle, which one sweep shows, and then its diameter is n - 1.  Beside
-      branch vertices, such a cycle has no pair in or out, and the sweep
-      fails.
+    * Cycles of interior vertices.  The corridor walk returns a cycle of
+      vertices of in- and out-degree one as a loop that starts and ends at
+      one of them, and that vertex is taken as a branch vertex.  It still
+      has one way in and one way out, so the rules above hold for it.  A
+      lone cycle of n vertices has no other corridor, so its loop vertex's
+      top-two sum is n - 1, the cycle's diameter.  Beside branch vertices
+      or another cycle, it has no pair in or out, so Dijkstra leaves some
+      branch vertex unreached and the state fails.
 
     A directed state that is not strongly connected hands down False, so
     its children fail unsevered; any other failing one hands down None.
@@ -950,19 +950,19 @@ class _CostAwareSearch(_Support):
     def _contract_corridors(self) -> None:
         """Contract the directed support's corridors (see the class
         docstring).  ``interior_pairs`` masks the pairs with an interior
-        end.  Unless ``cycle_only``, ``branch_arcs[x]`` lists the (weight,
-        head, pair) arcs out of the x-th branch vertex, and ``extra[x][y]``
-        is the top-two sum of the x-th and the y-th."""
+        end, ``branch_arcs[x]`` lists the (weight, head, pair) arcs out of
+        the x-th branch vertex, and ``extra[x][y]`` is the top-two sum of
+        the x-th and the y-th."""
         out_masks, in_masks = self.out_masks, self.in_masks
-        branch = [v for v in range(self.n) if out_masks[v].bit_count() != 1
-                  or in_masks[v].bit_count() != 1]
-        at = {v: i for i, v in enumerate(branch)}
         chains = self._find_chains(set())
+        # A cycle of interior vertices comes back as a loop at one of them.
+        branch = sorted({v for v in range(self.n)
+                         if out_masks[v].bit_count() != 1
+                         or in_masks[v].bit_count() != 1}
+                        | {head for _, head, _ in chains})
+        at = {v: i for i, v in enumerate(branch)}
         inner = self.interior_pairs = sum(1 << pid for ch, _, _ in chains
                                           for pid in ch)
-        self.cycle_only = any(head not in at for _, head, _ in chains)
-        if self.cycle_only:
-            return
         self.branch_arcs = [[] for _ in branch]
         # The corridors ending and starting at each branch vertex, by
         # interior count, and the vertex itself under ids no corridor has.
@@ -1093,9 +1093,6 @@ class _CostAwareSearch(_Support):
         the class docstring)."""
         if mask & self.interior_pairs:
             return False
-        if self.cycle_only:
-            return (self._sweep(self.out_masks, 0) == self.full_mask
-                    and (self.n - 1 >= ell or None))
         branch_arcs, alive = self.branch_arcs, self.alive
         worst = 0
         for x, extra in enumerate(self.extra):

@@ -351,7 +351,9 @@ def test_mded_rejects_disconnected_inputs():
     ([(0, 1), (1, 3), (1, 2)], "input 1: vertex 2 does not reach the sink"),
     # both faults: vertex 1 is checked first and cannot reach the sink
     ([(0, 1), (0, 3), (2, 3)], "input 1: vertex 1 does not reach the sink"),
-], ids=["unreached", "dead-end", "first-vertex-first"])
+    # every vertex is on a source-sink walk, but 1 and 2 close a cycle
+    ([(0, 1), (1, 2), (2, 1), (2, 3)], "input 1 is cyclic"),
+], ids=["unreached", "dead-end", "first-vertex-first", "cyclic"])
 def test_mded_directed_rejects_inputs_off_every_source_sink_path(second_edges,
                                                                  message):
     good = lbec_on(Graph(True, 4, [(0, 1), (1, 2), (2, 3)]), 1, 3)
@@ -383,11 +385,15 @@ def test_compose_rejects_bad_class_and_low_threshold():
 
 
 def test_mded_directed_augmentation_preserves_answers():
+    # The detour-shadowed input is input 0's rows of a one-input embedding:
+    # its source sits at 0 and its sink at 1.
     rnd = random.Random(5)
     for _ in range(10):
         inst = random_dag_lbec_input(rnd, n=4, m=5, k=1, ell=3)
-        from fractalcut.composer import _augment_directed_input
-        aug = _augment_directed_input(inst)
+        con = _embed([inst], 2, directed=True, detour=inst.ell)
+        lo, hi = con.edge_ranges[0]
+        aug = ProblemInstance("lbec", Graph(True, con.n, con.rows[lo:hi]),
+                              s=0, t=1, k=inst.k, ell=inst.ell)
         assert _is_acyclic(aug.graph)
         assert solve_bruteforce(inst).answer == solve_bruteforce(aug).answer
 
@@ -505,14 +511,13 @@ def test_composers_build_no_adjacency_they_do_not_check(mode, monkeypatch):
         "mded-dir": lambda: compose_mded(dag, directed=True, mode=mode),
     }
     # Each composition builds its selector fractal and, from edge rows, the
-    # one composed graph; the directed diameter composition also builds one
-    # detour-shadowed graph per input.  Nothing walks the fractal or the
-    # composed graph, so neither has neighbour lists.
+    # one composed graph; the directed diameter composition lays its detours
+    # down as rows too.  Nothing walks the fractal or the composed graph, so
+    # neither has neighbour lists.
     for name, call in calls.items():
         builds.clear()
         art = call()
-        augmented = len(dag) if name == "mded-dir" else 0
-        assert len(builds) == 2 + augmented, name
+        assert len(builds) == 2, name
         assert builds[-2] is art.fractal.graph, name
         assert builds[-1] is art.composed.graph, name
         assert art.fractal.graph._adj is None, name
