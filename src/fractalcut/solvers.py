@@ -688,7 +688,11 @@ class _CostAwareSearch(_Support):
       disconnects, and any superset stays disconnected), strong bridges for
       the directed diameter problem, and arcs on no directed cycle for the
       transversal problem (they bound no cycle, so severing them never
-      removes one);
+      removes one).  One test per corridor (``_corridors``) decides all of
+      its pairs: severing any of them leaves the corridor's vertices
+      hanging off its termini, so the support loses (strong) connectivity,
+      or the corridor's arcs lie on no cycle, exactly when severing the
+      first does.  Loops and cycles of interior vertices behave the same;
     * chain quotient (distance and transversal problems only) -- along a
       maximal corridor of degree-2 interior vertices (terminals excluded),
       severing any one pair kills exactly the through-traffic and leaves
@@ -827,18 +831,14 @@ class _CostAwareSearch(_Support):
         costs = [e.cost for e in g.edges]
         self.pair_cost = [sum(map(costs.__getitem__, idxs))
                           for idxs in self.pair_edges]
+        corridors = self._corridors()
         if inst.kind == "mded":
             if self.directed:
-                self._contract_corridors()
+                self._contract_corridors(corridors)
             else:
                 self.sources = self._diameter_sources()
-
-        excluded = self._excluded_pairs() if symmetry else set()
-        if symmetry and inst.kind in ("lbec", "dsct"):
-            chains = self._find_chains(excluded)
-        else:
-            chains = []
-        in_chain = {pid for ch, _, _ in chains for pid in ch}
+        excluded = self._excluded_pairs(corridors) if symmetry else set()
+        quotient = symmetry and inst.kind != "mded"
 
         # Units: (cost, pair ids, witness edge indices, mask of the pair ids),
         # in the order of their witnesses' first edges.  Identical parallel
@@ -849,7 +849,14 @@ class _CostAwareSearch(_Support):
         # matters, which also retires over-budget parallel bundles (for
         # example a back arc realized as budget+1 parallel paths).
         merged: dict = {}
-        for ch, head, tail in chains:
+        units = []
+        for ch, head, tail in corridors:
+            if ch[0] in excluded:
+                continue
+            if not quotient or len(ch) == 1:
+                units += [(self.pair_cost[pid], (pid,), self.pair_edges[pid],
+                           1 << pid) for pid in ch]
+                continue
             # The corridor's cheapest pair, the lowest id among equals.
             cost, best = min((self.pair_cost[p], p) for p in ch)
             if not self.directed:
@@ -858,47 +865,22 @@ class _CostAwareSearch(_Support):
             unit[0] += cost
             unit[1] += ch
             unit[2] += self.pair_edges[best]
-        units = []
         for cost, pids, wit in merged.values():
             units.append((cost, tuple(pids), tuple(sorted(wit)),
                           sum(1 << pid for pid in pids)))
-        units += [(self.pair_cost[pid], (pid,), self.pair_edges[pid], 1 << pid)
-                  for pid in range(len(self.pairs))
-                  if pid not in in_chain and pid not in excluded]
         units.sort(key=lambda u: u[2][0])
         self.units = units
 
     # ---- structural preprocessing
 
-    def _excluded_pairs(self) -> set[int]:
-        kind = self.inst.kind
-        excluded = set()
-        if kind == "mded":
-            for pid in range(len(self.pairs)):
-                if not self.connected_without(pid):
-                    excluded.add(pid)
-        elif kind == "dsct":
-            # An arc lies on a cycle iff both ends share a strongly connected
-            # component, which is what v reaches and is reached by, for the
-            # lowest vertex v of the component.
-            comp = [-1] * self.n
-            for v in range(self.n):
-                if comp[v] < 0:
-                    scc = (self._sweep(self.out_masks, v)
-                           & self._sweep(self.in_masks, v))
-                    for w in _bits(scc):
-                        comp[w] = v
-            for pid, (u, v) in enumerate(self.pairs):
-                if comp[u] != comp[v]:
-                    excluded.add(pid)
-        return excluded
-
-    def _find_chains(self, excluded: set[int]):
-        """Maximal corridors of degree-2 interiors (terminals protected).
-
-        Returns (pair ids along the corridor, head vertex, tail vertex); the
-        termini are the walk's stopping points, which is what identifies two
-        corridors as parallel.
+    def _corridors(self):
+        """Every pair's corridor, each once, as (pair ids in order, head,
+        tail).  A corridor is a maximal path of pairs through interior
+        vertices: in- and out-degree one if directed, degree two if not,
+        and never an LBEC terminal.  A pair with no interior end is a
+        one-pair corridor between its own ends, and a cycle of interior
+        vertices comes back as a loop at one of them.  The termini are what
+        identifies two corridors as parallel.
         """
         protected = set()
         if self.inst.kind == "lbec":
@@ -911,14 +893,14 @@ class _CostAwareSearch(_Support):
             if (out_masks[v].bit_count() == 1 and in_masks[v].bit_count() == 1
                     if self.directed else out_masks[v].bit_count() == 2):
                 inner |= 1 << v
-        chains = []
-        used_pairs: set[int] = set()
+        corridors = []
+        used = set()
 
-        def walk(pid, prev, cur, masks):
-            """Follow the corridor from the pair (prev, cur) of pid through
-            interior vertices along masks: out-masks walk forward, in-masks
-            backward.  Returns the pair ids met, claimed in used_pairs, and
-            the vertex where the walk stops."""
+        def walk(prev, cur, masks):
+            """Follow the corridor from the pair (prev, cur) through interior
+            vertices along masks: out-masks walk forward, in-masks backward.
+            Returns the pair ids met, claimed in used, and the vertex where
+            the walk stops."""
             met = []
             while inner >> cur & 1:
                 if self.directed:
@@ -927,50 +909,66 @@ class _CostAwareSearch(_Support):
                 else:
                     nxt = (masks[cur] & ~(1 << prev)).bit_length() - 1
                     pair = (min(cur, nxt), max(cur, nxt))
-                np = self.pair_id.get(pair)
-                if np is None or np in used_pairs or np == pid or np in excluded:
-                    break
+                np = self.pair_id[pair]
+                if np in used:
+                    break  # the corridor closed into a loop
                 met.append(np)
-                used_pairs.add(np)
+                used.add(np)
                 prev, cur = cur, nxt
             return met, cur
 
         for pid, (u, v) in enumerate(self.pairs):
-            # A corridor runs on from a pair only through an interior end.
-            if (pid in used_pairs or pid in excluded
-                    or not (inner >> u | inner >> v) & 1):
-                continue
-            ahead, tail = walk(pid, u, v, out_masks)
-            behind, head = walk(pid, v, u, in_masks)
-            if ahead or behind:
-                used_pairs.add(pid)
-                chains.append((behind[::-1] + [pid] + ahead, head, tail))
-        return chains
+            if pid not in used:
+                used.add(pid)
+                ahead, tail = walk(u, v, out_masks)
+                behind, head = walk(v, u, in_masks)
+                corridors.append((behind[::-1] + [pid] + ahead, head, tail))
+        return corridors
 
-    def _contract_corridors(self) -> None:
+    def _excluded_pairs(self, corridors) -> set[int]:
+        """The excluded pairs, decided by one test per corridor (see the
+        class docstring).  LBEC excludes none."""
+        kind = self.inst.kind
+        comp = [-1] * self.n
+        if kind == "dsct":
+            # An arc lies on a cycle iff both ends share a strongly connected
+            # component, which is what v reaches and is reached by, for the
+            # lowest vertex v of the component.
+            for v in range(self.n):
+                if comp[v] < 0:
+                    scc = (self._sweep(self.out_masks, v)
+                           & self._sweep(self.in_masks, v))
+                    for w in _bits(scc):
+                        comp[w] = v
+        excluded = set()
+        for ch, _, _ in corridors:
+            u, v = self.pairs[ch[0]]
+            if (not self.connected_without(ch[0]) if kind == "mded"
+                    else kind == "dsct" and comp[u] != comp[v]):
+                excluded.update(ch)
+        return excluded
+
+    def _contract_corridors(self, corridors) -> None:
         """Contract the directed support's corridors (see the class
-        docstring).  ``interior_pairs`` masks the pairs with an interior
-        end, ``branch_arcs[x]`` lists the (weight, head, pair) arcs out of
-        the x-th branch vertex, and ``extra[x][y]`` is the top-two sum of
-        the x-th and the y-th."""
+        docstring).  ``interior_pairs`` masks the pairs of the corridors
+        with an interior vertex, ``branch_arcs[x]`` lists the (weight, head,
+        pair) arcs out of the x-th branch vertex, and ``extra[x][y]`` is the
+        top-two sum of the x-th and the y-th."""
         out_masks, in_masks = self.out_masks, self.in_masks
-        chains = self._find_chains(set())
         # A cycle of interior vertices comes back as a loop at one of them.
         branch = sorted({v for v in range(self.n)
                          if out_masks[v].bit_count() != 1
                          or in_masks[v].bit_count() != 1}
-                        | {head for _, head, _ in chains})
+                        | {head for _, head, _ in corridors})
         at = {v: i for i, v in enumerate(branch)}
-        inner = self.interior_pairs = sum(1 << pid for ch, _, _ in chains
-                                          for pid in ch)
+        self.interior_pairs = sum(1 << pid for ch, _, _ in corridors
+                                  if len(ch) > 1 for pid in ch)
         self.branch_arcs = [[] for _ in branch]
         # The corridors ending and starting at each branch vertex, by
         # interior count, and the vertex itself under ids no corridor has.
         ends = [[(0, -1)] for _ in branch]
         starts = [[(0, -2)] for _ in branch]
-        for c, (ch, head, tail) in enumerate(chains + [
-                ((pid,), u, v) for pid, (u, v) in enumerate(self.pairs)
-                if not inner >> pid & 1]):
+        for c, (ch, head, tail) in enumerate(corridors):
             if head != tail:
                 self.branch_arcs[at[head]].append((len(ch), at[tail], ch[0]))
             ends[at[tail]].append((len(ch) - 1, c))
@@ -1171,6 +1169,8 @@ class _CostAwareSearch(_Support):
     # ---- enumeration
 
     def solve(self, budget: int, max_states: int) -> Verdict:
+        if budget < 0:
+            return Verdict(False, None, 0)  # no deletion set fits
         tested = 0
         chosen = self.chosen = []
         self.synced = 0

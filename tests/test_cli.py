@@ -145,6 +145,25 @@ def test_solve_brute_on_weighted_compose_output(capsys, tmp_path):
     assert isinstance(doc["answer"], bool) and doc["nodes"] > 0
 
 
+def test_solve_brute_negative_budget_weighted_matches_unit(capsys, tmp_path):
+    # A negative budget fits no deletion set, not even the empty one: the
+    # weighted route (the cost-aware oracle) must print the unit route's
+    # bytes (subset enumeration) on the same document without costs.
+    weighted = FIXTURES / "lbec_weighted_negative_k.json"
+    doc = json.loads(weighted.read_text())
+    del doc["costs"]
+    unit = tmp_path / "unit.json"
+    unit.write_text(json.dumps(doc))
+    outs = []
+    for path in (weighted, unit):
+        code, out, _ = run(capsys, "solve", "--method", "brute",
+                           "--input", str(path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0]) == {"answer": False, "nodes": 0, "witness": None}
+
+
 def test_reduce_cycle4(capsys):
     code, out, _ = run(capsys, "reduce",
                        "--vc", str(FIXTURES / "vc_cycle4.json"),

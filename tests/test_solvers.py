@@ -263,12 +263,122 @@ def test_dsct_exclusions_are_the_arcs_on_no_cycle():
         arcs += [rnd.choice(arcs) for _ in range(rnd.randint(0, 2))]
         g = Graph(True, n, arcs)
         search = _CostAwareSearch(ProblemInstance("dsct", g, k=0, ell=n))
-        excluded = search._excluded_pairs()
+        excluded = search._excluded_pairs(search._corridors())
         for pid, (u, v) in enumerate(search.pairs):
             on_cycle = distances(g, v)[u] != UNREACHABLE
             assert (pid in excluded) != on_cycle, (arcs, u, v)
             outcomes.add(on_cycle)
     assert outcomes == {False, True}
+
+
+def _corridor_graph(rnd, directed, weighted=False):
+    """A random multigraph laid down as walks, some closed, over random
+    vertices, plus stray edges and parallel copies, so that corridors,
+    loops at branch vertices, cycles of interior vertices and parallel
+    pairs all occur.  Some set a lone cycle apart on their top vertices."""
+    n = rnd.randint(2, 9)
+    cut = n
+    if n >= 3 and rnd.random() < 0.3:
+        cut = rnd.choice([0] + list(range(2, n - 2)))
+    lone = rnd.sample(range(cut, n), n - cut)
+    edges = list(zip(lone, lone[1:] + lone[:1]))
+    for _ in range(rnd.randint(1, 3) if cut else 0):
+        walk = rnd.sample(range(cut), rnd.randint(2, cut))
+        if rnd.random() < 0.5:
+            walk.append(walk[0])
+        edges += zip(walk, walk[1:])
+    if cut:
+        edges += [rnd.sample(range(cut), 2) for _ in range(rnd.randint(0, 2))]
+    edges += [rnd.choice(edges) for _ in range(rnd.randint(0, 2))]
+    if weighted:
+        edges = [(u, v, rnd.randint(1, 3)) for u, v in edges]
+    return Graph(directed, n, edges)
+
+
+def _interior(inst):
+    """The interior vertices by definition: one distinct in- and one
+    distinct out-neighbour if directed, two distinct neighbours if not, and
+    never an LBEC terminal."""
+    g = inst.graph
+    outs = [set() for _ in range(g.n)]
+    ins = outs if not g.directed else [set() for _ in range(g.n)]
+    for e in g.edges:
+        outs[e.u].add(e.v)
+        ins[e.v].add(e.u)
+    return {v for v in range(g.n) if v not in (inst.s, inst.t)
+            and (len(outs[v]) == len(ins[v]) == 1 if g.directed
+                 else len(outs[v]) == 2)}
+
+
+def _corridor_shape(interior, ch, head, tail):
+    if head != tail:
+        return "one pair" if len(ch) == 1 else "path"
+    return "interior cycle" if head in interior else "loop"
+
+
+@pytest.mark.parametrize("kind,directed", [
+    ("lbec", False), ("lbec", True), ("mded", False), ("mded", True),
+    ("dsct", True)])
+def test_corridors_partition_the_pairs(kind, directed):
+    rnd = random.Random(2020)
+    shapes = Counter()
+    for _ in range(150):
+        g = _corridor_graph(rnd, directed)
+        terminals = dict(s=0, t=1) if kind == "lbec" else {}
+        inst = ProblemInstance(kind, g, k=0, ell=2, **terminals)
+        search = _CostAwareSearch(inst)
+        interior = _interior(inst)
+        corridors = search._corridors()
+        assert sorted(pid for ch, _, _ in corridors for pid in ch) \
+            == list(range(len(search.pairs)))
+        for ch, head, tail in corridors:
+            # Trace the corridor from its head: each pair goes on from the
+            # vertex the one before it reached, and that vertex is interior.
+            at, inner = head, []
+            for pid in ch:
+                u, v = search.pairs[pid]
+                assert at == u or not directed and at == v, (g.edges, ch)
+                inner.append(at)
+                at = v if at == u else u
+            assert at == tail
+            assert interior.issuperset(inner[1:]), (g.edges, ch)
+            shape = _corridor_shape(interior, ch, head, tail)
+            # Maximal: only a cycle of interior vertices ends at one.
+            if shape != "interior cycle":
+                assert head not in interior and tail not in interior
+            shapes[shape] += 1
+        shapes["parallel"] += any(len(e) > 1 for e in search.pair_edges)
+    assert all(shapes[s] for s in ("one pair", "path", "loop",
+                                   "interior cycle", "parallel")), shapes
+
+
+@pytest.mark.parametrize("kind,directed", [
+    ("mded", False), ("mded", True), ("dsct", True)])
+def test_exclusions_by_corridor_match_the_per_pair_reference(kind, directed):
+    # One test per corridor decides all of its pairs.  The reference tests
+    # each pair: a (strong) bridge for MDED, an arc on no cycle for DSCT.
+    rnd = random.Random(3030)
+    outcomes = set()
+    for _ in range(150):
+        g = _corridor_graph(rnd, directed)
+        inst = ProblemInstance(kind, g, k=0, ell=2)
+        search = _CostAwareSearch(inst)
+        interior = _interior(inst)
+        corridors = search._corridors()
+        excluded = search._excluded_pairs(corridors)
+        for ch, head, tail in corridors:
+            for pid in ch:
+                if kind == "mded":
+                    dead = frozenset(search.pair_edges[pid])
+                    ref = not _connected_after(g, dead)
+                else:
+                    u, v = search.pairs[pid]
+                    ref = distances(g, v)[u] == UNREACHABLE
+                assert (pid in excluded) == ref, (g.edges, pid)
+                outcomes.add((_corridor_shape(interior, ch, head, tail), ref))
+    assert {shape for shape, _ in outcomes} == {
+        "one pair", "path", "loop", "interior cycle"}
+    assert {ref for _, ref in outcomes} == {False, True}
 
 
 # (source, seed or k) -> (answer, witness, nodes) of solve_fpt, recorded
@@ -581,6 +691,30 @@ def test_costaware_weighted_budget_counts_cost():
         ProblemInstance("lbec", g, k=3, **base)).answer
     yes = solve_bruteforce_costaware(ProblemInstance("lbec", g, k=4, **base))
     assert yes.answer and set(yes.witness) == {0, 1}
+
+
+@pytest.mark.parametrize("k", [-1, -2])
+@pytest.mark.parametrize("kind,directed", [
+    ("lbec", False), ("lbec", True), ("mded", False), ("mded", True),
+    ("dsct", True)])
+def test_costaware_negative_budget_fits_no_deletion_set(kind, directed, k):
+    # Not even the empty set fits, also where the graph itself answers yes.
+    rnd = random.Random(f"{kind}/{directed}/{k}")
+    yes_at_zero = 0
+    for weighted in (False, True):
+        for _ in range(20):
+            g = _corridor_graph(rnd, directed, weighted)
+            terminals = dict(s=0, t=1) if kind == "lbec" else {}
+            inst = ProblemInstance(kind, g, k=k, ell=rnd.randint(0, 3),
+                                   **terminals)
+            for symmetry in (True, False):
+                v = solve_bruteforce_costaware(inst, symmetry=symmetry)
+                assert (v.answer, v.witness, v.nodes) == (False, None, 0)
+            if not weighted:
+                assert solve_bruteforce(inst) == v
+            zero = ProblemInstance(kind, g, k=0, ell=inst.ell, **terminals)
+            yes_at_zero += solve_bruteforce_costaware(zero).answer
+    assert yes_at_zero
 
 
 def _composed_cut(seed, flavor, p, k, ell, mode):
