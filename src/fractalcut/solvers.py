@@ -748,7 +748,7 @@ class _CostAwareSearch(_Support):
       support, so the children of a disconnected state fail without any of
       this.
 
-    Directed, each state is decided afresh on its corridors.  A *branch
+    Directed, states hand distance rows down the corridors.  A *branch
     vertex* has in- or out-degree other than one at the root, or is the
     one vertex taken from a cycle of the others (see below); the rest are
     interior.  A corridor is a maximal path x -> i_1 -> ... -> i_a -> y
@@ -782,9 +782,17 @@ class _CostAwareSearch(_Support):
       top-two sum is n - 1, the cycle's diameter.  Beside branch vertices
       or another cycle, it has no pair in or out, so Dijkstra leaves some
       branch vertex unreached and the state fails.
+    * Reused rows, the twin of the tight pairs above (after Even and
+      Shiloach, JACM 1981).  A failing, strongly connected state hands
+      down its rows D[x], all finite and, with the top-two sums, below
+      ell.  A child that gets further has severed one unit, so one one-arc
+      corridor u -> v.  That only lengthens distances, and an arc not
+      *tight* in D[x], D[x][v] != D[x][u] + 1, lies on no shortest path
+      from x: D[x] holds as it stands.  Dijkstra reruns only for the rows
+      with the arc tight.
 
     A directed state that is not strongly connected hands down False, so
-    its children fail unsevered; any other failing one hands down None.
+    its children fail unsevered; any other failing one hands down its rows.
 
     For LBEC and DSCT one predicate hands obstructions down.  An LBEC
     state fails exactly when some s-t path of fewer than ell hops
@@ -930,7 +938,20 @@ class _CostAwareSearch(_Support):
         class docstring).  LBEC excludes none."""
         kind = self.inst.kind
         comp = [-1] * self.n
-        if kind == "dsct":
+        connected = self.connected_without
+        if kind == "mded" and self.directed:
+            # As a child of the root's rows, with no diameter to meet, a
+            # severance fails exactly when it breaks strong connectivity.
+            rows = self._corridors_hold(None, 0, UNREACHABLE)
+
+            def connected(pid):
+                if rows is False:
+                    return False
+                self.sever(pid)
+                kept = self._corridors_hold(rows, 1 << pid, UNREACHABLE)
+                self.restore(pid)
+                return kept is not False
+        elif kind == "dsct":
             # An arc lies on a cycle iff both ends share a strongly connected
             # component, which is what v reaches and is reached by, for the
             # lowest vertex v of the component.
@@ -943,7 +964,7 @@ class _CostAwareSearch(_Support):
         excluded = set()
         for ch, _, _ in corridors:
             u, v = self.pairs[ch[0]]
-            if (not self.connected_without(ch[0]) if kind == "mded"
+            if (not connected(ch[0]) if kind == "mded"
                     else kind == "dsct" and comp[u] != comp[v]):
                 excluded.update(ch)
         return excluded
@@ -951,16 +972,17 @@ class _CostAwareSearch(_Support):
     def _contract_corridors(self, corridors) -> None:
         """Contract the directed support's corridors (see the class
         docstring).  ``interior_pairs`` masks the pairs of the corridors
-        with an interior vertex, ``branch_arcs[x]`` lists the (weight, head,
-        pair) arcs out of the x-th branch vertex, and ``extra[x][y]`` is the
-        top-two sum of the x-th and the y-th."""
+        with an interior vertex, ``branch_index`` maps each branch vertex to
+        its index, ``branch_arcs[x]`` lists the (weight, head, pair) arcs out
+        of the x-th, and ``extra[x][y]`` is the top-two sum of the x-th and
+        the y-th."""
         out_masks, in_masks = self.out_masks, self.in_masks
         # A cycle of interior vertices comes back as a loop at one of them.
         branch = sorted({v for v in range(self.n)
                          if out_masks[v].bit_count() != 1
                          or in_masks[v].bit_count() != 1}
                         | {head for _, head, _ in corridors})
-        at = {v: i for i, v in enumerate(branch)}
+        at = self.branch_index = {v: i for i, v in enumerate(branch)}
         self.interior_pairs = sum(1 << pid for ch, _, _ in corridors
                                   if len(ch) > 1 for pid in ch)
         self.branch_arcs = [[] for _ in branch]
@@ -1040,12 +1062,12 @@ class _CostAwareSearch(_Support):
     def _mded_holds(self, parent, mask: int):
         """Connected (strongly, if directed) with diameter >= ell.
 
-        A disconnected state hands down False.  Directed, every other state
-        is decided on the corridors afresh and hands down None.  Undirected,
-        a connected state that fails hands down, for each fixed source, its
-        distance array and reach masks.  A handed-down array is reused as it
-        stands, or its BFS resumed below the lowest orphaned head (see the
-        class docstring).
+        A disconnected state hands down False.  Directed, any other failing
+        state hands down its corridor rows, and a child reruns only those
+        with its severed arc tight.  Undirected, a connected state that
+        fails hands down, for each fixed source, its distance array and
+        reach masks.  A handed-down array is reused as it stands, or its BFS
+        resumed below the lowest orphaned head (see the class docstring).
         """
         if parent is False:
             return False
@@ -1057,7 +1079,7 @@ class _CostAwareSearch(_Support):
         if self.n <= 1:
             return ell <= 0
         if self.directed:
-            return self._corridors_hold(mask, ell)
+            return self._corridors_hold(parent, mask, ell)
         out_masks = self.out_masks
         cut = [self.pairs[pid] for pid in severed]
         cut += [(v, u) for u, v in cut]
@@ -1085,15 +1107,22 @@ class _CostAwareSearch(_Support):
             arrays.append(got)
         return arrays
 
-    def _corridors_hold(self, mask: int, ell: int):
+    def _corridors_hold(self, parent, mask: int, ell: int):
         """The directed predicate on the contracted corridors: True, or
-        False when the support is not strongly connected, else None (see
-        the class docstring)."""
+        False when the support is not strongly connected, else the rows of
+        the branch vertices' distances: the parent's (None at the root), run
+        again where the severed arc is tight (see the class docstring)."""
         if mask & self.interior_pairs:
             return False
         branch_arcs, alive = self.branch_arcs, self.alive
+        rows = parent[:] if parent else [None] * len(self.extra)
+        if parent:
+            u, v = map(self.branch_index.get,
+                       self.pairs[mask.bit_length() - 1])
         worst = 0
         for x, extra in enumerate(self.extra):
+            if parent and rows[x][v] != rows[x][u] + 1:
+                continue
             dist = [UNREACHABLE] * len(extra)
             dist[x] = 0
             heap = [(0, x)]
@@ -1107,8 +1136,9 @@ class _CostAwareSearch(_Support):
                         heappush(heap, (d + w, z))
             if UNREACHABLE in dist:
                 return False
+            rows[x] = dist
             worst = max(worst, max(map(add, dist, extra)))
-        return worst >= ell or None
+        return worst >= ell or rows
 
     def _distances_below(self, ell: int, dist: list[int], reach: list[int]):
         """Finish a BFS on the surviving undirected support, given the

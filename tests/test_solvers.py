@@ -860,9 +860,12 @@ class _ReplayedMded(_CostAwareSearch):
     also checks every distance array and reach mask handed down against a
     fresh BFS and, at every connected state, that the diameter sources
     recomputed from the current support are among the search's fixed
-    sources."""
+    sources.  Directed, it checks every row handed down, reused or rerun,
+    against the distances between the branch vertices on the original
+    graph, and counts the rows a child kept and reran."""
 
     visited = 0
+    reused = rerun = 0
 
     def _mded_holds(self, parent, mask):
         got = super()._mded_holds(parent, mask)
@@ -874,7 +877,16 @@ class _ReplayedMded(_CostAwareSearch):
         assert got is False if parent is False else _masks_in_step(self), dead
         if not self.directed and connected:
             assert set(self._diameter_sources()) <= set(self.sources), dead
-        if isinstance(got, list):
+        if isinstance(got, list) and self.directed:
+            branch = sorted(self.branch_index, key=self.branch_index.get)
+            assert len(got) == len(branch)
+            for i, (x, row) in enumerate(zip(branch, got)):
+                dist = distances(self.inst.graph, x, dead)
+                assert row == [dist[y] for y in branch], (dead, x)
+                if parent:
+                    self.reused += row is parent[i]
+                    self.rerun += row is not parent[i]
+        elif isinstance(got, list):
             assert len(got) == len(self.sources)
             for src, (dist, reach) in zip(self.sources, got):
                 assert dist == distances(self.inst.graph, src, dead), (dead, src)
@@ -989,12 +1001,16 @@ def test_corridor_predicate_matches_the_diameter_at_the_root():
     for g in graphs:
         diameter = _diameter(g, frozenset())
         assert _root_holds(g, diameter) is True, g.edges
-        assert _root_holds(g, diameter + 1) is None, g.edges
+        rows = _root_holds(g, diameter + 1)
+        assert isinstance(rows, list), g.edges
+        assert max(map(max, rows)) <= diameter, g.edges
 
 
 class _EveryMdedState(_ReplayedMded):
     """Goes on past the states that pass, so the search visits every
-    deletion set within its budget; records what each state returned."""
+    deletion set within its budget; records what each state returned,
+    None for the rows that a failing, strongly connected state hands
+    down."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -1002,20 +1018,23 @@ class _EveryMdedState(_ReplayedMded):
 
     def _mded_holds(self, parent, mask):
         got = super()._mded_holds(parent, mask)
-        self.outcomes.append(got)
+        self.outcomes.append(got if isinstance(got, bool) else None)
         return None if got is True else got
 
 
-def _every_state(g, ell):
+def _every_state(g, ell, rows=None):
     """What the directed predicate returns on every deletion set of g of
     up to two pairs within a budget of 2, without the symmetry reductions
     (so the pairs inside corridors are units too), checked under replay;
-    the root comes first."""
+    the root comes first.  Adds the rows the children reused and reran to
+    the Counter rows, if given."""
     inst = ProblemInstance("mded", g, k=2, ell=ell)
     verdict, search = _replay_states(inst, False, replayed=_EveryMdedState)
     sets = sum(sum(c) <= 2 for size in range(3)
                for c in itertools.combinations(search.pair_cost, size))
     assert not verdict.answer and verdict.nodes == sets
+    if rows is not None:
+        rows.update(reused=search.reused, rerun=search.rerun)
     return search.outcomes
 
 
@@ -1053,7 +1072,7 @@ def _corridor_digraph(rnd):
 
 def test_corridor_predicate_matches_replay_on_small_deletion_sets():
     rnd = random.Random(1812)
-    seen = Counter()
+    seen, rows = Counter(), Counter()
     for _ in range(300):
         g = _corridor_digraph(rnd)
         diameter = _diameter(g, frozenset())
@@ -1061,8 +1080,9 @@ def test_corridor_predicate_matches_replay_on_small_deletion_sets():
             ell = rnd.randint(1, g.n)
         else:
             ell = diameter + rnd.randint(0, 2)
-        seen.update(_every_state(g, ell))
+        seen.update(_every_state(g, ell, rows))
     assert seen[True] and seen[None] and seen[False], seen
+    assert rows["reused"] and rows["rerun"], rows
 
 
 CORRIDOR_CASES = {
