@@ -709,22 +709,28 @@ class _CostAwareSearch(_Support):
     Undirected, the diameter predicate is incremental, with or without
     ``symmetry``.
 
-    * Diameter sources.  Only vertices whose eccentricities can realize the
-      diameter are searched from (after Takes and Kosters, CIKM 2011): a
-      diametral endpoint inside a pendant tree can be pushed to one of the
-      tree's leaves, so the 2-core plus all degree-1 vertices suffice.
-    * Fixed sources.  The sources are taken once, on the full support.  A
-      connected state's own source set is a subset of them, so the maximum
-      eccentricity over the fixed set is still the state's diameter: the
-      2-core only shrinks as pairs are severed, and a vertex outside the
-      root's 2-core has only bridges as edges, which a connected state
-      keeps, so its degree is unchanged and it is a source of the state
-      only if it is a degree-1 source of the root.
+    * Pendant forests, after Takes and Kosters (CIKM 2011).  Peeling
+      degree-1 vertices off the root support leaves its 2-core, the
+      *core*; a tree peels away entirely and keeps its last vertex.  Every
+      other vertex hangs in the forest of one core vertex c and reaches the
+      rest only through c, so no shortest path between core vertices leaves
+      the core.  With h(c) the height of c's forest and D the distance on
+      the core, a connected state's diameter is the larger of h(c) + D(c,
+      c') + h(c') over core vertices c != c' and the *pendant constant*,
+      the largest diameter inside one forest, c included.  The pairs with
+      an end off the core are bridges: ``symmetry`` excludes them, so the
+      forests, taken once at the root, never change, and without it a
+      state that severs one fails.  One sweep decides the root's
+      connectivity, and a connected root passes at once if the pendant
+      constant reaches ell.  The rest is a BFS over the core from each core
+      vertex x, which passes once it reaches some c' at level d with d +
+      h(c') + h(x) >= ell.
     * Reused arrays.  The search expands a state only when the predicate
       failed there, so a connected parent hands its children, for each
-      source x, the complete distance array d, every entry below ell (else
-      it would have passed), and the masks reach[j] of the vertices within
-      j hops of x.  Severing pairs only lengthens distances.  Call a pair
+      core vertex x, the complete distance array d over the core, with no
+      entry that passes (else the parent would have), and the masks
+      reach[j] of the core vertices within j hops of x.  All that follows
+      is on the core.  Severing pairs only lengthens distances.  Call a pair
       (u, v) *tight* in d when d(v) == d(u) + 1 (in either
       orientation), and the head v of a severed tight pair *orphaned* when
       no surviving in-neighbour of v lies in reach[d(v) - 1].  One that
@@ -736,15 +742,16 @@ class _CostAwareSearch(_Support):
       not orphaned.  By induction on j no distance up to L changes, so
       reach[0..L] and the entries of d on reach[L] hold in the child, and a
       BFS resumed from level L finishes the child's array.  With no
-      orphaned head, d is the child's array as it stands, again with
-      eccentricity below ell.  So a source needs BFS work only from its
+      orphaned head, d is the child's array as it stands, again with no
+      entry that passes.  So a source needs BFS work only from its
       lowest orphaned head on, or from scratch when the parent handed down
       no arrays.
     * Connectivity from the arrays.  A reused or completed array shows
-      that its source reaches every vertex, and a BFS whose frontier runs
-      out first shows that it does not.  So the first source's array
-      decides connectivity, unless its BFS stops early, at ell hops, and
-      then one sweep decides it.  Severing more pairs never reconnects a
+      that its source reaches every core vertex, and so, with the pendant
+      pairs intact, every vertex; a BFS whose frontier runs out first
+      shows that it does not.  So the first source's array decides
+      connectivity, unless its BFS stops early, and then one sweep
+      decides it.  Severing more pairs never reconnects a
       support, so the children of a disconnected state fail without any of
       this.
 
@@ -844,7 +851,7 @@ class _CostAwareSearch(_Support):
             if self.directed:
                 self._contract_corridors(corridors)
             else:
-                self.sources = self._diameter_sources()
+                self._pendant_forests()
         excluded = self._excluded_pairs(corridors) if symmetry else set()
         quotient = symmetry and inst.kind != "mded"
 
@@ -1065,9 +1072,10 @@ class _CostAwareSearch(_Support):
         A disconnected state hands down False.  Directed, any other failing
         state hands down its corridor rows, and a child reruns only those
         with its severed arc tight.  Undirected, a connected state that
-        fails hands down, for each fixed source, its distance array and
-        reach masks.  A handed-down array is reused as it stands, or its BFS
-        resumed below the lowest orphaned head (see the class docstring).
+        fails hands down, for each core vertex, its distance array and
+        reach masks over the core.  A handed-down array is reused as it
+        stands, or its BFS resumed below the lowest orphaned head (see the
+        class docstring).
         """
         if parent is False:
             return False
@@ -1080,11 +1088,19 @@ class _CostAwareSearch(_Support):
             return ell <= 0
         if self.directed:
             return self._corridors_hold(parent, mask, ell)
+        if mask & self.pendant_pairs:
+            return False  # a bridge
         out_masks = self.out_masks
+        if parent is None:
+            if self._sweep(out_masks, 0) != self.full_mask:
+                return False
+            if self.pendant >= ell:
+                return True
         cut = [self.pairs[pid] for pid in severed]
         cut += [(v, u) for u, v in cut]
         arrays = []
         for i, src in enumerate(self.sources):
+            goal = self.goals[i]
             if parent:
                 dist, reach = parent[i]
                 redo = len(reach)  # the lowest level of an orphaned head
@@ -1095,12 +1111,12 @@ class _CostAwareSearch(_Support):
                 if redo == len(reach):
                     arrays.append(parent[i])
                     continue
-                got = self._distances_below(ell, dist[:], reach[:redo])
+                got = self._distances_below(goal, dist[:], reach[:redo])
             else:
-                got = self._distances_below(ell, [0] * self.n, [1 << src])
+                got = self._distances_below(goal, [0] * self.n, [1 << src])
             if got is None:
-                # Some vertex is ell or more hops away: the state passes if
-                # connected, which an earlier array shows.
+                # Two vertices lie ell or more hops apart: the state passes
+                # if connected, which an earlier array shows.
                 return i > 0 or self._sweep(out_masks, src) == self.full_mask
             if not got:
                 return False
@@ -1140,16 +1156,19 @@ class _CostAwareSearch(_Support):
             worst = max(worst, max(map(add, dist, extra)))
         return worst >= ell or rows
 
-    def _distances_below(self, ell: int, dist: list[int], reach: list[int]):
-        """Finish a BFS on the surviving undirected support, given the
-        masks reach[j] of the vertices within j hops of its source for
-        j < len(reach) and a dist array that is right on those vertices.
+    def _distances_below(self, goal: list[int], dist: list[int],
+                         reach: list[int]):
+        """Finish a BFS over the core of the surviving undirected support,
+        given the masks reach[j] of the core vertices within j hops of its
+        source for j < len(reach) and a dist array that is right on those
+        vertices.
 
-        Returns (dist, reach) when every vertex lies within ell - 1 hops,
-        None as soon as some vertex lies ell or more hops away, and False
-        when the frontier runs out before reaching every vertex.
+        Returns None as soon as the BFS reaches a core vertex of goal[d] at
+        a level d >= 1, or any at a level d >= len(goal); False when the
+        frontier runs out before reaching every core vertex; and otherwise
+        (dist, reach).
         """
-        masks = self.out_masks
+        masks, core = self.out_masks, self.core
         d = len(reach) - 1
         seen = reach[d]
         frontier = seen & ~reach[d - 1] if d else seen
@@ -1166,35 +1185,47 @@ class _CostAwareSearch(_Support):
                 i = frontier.bit_length() - 1
                 dist[i] = d
                 nxt = masks[i]
-            frontier = nxt & ~seen
+            frontier = nxt & core & ~seen
             if not frontier:
-                return (dist, reach) if seen == self.full_mask else False
+                return (dist, reach) if seen == core else False
             d += 1
-            if d >= ell:
+            if d >= len(goal) or frontier & goal[d]:
                 return None
             seen |= frontier
             reach.append(seen)
 
-    def _diameter_sources(self) -> list[int]:
-        """Sources whose eccentricities realize the diameter of the
-        current undirected support when it is connected; see the class
-        docstring."""
-        n = self.n
-        deg = [self.out_masks[v].bit_count() for v in range(n)]
-        removed = bytearray(n)
-        stack = [v for v in range(n) if deg[v] == 1]
-        work = deg[:]
+    def _pendant_forests(self) -> None:
+        """Peel the undirected support down to its core (see the class
+        docstring), without recursion.  Sets the ``core`` mask and its
+        vertices as ``sources``, the forest heights ``height``, the
+        ``pendant`` constant, the mask ``pendant_pairs`` of the pairs with an
+        end off the core and, for the i-th source x and each level d < ell -
+        h(x), ``goals[i][d]``: the mask of the core vertices c with d + h(c)
+        + h(x) >= ell."""
+        n, masks, ell = self.n, self.out_masks, self.inst.ell
+        work = [m.bit_count() for m in masks]
+        height = self.height = [0] * n
+        core, last, pendant = self.full_mask, 0, 0
+        stack = [v for v in range(n) if work[v] == 1]
         while stack:
-            v = stack.pop()
-            if removed[v] or work[v] > 1:
-                continue
-            removed[v] = 1
-            for u in _bits(self.out_masks[v]):
-                if not removed[u]:
-                    work[u] -= 1
-                    if work[u] == 1:
-                        stack.append(u)
-        return [v for v in range(n) if not removed[v] or deg[v] == 1]
+            last = v = stack.pop()
+            core ^= 1 << v
+            for p in _bits(masks[v] & core):  # v's one unpeeled neighbour
+                pendant = max(pendant, height[p] + height[v] + 1)
+                height[p] = max(height[p], height[v] + 1)
+                work[p] -= 1
+                if work[p] == 1:
+                    stack.append(p)
+        # A tree peels away entirely and keeps its last vertex as its core.
+        core = self.core = core or self.full_mask & 1 << last
+        self.pendant = pendant
+        sources = self.sources = list(_bits(core))
+        self.pendant_pairs = sum(1 << pid
+                                 for pid, (u, v) in enumerate(self.pairs)
+                                 if not core >> u & core >> v & 1)
+        self.goals = [[sum(1 << c for c in sources
+                           if d + height[c] + height[x] >= ell)
+                       for d in range(ell - height[x])] for x in sources]
 
     # ---- enumeration
 

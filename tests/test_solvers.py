@@ -852,17 +852,40 @@ def _masks_in_step(search):
     return missing == _severed_pairs(search)
 
 
+def _pendant_reference(g, core):
+    """The 2-core of the undirected graph g, by dropping vertices of degree
+    below two until none is left, and, for the given core, the height of
+    each core vertex's pendant forest and the largest diameter inside one
+    forest, from the distances on g: a vertex's forest is that of its
+    nearest core vertex."""
+    nbrs = [set() for _ in range(g.n)]
+    for e in g.edges:
+        nbrs[e.u].add(e.v)
+        nbrs[e.v].add(e.u)
+    alive = set(range(g.n))
+    while low := {v for v in alive if len(nbrs[v] & alive) < 2}:
+        alive -= low
+    rows = [distances(g, v) for v in range(g.n)]
+    owner = [min(core, key=lambda c: rows[c][w]) for w in range(g.n)]
+    height = [max(rows[c][w] for w in range(g.n) if owner[w] == c)
+              for c in core]
+    pendant = max(rows[w][x] for w in range(g.n) for x in range(g.n)
+                  if owner[w] == owner[x])
+    return sorted(alive), height, pendant
+
+
 class _ReplayedMded(_CostAwareSearch):
     """Checks the diameter predicate at every visited state against the
     replay-grade predicate on the edges of the chosen units, that it hands
     down False exactly where the support is not (strongly) connected, and
     that a state that searched saw all of them severed.  Undirected, it
-    also checks every distance array and reach mask handed down against a
-    fresh BFS and, at every connected state, that the diameter sources
-    recomputed from the current support are among the search's fixed
-    sources.  Directed, it checks every row handed down, reused or rerun,
-    against the distances between the branch vertices on the original
-    graph, and counts the rows a child kept and reran."""
+    checks at a connected root that the core is the 2-core (or one vertex
+    of a tree) and the forest heights and the pendant constant against
+    ``_pendant_reference``, and every distance array and reach mask handed
+    down against a fresh BFS on the original graph at the core vertices.
+    Directed, it checks every row handed down, reused or rerun, against the
+    distances between the branch vertices on the original graph, and
+    counts the rows a child kept and reran."""
 
     visited = 0
     reused = rerun = 0
@@ -875,8 +898,13 @@ class _ReplayedMded(_CostAwareSearch):
         if self.n > 1:
             assert (got is False) == (not connected), dead
         assert got is False if parent is False else _masks_in_step(self), dead
-        if not self.directed and connected:
-            assert set(self._diameter_sources()) <= set(self.sources), dead
+        core = None if self.directed else self.sources
+        if core and parent is None and connected and self.n > 1:
+            two_core, height, pendant = _pendant_reference(self.inst.graph,
+                                                           core)
+            assert core == two_core or not two_core and len(core) == 1
+            assert [self.height[c] for c in core] == height
+            assert self.pendant == pendant
         if isinstance(got, list) and self.directed:
             branch = sorted(self.branch_index, key=self.branch_index.get)
             assert len(got) == len(branch)
@@ -887,12 +915,13 @@ class _ReplayedMded(_CostAwareSearch):
                     self.reused += row is parent[i]
                     self.rerun += row is not parent[i]
         elif isinstance(got, list):
-            assert len(got) == len(self.sources)
-            for src, (dist, reach) in zip(self.sources, got):
-                assert dist == distances(self.inst.graph, src, dead), (dead, src)
-                assert reach == [sum(1 << v for v in range(self.n)
-                                     if dist[v] <= j)
-                                 for j in range(max(dist) + 1)], (dead, src)
+            assert len(got) == len(core)
+            for src, (dist, reach) in zip(core, got):
+                ref = [distances(self.inst.graph, src, dead)[c] for c in core]
+                assert [dist[c] for c in core] == ref, (dead, src)
+                assert reach == [sum(1 << c for c, d in zip(core, ref)
+                                     if d <= j)
+                                 for j in range(max(ref) + 1)], (dead, src)
         self.visited += 1
         return got
 
@@ -972,14 +1001,101 @@ def _interior_count(g):
     return sum(outs[v] == 1 == ins[v] for v in range(g.n))
 
 
-def test_diameter_sources_realize_the_diameter():
-    graphs = [_composed_mded(*params).graph for params in COMPOSED_MDED
-              if not params[1]]
+def _pendant_graph(rnd, shape):
+    """A connected undirected graph of the given shape with pendant trees
+    hung at random vertices: "tree" (no core), "cycle" (a lone cycle),
+    "two-cycles" (joined by a bridge path of 0-3 vertices) or "random" (a
+    random connected core)."""
+    if shape == "tree":
+        n, pairs = 1, set()
+    elif shape == "cycle":
+        n = rnd.randint(3, 6)
+        pairs = {(i, (i + 1) % n) for i in range(n)}
+    elif shape == "two-cycles":
+        a, b, bridge = rnd.randint(3, 5), rnd.randint(3, 5), rnd.randint(0, 3)
+        path = [0, *range(a, a + bridge), a + bridge]
+        n = a + bridge + b
+        pairs = ({(i, (i + 1) % a) for i in range(a)}
+                 | set(zip(path, path[1:]))
+                 | {(n - b + i, n - b + (i + 1) % b) for i in range(b)})
+    else:
+        n = rnd.randint(3, 6)
+        pairs = {(rnd.randrange(v), v) for v in range(1, n)}
+        pairs |= {tuple(rnd.sample(range(n), 2))
+                  for _ in range(rnd.randint(1, 5))}
+    for _ in range(rnd.randint(1 if shape == "tree" else 0, 7)):
+        pairs.add((rnd.randrange(n), n))
+        n += 1
+    return Graph(False, n, sorted({(min(p), max(p)) for p in pairs}))
+
+
+def _severed_holds(g, ell, pids):
+    """The undirected diameter predicate with the pairs pids severed,
+    decided as at a root, on g's core, forest heights and pendant constant."""
+    search = _CostAwareSearch(ProblemInstance("mded", g, k=0, ell=ell))
+    search.chosen = [(0, (pid,), (), 1 << pid) for pid in pids]
+    search.synced = 0
+    return search._mded_holds(None, 0)
+
+
+PENDANT_CASES = {
+    # A triangle with a tree hung at 0 by the pair (0, 3), whose legs 3 -> 6
+    # and 3 -> 9 lie 6 hops apart, away from 0: the core pairs give only
+    # h(0) + 1 = 5, so without the pendant constant ell = 6 reads as a no.
+    "spider": (Graph(False, 10, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4),
+                                 (4, 5), (5, 6), (3, 7), (7, 8), (8, 9)]), 6),
+    "path": (Graph(False, 4, [(0, 1), (1, 2), (2, 3)]), 3),
+    "cycle": (Graph(False, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), 2),
+    "two-cycles": (Graph(False, 7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4),
+                                    (4, 5), (5, 6), (4, 6)]), 4),
+}
+
+
+@pytest.mark.parametrize("name", PENDANT_CASES)
+def test_pendant_quotient_named_cases(name):
+    g, diameter = PENDANT_CASES[name]
+    assert _diameter(g, frozenset()) == diameter
+    for ell in (diameter, diameter + 1):
+        inst = ProblemInstance("mded", g, k=0, ell=ell)
+        verdict, _ = _replay_states(inst, True)
+        assert verdict.answer == (ell == diameter)
+
+
+def test_pendant_quotient_matches_the_diameter_under_severances():
+    rnd = random.Random(2207)
+    shapes = ("tree", "cycle", "two-cycles", "random")
+    graphs = [_pendant_graph(rnd, shapes[i % 4]) for i in range(400)]
+    graphs += [g for g, _ in PENDANT_CASES.values()]
+    seen = Counter()
     for g in graphs:
-        assert _connected_after(g, frozenset())
-        sources = _CostAwareSearch(ProblemInstance("mded", g, k=0, ell=1)).sources
-        worst = max(max(distances(g, v)) for v in sources)
-        assert worst == _diameter(g, frozenset()), (g.edges, sources)
+        # Simple graphs: pair pid is edge pid.
+        pids, dead = [], frozenset()
+        while True:
+            diameter = _diameter(g, dead)
+            assert _severed_holds(g, diameter, pids) is True, (g.edges, pids)
+            rows = _severed_holds(g, diameter + 1, pids)
+            assert isinstance(rows, list), (g.edges, pids)
+            seen[len(pids)] += 1
+            cuts = [pid for pid in range(len(g.edges)) if pid not in dead
+                    and _connected_after(g, dead | {pid})]
+            if not cuts or rnd.random() < 0.3:
+                break
+            pids.append(rnd.choice(cuts))
+            dead |= {pids[-1]}
+    assert seen[0] == len(graphs) and seen[2] >= 50, seen
+
+
+def test_long_pendant_path_is_decided_without_recursion():
+    # A triangle with a pendant path of 5,000 vertices at 0: h(0) = 5,000.
+    n = 5003
+    g = Graph(False, n, [(0, 1), (1, 2), (0, 2), (0, 3)]
+              + [(v, v + 1) for v in range(3, n - 1)])
+    for k, ell, expected in ((0, 5001, (True, (), 1)),
+                             (1, 5002, (True, (0,), 2)),
+                             (1, 5003, (False, None, 4))):
+        inst = ProblemInstance("mded", g, k=k, ell=ell)
+        v = solve_bruteforce_costaware(inst)
+        assert (v.answer, v.witness, v.nodes) == expected
 
 
 def _root_holds(g, ell):
