@@ -1100,7 +1100,7 @@ class _CostAwareSearch(_Support):
         cut += [(v, u) for u, v in cut]
         arrays = []
         for i, src in enumerate(self.sources):
-            goal = self.goals[i]
+            goal = ell - self.height[src]
             if parent:
                 dist, reach = parent[i]
                 redo = len(reach)  # the lowest level of an orphaned head
@@ -1116,8 +1116,10 @@ class _CostAwareSearch(_Support):
                 got = self._distances_below(goal, [0] * self.n, [1 << src])
             if got is None:
                 # Two vertices lie ell or more hops apart: the state passes
-                # if connected, which an earlier array shows.
-                return i > 0 or self._sweep(out_masks, src) == self.full_mask
+                # if connected, which an earlier array, or at the root the
+                # sweep above, shows.
+                return (i > 0 or parent is None
+                        or self._sweep(out_masks, src) == self.full_mask)
             if not got:
                 return False
             arrays.append(got)
@@ -1156,19 +1158,19 @@ class _CostAwareSearch(_Support):
             worst = max(worst, max(map(add, dist, extra)))
         return worst >= ell or rows
 
-    def _distances_below(self, goal: list[int], dist: list[int],
+    def _distances_below(self, goal: int, dist: list[int],
                          reach: list[int]):
         """Finish a BFS over the core of the surviving undirected support,
         given the masks reach[j] of the core vertices within j hops of its
         source for j < len(reach) and a dist array that is right on those
         vertices.
 
-        Returns None as soon as the BFS reaches a core vertex of goal[d] at
-        a level d >= 1, or any at a level d >= len(goal); False when the
-        frontier runs out before reaching every core vertex; and otherwise
-        (dist, reach).
+        Returns None as soon as the BFS reaches, at a level d >= 1, a core
+        vertex c with d + h(c) >= goal, which is ell - h(source); False when
+        the frontier runs out before reaching every core vertex; and
+        otherwise (dist, reach).
         """
-        masks, core = self.out_masks, self.core
+        masks, core, tall = self.out_masks, self.core, self.tall
         d = len(reach) - 1
         seen = reach[d]
         frontier = seen & ~reach[d - 1] if d else seen
@@ -1189,7 +1191,9 @@ class _CostAwareSearch(_Support):
             if not frontier:
                 return (dist, reach) if seen == core else False
             d += 1
-            if d >= len(goal) or frontier & goal[d]:
+            # goal - d stays >= 0: tall[0] is the core, and a root passes
+            # before any BFS when some h(x) >= ell.
+            if goal - d < len(tall) and frontier & tall[goal - d]:
                 return None
             seen |= frontier
             reach.append(seen)
@@ -1199,10 +1203,9 @@ class _CostAwareSearch(_Support):
         docstring), without recursion.  Sets the ``core`` mask and its
         vertices as ``sources``, the forest heights ``height``, the
         ``pendant`` constant, the mask ``pendant_pairs`` of the pairs with an
-        end off the core and, for the i-th source x and each level d < ell -
-        h(x), ``goals[i][d]``: the mask of the core vertices c with d + h(c)
-        + h(x) >= ell."""
-        n, masks, ell = self.n, self.out_masks, self.inst.ell
+        end off the core and ``tall[t]``, the mask of the core vertices c
+        with h(c) >= t, for t up to the largest height."""
+        n, masks = self.n, self.out_masks
         work = [m.bit_count() for m in masks]
         height = self.height = [0] * n
         core, last, pendant = self.full_mask, 0, 0
@@ -1223,9 +1226,10 @@ class _CostAwareSearch(_Support):
         self.pendant_pairs = sum(1 << pid
                                  for pid, (u, v) in enumerate(self.pairs)
                                  if not core >> u & core >> v & 1)
-        self.goals = [[sum(1 << c for c in sources
-                           if d + height[c] + height[x] >= ell)
-                       for d in range(ell - height[x])] for x in sources]
+        tall = self.tall = [0] * (1 + max(height, default=0))
+        for c in sources:
+            for t in range(height[c] + 1):
+                tall[t] |= 1 << c
 
     # ---- enumeration
 

@@ -1098,6 +1098,18 @@ def test_long_pendant_path_is_decided_without_recursion():
         assert (v.answer, v.witness, v.nodes) == expected
 
 
+def test_huge_ell_costs_no_set_up_per_level():
+    # The goal test indexes core vertices by height, not by level, so a
+    # target diameter far beyond n builds nothing of its size.
+    triangle = Graph(False, 3, [(0, 1), (1, 2), (0, 2)])
+    tailed = Graph(False, 5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)])
+    for g in (triangle, tailed):
+        for k, nodes in ((0, 1), (1, 4)):
+            inst = ProblemInstance("mded", g, k=k, ell=10**9)
+            v = solve_bruteforce_costaware(inst)
+            assert (v.answer, v.witness, v.nodes) == (False, None, nodes)
+
+
 def _root_holds(g, ell):
     """The diameter predicate at the root of a search on g."""
     search = _CostAwareSearch(ProblemInstance("mded", g, k=0, ell=ell))
