@@ -166,6 +166,9 @@ def instance_predicate(inst: ProblemInstance, deleted: Iterable[int]) -> bool:
 def check_witness(inst: ProblemInstance, edges: Iterable[int]) -> bool:
     """Replay a witness: cost within budget and predicate satisfied."""
     edges = tuple(edges)
+    m = len(inst.graph.edges)
+    if len(set(edges)) < len(edges) or not all(0 <= i < m for i in edges):
+        raise InputError("witness edge indices must be distinct and in range")
     if inst.graph.total_cost(edges) > inst.k:
         return False
     return instance_predicate(inst, edges)
@@ -205,9 +208,9 @@ class _Support:
     graph's in-masks are its out-masks.  ``sever`` takes a surviving pair
     out and ``restore`` puts a severed one back; each touches only the
     pair's own bits and flag.  ``adj[u]`` lists u's (neighbour, pid,
-    (pid, u)) triples, severed or not, in ascending order for the s-t path
-    search; the last item is what the search records as the neighbour's
-    parent.
+    (pid, u)) triples, severed or not, in ascending order; only the
+    branchers' s-t search reads it, and the last item is what that search
+    records as the neighbour's parent.  Every other search walks the masks.
     """
 
     def __init__(self, g: Graph):
@@ -283,12 +286,13 @@ class _Support:
         <= limit, else None; and, with a path, the BFS tree that found it.
 
         Ties are broken toward smaller vertex ids (adjacency is sorted), so
-        branching order is reproducible.  The BFS stays on lists: it visits
-        almost every vertex, where walking masks bit by bit is slower.  A
-        mask BFS with the same tie-break kept every pinned count, but on
-        perfbench at seed 59, measured before the branchers resumed this
-        search, it took fpt-branch from 0.86 to 1.50 s of wall time and
-        gave compose-cut only 1.24 to 1.18 s.
+        branching order is reproducible.  This is the branchers' search; the
+        oracle asks ``_path_into``, which needs no lists.  The branchers'
+        BFS stays on lists: it visits almost every vertex, where walking
+        masks bit by bit is slower, and it resumes its tree.  A mask BFS
+        with the same tie-break kept every pinned count, but on perfbench at
+        seed 59, measured before the branchers resumed this search, it took
+        fpt-branch from 0.86 to 1.50 s of wall time.
 
         The tree is (path, par, levels).  levels[j] lists the vertices at
         distance j in the order the BFS discovered them, the last level
@@ -377,31 +381,38 @@ class _Support:
 
     def _cycle_through(self, v: int, cap: int):
         """Pair ids of the least shortest directed cycle through v, if it
-        has at most cap arcs, else None.
+        has at most cap arcs, else None: the path from v into v's
+        in-neighbours within cap - 1 arcs, closed by the arc back into v."""
+        found = self._path_into(v, self.in_masks[v], cap - 1)
+        if found is None:
+            return None
+        cycle, u = found
+        cycle.append(self.pair_id[u, v])
+        return cycle
 
-        A BFS out of v that never re-enters v grows level masks until one
-        holds an in-neighbour of v; a cycle through v is a path into that
-        level closed by the arc back into v.  Of those paths the one with
-        the least vertex sequence is taken: a backward pass keeps, on each
+    def _path_into(self, s: int, into: int, cap: int):
+        """(pair ids, end) of the least shortest path from s to a vertex of
+        the mask into, if it has at most cap arcs, else None.
+
+        A BFS out of s that never re-enters s grows level masks until one
+        meets into.  Of the shortest paths into that level the one with the
+        least vertex sequence is taken: a backward pass keeps, on each
         level, the vertices with a successor kept on the next, and the
         forward walk takes the lowest one.  That is the path a BFS over
         ascending neighbour lists records as parents, so ties break toward
         smaller vertex ids.
         """
-        if cap < 2:
-            return None
         out_masks, in_masks = self.out_masks, self.in_masks
-        into = in_masks[v]
-        seen = 1 << v
-        level = out_masks[v] if into else 0
+        seen = 1 << s
+        level = out_masks[s] if into and cap > 0 else 0
         levels = []
         while level:
             levels.append(level)
-            if level & into or len(levels) == cap - 1:
+            if level & into or len(levels) == cap:
                 break
             seen |= level
             nxt = 0
-            # _bits inlined: this loop is most of a search that finds no cycle.
+            # _bits inlined: this loop is most of a search that finds nothing.
             while level:
                 b = level & -level
                 nxt |= out_masks[b.bit_length() - 1]
@@ -412,19 +423,20 @@ class _Support:
         keep = levels[-1] = levels[-1] & into
         for j in range(len(levels) - 2, -1, -1):
             back = 0
-            for x in _bits(keep):
-                back |= in_masks[x]
+            while keep:
+                b = keep & -keep
+                back |= in_masks[b.bit_length() - 1]
+                keep ^= b
             keep = levels[j] = levels[j] & back
-        pair_id = self.pair_id
-        cycle = []
-        u = v
+        pair_id, directed = self.pair_id, self.directed
+        path = []
+        u = s
         for level in levels:
             ahead = out_masks[u] & level
             w = (ahead & -ahead).bit_length() - 1
-            cycle.append(pair_id[u, w])
+            path.append(pair_id[u, w] if directed or u < w else pair_id[w, u])
             u = w
-        cycle.append(pair_id[u, v])
-        return cycle
+        return path, u
 
 
 class _SlotState(_Support):
@@ -814,11 +826,20 @@ class _CostAwareSearch(_Support):
     a child whose unit meets P searches again.  Which obstruction is
     handed down changes no verdict, witness or state count: a state
     passes or fails whatever P is, the units alone fix the enumeration
-    order, and ``tested`` counts every state.  So the DSCT finder need not
-    find a shortest cycle.  It returns the shortest cycle through the
-    first vertex, in id order, that lies on a cycle of at most ell arcs;
-    that one is within ell arcs too, since no cycle through a vertex is
-    shorter than its shortest one.
+    order, and ``tested`` counts every state.  Both searches walk the
+    masks (``_path_into``), and the DSCT one looks only at a feedback
+    vertex set F of the root support.  Set-up peels every vertex with no
+    in-arc or no out-arc among those left, takes the lowest vertex left
+    into F, and repeats (``_feedback_vertices``).  The first vertex of a
+    cycle C to go still had its two arcs on C, so it was not peeled: it
+    went into F as the lowest vertex left.  So F holds the lowest vertex
+    f of every cycle C of the root, and of every state, whose support is
+    a subgraph of the root's; and the shortest cycle through f is no
+    longer than C.  The finder returns the shortest cycle through the
+    first f in F, in id order, that lies on a cycle of at most ell arcs,
+    so it finds one exactly when one survives.  On every DSCT composition
+    of the compose-cut pool F is one vertex: the selector's back arc
+    meets every cycle.
 
     Severance is deferred to the states that search.  The enumeration
     keeps the chosen units on the stack ``chosen``, of which the first
@@ -852,6 +873,8 @@ class _CostAwareSearch(_Support):
                 self._contract_corridors(corridors)
             else:
                 self._pendant_forests()
+        elif inst.kind == "dsct":
+            self.feedback = self._feedback_vertices()
         excluded = self._excluded_pairs(corridors) if symmetry else set()
         quotient = symmetry and inst.kind != "mded"
 
@@ -976,6 +999,36 @@ class _CostAwareSearch(_Support):
                 excluded.update(ch)
         return excluded
 
+    def _feedback_vertices(self) -> list[int]:
+        """The feedback vertex set F of the root support, ascending (see the
+        class docstring), peeled without recursion: ``ins`` and ``outs``
+        count each vertex's in- and out-arcs among the vertices left."""
+        out_masks, in_masks = self.out_masks, self.in_masks
+        left = self.full_mask
+        ins = [m.bit_count() for m in in_masks]
+        outs = [m.bit_count() for m in out_masks]
+        feedback = []
+        stack = [v for v in range(self.n) if not ins[v] or not outs[v]]
+        while left:
+            if not stack:
+                v = (left & -left).bit_length() - 1
+                feedback.append(v)
+                stack.append(v)
+            v = stack.pop()
+            if not left >> v & 1:
+                continue  # pushed once for each side
+            left ^= 1 << v
+            for masks, degree in ((out_masks, ins), (in_masks, outs)):
+                rest = masks[v] & left
+                while rest:
+                    b = rest & -rest
+                    w = b.bit_length() - 1
+                    rest ^= b
+                    degree[w] -= 1
+                    if not degree[w]:
+                        stack.append(w)
+        return feedback
+
     def _contract_corridors(self, corridors) -> None:
         """Contract the directed support's corridors (see the class
         docstring).  ``interior_pairs`` masks the pairs of the corridors
@@ -1030,7 +1083,8 @@ class _CostAwareSearch(_Support):
         # generation, which raised compose-cut's peak RSS by 2%.
         inst = self.inst
         if inst.kind == "lbec":
-            found, _ = self.shortest_path_slots(inst.s, inst.t, inst.ell - 1)
+            found = self._path_into(inst.s, 1 << inst.t, inst.ell - 1)
+            found = found and found[0]
         else:
             found = self._first_cycle(inst.ell)
         if found is None:
@@ -1058,9 +1112,10 @@ class _CostAwareSearch(_Support):
         self.synced = keep
 
     def _first_cycle(self, limit: int):
-        """Pair ids of the shortest cycle through the first vertex that
-        lies on a directed cycle of at most limit arcs, else None."""
-        for v in range(self.n):
+        """Pair ids of the shortest cycle through the first vertex of
+        ``feedback`` that lies on a directed cycle of at most limit arcs,
+        else None."""
+        for v in self.feedback:
             cycle = self._cycle_through(v, limit)
             if cycle is not None:
                 return cycle

@@ -16,7 +16,8 @@ from fractalcut import (Graph, InputError, ProblemInstance,
 from fractalcut.fixtures import VC_FIXTURES
 from fractalcut.generators import random_solver_instance
 from fractalcut.graph import UNREACHABLE, bfs_distance, distances
-from fractalcut.composer import compose_dsct, compose_lbec, compose_mded
+from fractalcut.composer import (_is_acyclic, compose_dsct, compose_lbec,
+                                 compose_mded)
 from fractalcut.reducer import reduce_vc_to_planar_lbec
 from fractalcut import solvers
 from fractalcut.solvers import (_CostAwareSearch, _SlotState, _Support,
@@ -173,7 +174,9 @@ def test_split_vertex_matches_shortest_cycle():
             girth = _girth_directed(g, dead)
             assert (len(cycle) if cycle is not None else float("inf")) == girth
             # the oracle's finder: a shortest cycle through the lowest vertex
-            # on a cycle of at most limit arcs, or None when there is none
+            # of F on a cycle of at most limit arcs, or None when there is
+            # none; F holds each cycle's lowest vertex, so that is the lowest
+            # vertex on such a cycle
             through = [min((distances(g, v, dead)[e.u] + 1
                             for i, e in enumerate(g.edges)
                             if e.v == v and i not in dead), default=UNREACHABLE)
@@ -189,7 +192,9 @@ def test_split_vertex_matches_shortest_cycle():
                 assert all(search.out_masks[u] >> v & 1 for u, v in arcs)
                 assert all(arcs[i][1] == arcs[(i + 1) % len(arcs)][0]
                            for i in range(len(arcs)))
-                lowest = min(v for v in range(g.n) if through[v] <= limit)
+                lowest = min(v for v in search.feedback if through[v] <= limit)
+                assert lowest == min(v for v in range(g.n)
+                                     if through[v] <= limit), (dead, limit)
                 assert lowest in {u for u, _ in arcs}, (dead, limit, first)
                 assert len(first) == through[lowest], (dead, limit, first)
             if cycle is None:
@@ -204,6 +209,123 @@ def test_split_vertex_matches_shortest_cycle():
             while state.mult[pid]:
                 dead |= {state.delete_copy(pid)}
             search.sever(pid)
+
+
+def test_check_witness_refuses_bad_indices():
+    # -1 names edge 3 when costed from the end, but deletes no edge.
+    inst = ProblemInstance("mded", Graph(False, 4, [(0, 1), (1, 2), (0, 2),
+                                                    (2, 3)]), k=1, ell=2)
+    assert not check_witness(inst, [3])
+    for bad in ([-1], [4], [0, 0]):
+        with pytest.raises(InputError, match="distinct and in range"):
+            check_witness(inst, bad)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_path_into_matches_bfs_distance(directed):
+    rnd = random.Random(23 + directed)
+    for _ in range(200):
+        n = rnd.randint(2, 8)
+        pool = [(u, v) for u in range(n) for v in range(n)
+                if u != v and (directed or u < v)]
+        edges = rnd.sample(pool, rnd.randint(1, len(pool)))
+        edges += rnd.sample(edges, rnd.randint(0, min(2, len(edges))))
+        g = Graph(directed, n, edges)
+        support = _Support(g)
+        severed = [pid for pid in range(len(support.pairs))
+                   if rnd.random() < 0.3]
+        for pid in severed:
+            support.sever(pid)
+        dead = frozenset(i for pid in severed for i in support.pair_edges[pid])
+        s, t = rnd.sample(range(n), 2)
+        dist = bfs_distance(g, s, t, dead)
+        for cap in range(-1, n + 1):
+            found = support._path_into(s, 1 << t, cap)
+            assert (found is None) == (dist > cap), (edges, severed, s, t, cap)
+            if found is None:
+                continue
+            path, end = found
+            assert end == t and len(path) == dist, (edges, severed, s, t)
+            # a contiguous s -> t walk of surviving pairs
+            at = s
+            for pid in path:
+                assert support.alive[pid], (edges, severed, s, t)
+                u, v = support.pairs[pid]
+                assert at == u or (not directed and at == v)
+                at = v if at == u else u
+            assert at == t, (edges, severed, s, t)
+
+
+@pytest.mark.parametrize("symmetry", [True, False])
+@pytest.mark.parametrize("ell", [0, 1])
+def test_costaware_lbec_below_two_hops_passes_at_root(ell, symmetry):
+    # s != t, so no s-t path is shorter than one hop: the root passes.
+    inst = ProblemInstance("lbec", Graph(True, 3, [(0, 1), (1, 2), (0, 2)]),
+                           s=0, t=2, k=0, ell=ell)
+    v = solve_bruteforce_costaware(inst, symmetry=symmetry)
+    assert (v.answer, v.witness, v.nodes) == (True, (), 1)
+
+
+def _feedback(g):
+    """The oracle's feedback vertex set of g's support, without the rest of
+    the oracle's set-up."""
+    return _CostAwareSearch._feedback_vertices(_Support(g))
+
+
+def test_feedback_vertices_meet_every_cycle():
+    rnd = random.Random(29)
+    graphs = [random_solver_instance(rnd, "dsct").graph for _ in range(100)]
+    for _ in range(200):
+        n = rnd.randint(1, 9)
+        p = rnd.choice((0.15, 0.3, 0.5))
+        graphs.append(Graph(True, n, [(u, v) for u in range(n)
+                                      for v in range(n)
+                                      if u != v and rnd.random() < p]))
+    for g in graphs:
+        feedback = _feedback(g)
+        assert feedback == sorted(set(feedback)), g.edges
+        rest = g.delete_edges(i for i, e in enumerate(g.edges)
+                              if e.u in feedback or e.v in feedback)
+        assert _is_acyclic(rest), (g.edges, feedback)
+        # F holds each cycle's lowest vertex: no other vertex lies on a
+        # cycle of vertices no lower than itself.
+        for v in set(range(g.n)) - set(feedback):
+            below = frozenset(i for i, e in enumerate(g.edges)
+                              if min(e.u, e.v) < v)
+            dist = distances(g, v, below)
+            assert all(dist[e.u] == UNREACHABLE for e in g.edges
+                       if e.v == v and e.u > v), (g.edges, feedback, v)
+
+
+def test_feedback_scan_passes_a_vertex_on_no_short_cycle():
+    # A DAG prefix (0, 1) feeds two disjoint triangles with interleaved ids,
+    # 2 -> 4 -> 6 -> 2 and 3 -> 5 -> 7 -> 3.  F is their lowest vertices,
+    # so the graph's lowest vertex and four vertices on triangles are not
+    # in it.  With the first triangle broken, the scan passes vertex 2 and
+    # finds the second through 3.
+    g = Graph(True, 8, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (4, 6),
+                        (6, 2), (3, 5), (5, 7), (7, 3)])
+    inst = ProblemInstance("dsct", g, k=2, ell=3)
+    search = _CostAwareSearch(inst, symmetry=False)
+    assert search.feedback == [2, 3]
+    assert search._first_cycle(2) is None
+    first = search._first_cycle(3)
+    assert [search.pairs[pid] for pid in first] == [(2, 4), (4, 6), (6, 2)]
+    search.sever(search.pair_id[4, 6])
+    first = search._first_cycle(3)
+    assert [search.pairs[pid] for pid in first] == [(3, 5), (5, 7), (7, 3)]
+    for k, answer in ((1, False), (2, True)):
+        inst = ProblemInstance("dsct", g, k=k, ell=3)
+        got = solve_bruteforce_costaware(inst)
+        assert got.answer == answer == solve_bruteforce(inst).answer
+        assert not answer or check_witness(inst, got.witness)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_feedback_vertices_on_long_paths_need_no_recursion(closed):
+    n = 5000
+    arcs = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)] * closed
+    assert _feedback(Graph(True, n, arcs)) == [0] * closed
 
 
 def _girth_per_arc(g, dead):
@@ -790,6 +912,18 @@ def test_costaware_inherited_states_sever_nothing(params, expected):
     assert (v.answer, v.witness, v.nodes) == expected
     assert search.inherited > search.searched > 0
     assert search.inherited + search.searched == v.nodes
+
+
+@pytest.mark.parametrize("params,expected", [
+    case for case in PINNED_COSTAWARE if case[0][1] != "dsct"])
+def test_costaware_lbec_builds_no_adjacency_lists(params, expected):
+    # The oracle's LBEC search walks the masks; the lists are the
+    # branchers'.
+    inst = _composed_cut(*params)
+    search = _CostAwareSearch(inst)
+    v = search.solve(inst.k, 50_000_000)
+    assert (v.answer, v.witness, v.nodes) == expected
+    assert "adj" not in search.__dict__
 
 
 def test_replay_predicate_matches_manual_checks():
