@@ -208,8 +208,8 @@ class _Support:
     graph's in-masks are its out-masks.  ``sever`` takes a surviving pair
     out and ``restore`` puts a severed one back; each touches only the
     pair's own bits and flag.  ``adj[u]`` lists u's (neighbour, pid,
-    (pid, u)) triples, severed or not, in ascending order; only the
-    branchers' s-t search reads it, and the last item is what that search
+    (pid, u)) triples, severed or not, in ascending order; only the LBEC
+    brancher's s-t search reads it, and the last item is what that search
     records as the neighbour's parent.  Every other search walks the masks.
     """
 
@@ -250,17 +250,18 @@ class _Support:
         self.in_masks[v] |= 1 << u
 
     def connected_without(self, pid: int) -> bool:
-        """Is the support still (strongly, if directed) connected once the
-        surviving pair pid is severed?"""
+        """Is the support, which must be (strongly, if directed) connected,
+        still so once the surviving pair (u, v) = pid is severed?  Exactly
+        when u still reaches v: a walk through u -> v takes that detour."""
         u, v = self.pairs[pid]
         if self.out_masks[u] == 1 << v or self.in_masks[v] == 1 << u:
             return False  # the pair is u's only way out or v's only way in
+        if self.out_masks[u] & self.in_masks[v]:
+            return True  # a common neighbour, never u or v: no self-loops
         self.sever(pid)
-        full = self.full_mask
-        connected = self._sweep(self.out_masks, 0) == full and (
-            not self.directed or self._sweep(self.in_masks, 0) == full)
+        connected = self._sweep(self.out_masks, u) >> v & 1
         self.restore(pid)
-        return connected
+        return bool(connected)
 
     def _sweep(self, masks, start: int) -> int:
         """The mask of the vertices reachable from start along masks.
@@ -286,13 +287,13 @@ class _Support:
         <= limit, else None; and, with a path, the BFS tree that found it.
 
         Ties are broken toward smaller vertex ids (adjacency is sorted), so
-        branching order is reproducible.  This is the branchers' search; the
-        oracle asks ``_path_into``, which needs no lists.  The branchers'
-        BFS stays on lists: it visits almost every vertex, where walking
-        masks bit by bit is slower, and it resumes its tree.  A mask BFS
-        with the same tie-break kept every pinned count, but on perfbench at
-        seed 59, measured before the branchers resumed this search, it took
-        fpt-branch from 0.86 to 1.50 s of wall time.
+        branching order is reproducible.  Only the LBEC brancher asks it;
+        the other searches ask ``_path_into``, which returns the same path
+        from masks.  This BFS stays on lists: it visits almost every vertex
+        of a VC reduction, where walking masks bit by bit is slower, and it
+        resumes its tree.  A mask BFS kept every pinned count, but on
+        perfbench at seed 59, measured before the branchers resumed this
+        search, it took fpt-branch from 0.86 to 1.50 s of wall time.
 
         The tree is (path, par, levels).  levels[j] lists the vertices at
         distance j in the order the BFS discovered them, the last level
@@ -365,20 +366,6 @@ class _Support:
             d += 1
         return None, None
 
-    def shortest_cycle_slots(self, limit: int):
-        """Pair ids of a shortest directed cycle of length <= limit, else None.
-
-        Takes each vertex's cycle from ``_cycle_through`` in id order, and
-        only a strictly shorter cycle replaces an earlier one.
-        """
-        best = None
-        for v in range(self.n):
-            cycle = self._cycle_through(v, limit)
-            if cycle is not None:
-                best = cycle
-                limit = len(cycle) - 1
-        return best
-
     def _cycle_through(self, v: int, cap: int):
         """Pair ids of the least shortest directed cycle through v, if it
         has at most cap arcs, else None: the path from v into v's
@@ -438,6 +425,37 @@ class _Support:
             u = w
         return path, u
 
+    def _feedback_vertices(self) -> list[int]:
+        """The feedback vertex set F of the support, ascending (see the
+        ``_CostAwareSearch`` docstring), peeled without recursion: ``ins``
+        and ``outs`` count each vertex's in- and out-arcs among the vertices
+        left.  The root's F serves every state: its cycles are the root's."""
+        out_masks, in_masks = self.out_masks, self.in_masks
+        left = self.full_mask
+        ins = [m.bit_count() for m in in_masks]
+        outs = [m.bit_count() for m in out_masks]
+        feedback = []
+        stack = [v for v in range(self.n) if not ins[v] or not outs[v]]
+        while left:
+            if not stack:
+                v = (left & -left).bit_length() - 1
+                feedback.append(v)
+                stack.append(v)
+            v = stack.pop()
+            if not left >> v & 1:
+                continue  # pushed once for each side
+            left ^= 1 << v
+            for masks, degree in ((out_masks, ins), (in_masks, outs)):
+                rest = masks[v] & left
+                while rest:
+                    b = rest & -rest
+                    w = b.bit_length() - 1
+                    rest ^= b
+                    degree[w] -= 1
+                    if not degree[w]:
+                        stack.append(w)
+        return feedback
+
 
 class _SlotState(_Support):
     """The support with parallel-edge multiplicities, for the branchers.
@@ -451,6 +469,28 @@ class _SlotState(_Support):
     def __init__(self, g: Graph):
         super().__init__(g)
         self.mult = [len(idxs) for idxs in self.pair_edges]
+        if g.directed:
+            self.feedback = self._feedback_vertices()
+
+    def shortest_cycle_slots(self, limit: int):
+        """Pair ids of a shortest directed cycle of length <= limit, else None.
+
+        Takes the cycle of each vertex of ``feedback``, the root's feedback
+        vertex set F, from ``_cycle_through`` in id order, and only a
+        strictly shorter cycle replaces an earlier one: the cycle a scan
+        over every vertex returns.  Let v* be the lowest vertex on a shortest cycle C.
+        It is C's lowest vertex, so it is in F, and no lower vertex of F
+        lies on a cycle as short, so the scan keeps v*'s cycle;
+        ``_cycle_through(v*, cap)`` returns the same one for every cap at or
+        above C's length.
+        """
+        best = None
+        for v in self.feedback:
+            cycle = self._cycle_through(v, limit)
+            if cycle is not None:
+                best = cycle
+                limit = len(cycle) - 1
+        return best
 
     def delete_copy(self, pid: int) -> int:
         """Remove one copy, returning the concrete edge index it stands for."""
@@ -496,9 +536,9 @@ def _branch(state: _SlotState, find: Callable, budget: int,
 
     The root's obstruction comes from ``find(None, 0)``, and the child that
     deletes a copy of slot obstruction[i] gets its own from ``find(tree,
-    i)``, with its parent's tree.  The s-t search reuses or resumes that
-    tree (see ``_Support.shortest_path_slots``); the cycle search ignores
-    it.
+    i)``, with its parent's tree.  The LBEC s-t search reuses or resumes
+    that tree (see ``_Support.shortest_path_slots``); the MDED pair search
+    and the cycle search hand none down.
 
     Failed subtrees are replayed, not searched again.  A node's mask has
     bit e set for each edge index e deleted on the way to it; the witness
@@ -514,8 +554,8 @@ def _branch(state: _SlotState, find: Callable, budget: int,
       the next deletion from each slot stands for, and ``budget_left``,
       which is the budget less the number of bits set.
     * ``find`` returns what a search from scratch on the support would
-      (the s-t search proves this for its resumed trees), and the cycle
-      search and ``connected_without`` read only the masks.  So the
+      (the LBEC search proves this for its resumed trees), and the other
+      searches and ``connected_without`` read only the masks.  So the
       obstruction at a node, and the order its children are tried in,
       are a function of the mask.
     * By induction on the budget left, the subtree below a node, its
@@ -597,6 +637,8 @@ def solve_mded_fpt(inst: ProblemInstance) -> Verdict:
     once per pair (ordered pairs for directed graphs, unordered otherwise)
     with connectivity-preserving deletions only.  ``nodes`` reports the
     per-pair maximum of explored leaves, which is bounded by (ell-1)**k.
+    Pair paths come from ``_Support._path_into``, and every state is
+    (strongly) connected, as ``connected_without`` requires.
     """
     _require_solvable(inst, "mded")
     g = inst.graph
@@ -614,7 +656,9 @@ def solve_mded_fpt(inst: ProblemInstance) -> Verdict:
         pairs = [(v, w) for v in range(g.n) for w in range(v + 1, g.n)]
     worst = 0
     for v, w in pairs:
-        find = partial(state.shortest_path_slots, v, w, inst.ell - 1)
+        def find(tree, cut):
+            found = state._path_into(v, 1 << w, inst.ell - 1)
+            return found and found[0], None
         witness, leaves = _branch(state, find, inst.k, keep_connected=True)
         worst = max(worst, leaves)
         if witness is not None:
@@ -625,7 +669,8 @@ def solve_mded_fpt(inst: ProblemInstance) -> Verdict:
 def solve_dsct_fpt(inst: ProblemInstance) -> Verdict:
     """Branching decider for the short-cycle transversal question.
 
-    Finds a shortest directed cycle via the vertex-split search; while one of
+    Finds a shortest directed cycle with the mask search over the root's
+    feedback vertex set (``_Support.shortest_cycle_slots``); while one of
     length <= ell exists, branches over deleting each of its <= ell arcs.
     Explores at most ell**k leaves.
     """
@@ -967,7 +1012,6 @@ class _CostAwareSearch(_Support):
         """The excluded pairs, decided by one test per corridor (see the
         class docstring).  LBEC excludes none."""
         kind = self.inst.kind
-        comp = [-1] * self.n
         connected = self.connected_without
         if kind == "mded" and self.directed:
             # As a child of the root's rows, with no diameter to meet, a
@@ -981,16 +1025,14 @@ class _CostAwareSearch(_Support):
                 kept = self._corridors_hold(rows, 1 << pid, UNREACHABLE)
                 self.restore(pid)
                 return kept is not False
+        elif kind == "mded" and self.n and \
+                self._sweep(self.out_masks, 0) != self.full_mask:
+            # connected_without needs connectivity; no severance adds it.
+            return set(range(len(self.pairs)))
         elif kind == "dsct":
-            # An arc lies on a cycle iff both ends share a strongly connected
-            # component, which is what v reaches and is reached by, for the
-            # lowest vertex v of the component.
-            for v in range(self.n):
-                if comp[v] < 0:
-                    scc = (self._sweep(self.out_masks, v)
-                           & self._sweep(self.in_masks, v))
-                    for w in _bits(scc):
-                        comp[w] = v
+            # An arc lies on a cycle iff both ends share a strongly
+            # connected component.
+            comp = self._strong_components()
         excluded = set()
         for ch, _, _ in corridors:
             u, v = self.pairs[ch[0]]
@@ -999,35 +1041,33 @@ class _CostAwareSearch(_Support):
                 excluded.update(ch)
         return excluded
 
-    def _feedback_vertices(self) -> list[int]:
-        """The feedback vertex set F of the root support, ascending (see the
-        class docstring), peeled without recursion: ``ins`` and ``outs``
-        count each vertex's in- and out-arcs among the vertices left."""
+    def _strong_components(self) -> list[int]:
+        """Each vertex's strongly connected component, named by one of its
+        vertices: Kosaraju's two passes, without recursion, which read at
+        most 2n out-masks (one per push and one per pop) and n in-masks."""
         out_masks, in_masks = self.out_masks, self.in_masks
-        left = self.full_mask
-        ins = [m.bit_count() for m in in_masks]
-        outs = [m.bit_count() for m in out_masks]
-        feedback = []
-        stack = [v for v in range(self.n) if not ins[v] or not outs[v]]
-        while left:
-            if not stack:
-                v = (left & -left).bit_length() - 1
-                feedback.append(v)
-                stack.append(v)
-            v = stack.pop()
-            if not left >> v & 1:
-                continue  # pushed once for each side
-            left ^= 1 << v
-            for masks, degree in ((out_masks, ins), (in_masks, outs)):
-                rest = masks[v] & left
-                while rest:
-                    b = rest & -rest
-                    w = b.bit_length() - 1
-                    rest ^= b
-                    degree[w] -= 1
-                    if not degree[w]:
-                        stack.append(w)
-        return feedback
+        order, stack, left = [], [], self.full_mask
+        while left or stack:
+            ahead = out_masks[stack[-1]] & left if stack else left
+            if ahead:
+                b = ahead & -ahead
+                left ^= b
+                stack.append(b.bit_length() - 1)
+            else:
+                order.append(stack.pop())
+        comp, left = [0] * self.n, self.full_mask
+        for v in reversed(order):
+            frontier = left & 1 << v
+            left ^= frontier
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                w = b.bit_length() - 1
+                comp[w] = v
+                reached = in_masks[w] & left
+                left ^= reached
+                frontier |= reached
+        return comp
 
     def _contract_corridors(self, corridors) -> None:
         """Contract the directed support's corridors (see the class

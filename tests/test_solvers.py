@@ -211,6 +211,62 @@ def test_split_vertex_matches_shortest_cycle():
             search.sever(pid)
 
 
+def _cycle_scan_over_every_vertex(support, limit):
+    """The reference for shortest_cycle_slots: every vertex's cycle in id
+    order, and only a strictly shorter one replaces an earlier one."""
+    best = None
+    for v in range(support.n):
+        cycle = support._cycle_through(v, limit)
+        if cycle is not None:
+            best = cycle
+            limit = len(cycle) - 1
+    return best
+
+
+def test_cycle_scan_over_the_root_feedback_set_matches_every_vertex():
+    rnd = random.Random(2525)
+    left_out = 0
+    for _ in range(150):
+        n = rnd.randint(2, 8)
+        pool = [(u, v) for u in range(n) for v in range(n) if u != v]
+        arcs = rnd.sample(pool, rnd.randint(1, len(pool)))
+        g = Graph(True, n, arcs + rnd.sample(arcs, min(2, len(arcs))))
+        state = _SlotState(g)
+        feedback = state.feedback  # taken at the root
+        left_out += any(state._cycle_through(v, g.n) for v in range(g.n)
+                        if v not in feedback)
+        # sever the surviving pairs one by one in a random order
+        order = list(range(len(state.pairs)))
+        rnd.shuffle(order)
+        for pid in [None] + order:
+            if pid is not None:
+                state.sever(pid)
+            for limit in range(g.n + 2):
+                assert state.shortest_cycle_slots(limit) \
+                    == _cycle_scan_over_every_vertex(state, limit), \
+                    (g.edges, limit)
+    assert left_out
+
+
+def test_cycle_scan_skips_the_lowest_vertex_off_every_cycle():
+    # 0 feeds the triangle 1 -> 2 -> 3 -> 1 and the 2-cycle 3 <-> 4.  F is
+    # [1, 3]: vertex 0 lies on no cycle and 2 and 4 go once 1 and 3 do.
+    # The triangle through 1 is found first and the 2-cycle through 3
+    # replaces it; a scan over every vertex finds the same.
+    g = Graph(True, 5, [(0, 1), (0, 3), (1, 2), (2, 3), (3, 1), (3, 4),
+                        (4, 3)])
+    state = _SlotState(g)
+    assert state.feedback == [1, 3]
+    cycle = state.shortest_cycle_slots(3)
+    assert [state.pairs[pid] for pid in cycle] == [(3, 4), (4, 3)]
+    assert cycle == _cycle_scan_over_every_vertex(state, 3)
+    for k, answer in ((1, False), (2, True)):
+        inst = ProblemInstance("dsct", g, k=k, ell=3)
+        got = solve_fpt(inst)
+        assert got.answer == answer == solve_bruteforce(inst).answer
+        assert not answer or check_witness(inst, got.witness)
+
+
 def test_check_witness_refuses_bad_indices():
     # -1 names edge 3 when costed from the end, but deletes no edge.
     inst = ProblemInstance("mded", Graph(False, 4, [(0, 1), (1, 2), (0, 2),
@@ -242,6 +298,9 @@ def test_path_into_matches_bfs_distance(directed):
         for cap in range(-1, n + 1):
             found = support._path_into(s, 1 << t, cap)
             assert (found is None) == (dist > cap), (edges, severed, s, t, cap)
+            # The MDED brancher relies on it: the path the list BFS records.
+            assert (found and found[0]) \
+                == support.shortest_path_slots(s, t, cap)[0], (edges, s, t)
             if found is None:
                 continue
             path, end = found
@@ -354,9 +413,12 @@ def test_girth_directed_matches_per_arc_definition():
 
 
 def test_connected_without_matches_reference():
+    # connected_without needs a (strongly) connected support, so only
+    # connected supports are drawn.
     rnd = random.Random(808)
     outcomes = set()
-    for _ in range(80):
+    drawn = 0
+    while drawn < 80:
         directed = rnd.random() < 0.5
         n = rnd.randint(2, 7)
         pool = [(u, v) for u in range(n) for v in range(n)
@@ -364,6 +426,9 @@ def test_connected_without_matches_reference():
         edges = rnd.sample(pool, rnd.randint(1, len(pool)))
         edges += [rnd.choice(edges) for _ in range(rnd.randint(0, 2))]
         g = Graph(directed, n, edges)
+        if not _connected_after(g, frozenset()):
+            continue
+        drawn += 1
         support = _Support(g)
         masks = (list(support.out_masks), list(support.in_masks))
         for pid, idxs in enumerate(support.pair_edges):
@@ -372,6 +437,30 @@ def test_connected_without_matches_reference():
             assert (support.out_masks, support.in_masks) == masks
             outcomes.add((directed, got))
     assert outcomes == {(d, c) for d in (False, True) for c in (False, True)}
+
+
+class _SweptSupport(_Support):
+    """Counts the reach sweeps its searches make."""
+
+    sweeps = 0
+
+    def _sweep(self, masks, start):
+        self.sweeps += 1
+        return super()._sweep(masks, start)
+
+
+@pytest.mark.parametrize("arcs,expected", [
+    # 0 -> 3 has the detour 0 -> 1 -> 2 -> 3 and no common neighbour.
+    ([(0, 3), (0, 1), (1, 2), (2, 3), (3, 0)], True),
+    # 0 -> 1 has two ways out of 0 and two into 1, but no detour.
+    ([(0, 1), (1, 0), (0, 2), (2, 0), (3, 1), (1, 3)], False)])
+def test_connected_without_sweeps_when_no_neighbour_is_shared(arcs, expected):
+    g = Graph(True, 4, arcs)
+    support = _SweptSupport(g)
+    assert support.connected_without(0) is expected
+    assert support.sweeps == 1
+    assert _connected_after(g, frozenset({0})) is expected
+    assert support.alive[0] and support.out_masks == _Support(g).out_masks
 
 
 def test_dsct_exclusions_are_the_arcs_on_no_cycle():
@@ -391,6 +480,38 @@ def test_dsct_exclusions_are_the_arcs_on_no_cycle():
             assert (pid in excluded) != on_cycle, (arcs, u, v)
             outcomes.add(on_cycle)
     assert outcomes == {False, True}
+
+
+class _CountedMasks(list):
+    """A mask list that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("chain", ["path", "two-cycles"])
+def test_dsct_exclusions_read_each_mask_a_bounded_number_of_times(chain):
+    # A 5,000-vertex directed path, whose arcs lie on no cycle, and a chain
+    # of 2,500 two-cycles joined one way, whose joining arcs lie on none.
+    # Labelling the strongly connected components reads each vertex's
+    # masks a bounded number of times, not once per vertex labelled.
+    n = 5000
+    arcs = [(i, i + 1) for i in range(n - 1)]
+    if chain == "two-cycles":
+        arcs += [(i + 1, i) for i in range(0, n, 2)]
+    g = Graph(True, n, arcs)
+    search = _CostAwareSearch(ProblemInstance("dsct", g, k=1, ell=3),
+                              symmetry=False)
+    corridors = search._corridors()
+    search.out_masks = _CountedMasks(search.out_masks)
+    search.in_masks = _CountedMasks(search.in_masks)
+    excluded = search._excluded_pairs(corridors)
+    assert excluded == {search.pair_id[u, v] for u, v in arcs
+                        if chain == "path" or u // 2 != v // 2}
+    assert search.out_masks.reads + search.in_masks.reads <= 3 * n
 
 
 def _corridor_graph(rnd, directed, weighted=False):
