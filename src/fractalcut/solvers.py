@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from heapq import heappop, heappush
 from operator import add
 from typing import Callable, Iterable, Optional
@@ -200,17 +200,16 @@ def _bits(x: int):
 
 
 class _Support:
-    """The adjacency pairs that survive, as bitmasks and as lists.
+    """The adjacency pairs that survive, as bitmasks.
 
     ``pairs[pid]`` is a (u, v) pair of ``_group_pairs`` and ``pair_id`` maps
     it back.  Bit v of ``out_masks[u]`` and bit u of ``in_masks[v]`` are set,
     and ``alive[pid]`` is true, while the pair survives; an undirected
     graph's in-masks are its out-masks.  ``sever`` takes a surviving pair
     out and ``restore`` puts a severed one back; each touches only the
-    pair's own bits and flag.  ``adj[u]`` lists u's (neighbour, pid,
-    (pid, u)) triples, severed or not, in ascending order; only the LBEC
-    brancher's s-t search reads it, and the last item is what that search
-    records as the neighbour's parent.  Every other search walks the masks.
+    pair's own bits and flag.  Every search walks the masks but the LBEC
+    brancher's s-t search, which reads the lists ``adj`` of its
+    ``_SlotState``.
     """
 
     def __init__(self, g: Graph):
@@ -225,17 +224,6 @@ class _Support:
             self.out_masks[u] |= 1 << v
             self.in_masks[v] |= 1 << u
         self.full_mask = (1 << g.n) - 1
-
-    @cached_property
-    def adj(self) -> list[list[tuple[int, int, tuple[int, int]]]]:
-        adj = [[] for _ in range(self.n)]
-        for pid, (u, v) in enumerate(self.pairs):
-            adj[u].append((v, pid, (pid, u)))
-            if not self.directed:
-                adj[v].append((u, pid, (pid, v)))
-        for lst in adj:
-            lst.sort()
-        return adj
 
     def sever(self, pid: int) -> None:
         u, v = self.pairs[pid]
@@ -280,91 +268,6 @@ class _Support:
             frontier = nxt & ~seen
             seen |= nxt
         return seen
-
-    def shortest_path_slots(self, s: int, t: int, limit: int, tree=None,
-                            cut: int = 0):
-        """Pair ids of a shortest surviving s-t path if its length is
-        <= limit, else None; and, with a path, the BFS tree that found it.
-
-        Ties are broken toward smaller vertex ids (adjacency is sorted), so
-        branching order is reproducible.  Only the LBEC brancher asks it;
-        the other searches ask ``_path_into``, which returns the same path
-        from masks.  This BFS stays on lists: it visits almost every vertex
-        of a VC reduction, where walking masks bit by bit is slower, and it
-        resumes its tree.  A mask BFS kept every pinned count, but on
-        perfbench at seed 59, measured before the branchers resumed this
-        search, it took fpt-branch from 0.86 to 1.50 s of wall time.
-
-        The tree is (path, par, levels).  levels[j] lists the vertices at
-        distance j in the order the BFS discovered them, the last level
-        ending at t, and par[v] is (pid, parent) for each of them but s.
-        The branchers hand a tree back with the index cut of the path pair
-        whose slot lost a copy since.  If the pair survives, the support
-        is unchanged, and the search returns the path and tree as they
-        are.  If it is gone, the support has lost only that pair, and the
-        search resumes the tree from level cut.  Either way it returns
-        what a search from scratch would; for the resume:
-
-        * The BFS builds level j + 1 by scanning, in level order, the
-          ascending pair lists of the vertices on level j, so levels
-          0..cut, their order and their parents are fixed by the pairs of
-          the vertices on levels 0..cut - 1.
-        * path[cut] joins path vertex cut, on level cut, to path vertex
-          cut + 1, on level cut + 1.  Neither lies on levels 0..cut - 1,
-          so the pair is in none of their lists (directed, an arc is
-          listed at its tail only), and a search without it builds the
-          same levels 0..cut with the same parents.
-        * Those levels are complete in the tree: the search stopped while
-          building level len(path) > cut.
-        * So resetting every vertex past level cut and running the loop
-          on from levels[cut] is the search from scratch at the moment it
-          finishes level cut.  Its tie-break and its path are the same.
-
-        A resume copies par, n entries, and builds its own levels past
-        cut, at most n more, leaving the handed tree as it was for the
-        parent's next child; so a brancher at depth j holds at most
-        2n(j + 1) entries.  An undo log on one shared par, rolled back as
-        each child returns, holds nearly as many when the tail past cut is
-        most of the graph, and walks each tail three more times; on the VC
-        reductions it gave back most of the time that resuming saves.
-        """
-        if s == t:
-            return [], None
-        adj, alive = self.adj, self.alive
-        if tree is None:
-            par = [None] * self.n
-            par[s] = ()
-            levels = [[s]]
-        else:
-            path, par, levels = tree
-            if alive[path[cut]]:
-                return path, tree
-            par = par[:]
-            for level in levels[cut + 1:]:
-                for v in level:
-                    par[v] = None
-            levels = levels[:cut + 1]
-        d = len(levels) - 1
-        frontier = levels[d]
-        while frontier and d < limit:
-            nxt = []
-            levels.append(nxt)
-            for u in frontier:
-                for v, sid, back in adj[u]:
-                    if not alive[sid] or par[v] is not None:
-                        continue
-                    par[v] = back
-                    nxt.append(v)
-                    if v == t:
-                        path = []
-                        while v != s:
-                            sid, v = par[v]
-                            path.append(sid)
-                        path.reverse()
-                        return path, (path, par, levels)
-            frontier = nxt
-            d += 1
-        return None, None
 
     def _cycle_through(self, v: int, cap: int):
         """Pair ids of the least shortest directed cycle through v, if it
@@ -464,13 +367,112 @@ class _SlotState(_Support):
     and the pair is severed when the last copy goes.  Deleting a copy only
     changes distances once the slot is empty, which is what makes the
     multiplicity-versus-budget prune sound.
+
+    Each brancher builds only what its search reads.  For LBEC, ``adj[u]``
+    lists u's (neighbour, pid, (pid, u)) triples, severed or not, in
+    ascending order; the last item is what the s-t search records as the
+    neighbour's parent.  For DSCT, ``feedback`` is the root's feedback
+    vertex set.
     """
 
-    def __init__(self, g: Graph):
+    def __init__(self, g: Graph, kind: str):
         super().__init__(g)
         self.mult = [len(idxs) for idxs in self.pair_edges]
-        if g.directed:
+        if kind == "lbec":
+            adj = self.adj = [[] for _ in range(g.n)]
+            for pid, (u, v) in enumerate(self.pairs):
+                adj[u].append((v, pid, (pid, u)))
+                if not g.directed:
+                    adj[v].append((u, pid, (pid, v)))
+            for lst in adj:
+                lst.sort()
+        elif kind == "dsct":
             self.feedback = self._feedback_vertices()
+
+    def shortest_path_slots(self, s: int, t: int, limit: int, tree=None,
+                            cut: int = 0):
+        """Pair ids of a shortest surviving s-t path if its length is
+        <= limit, else None; and, with a path, the BFS tree that found it.
+
+        Ties are broken toward smaller vertex ids (adjacency is sorted), so
+        branching order is reproducible.  Only the LBEC brancher asks it;
+        the other searches ask ``_path_into``, which returns the same path
+        from masks.  This BFS stays on lists: it visits almost every vertex
+        of a VC reduction, where walking masks bit by bit is slower, and it
+        resumes its tree.  A mask BFS kept every pinned count, but on
+        perfbench at seed 59, measured before the branchers resumed this
+        search, it took fpt-branch from 0.86 to 1.50 s of wall time.
+
+        The tree is (path, par, levels).  levels[j] lists the vertices at
+        distance j in the order the BFS discovered them, the last level
+        ending at t, and par[v] is (pid, parent) for each of them but s.
+        The branchers hand a tree back with the index cut of the path pair
+        whose slot lost a copy since.  If the pair survives, the support
+        is unchanged, and the search returns the path and tree as they
+        are.  If it is gone, the support has lost only that pair, and the
+        search resumes the tree from level cut.  Either way it returns
+        what a search from scratch would; for the resume:
+
+        * The BFS builds level j + 1 by scanning, in level order, the
+          ascending pair lists of the vertices on level j, so levels
+          0..cut, their order and their parents are fixed by the pairs of
+          the vertices on levels 0..cut - 1.
+        * path[cut] joins path vertex cut, on level cut, to path vertex
+          cut + 1, on level cut + 1.  Neither lies on levels 0..cut - 1,
+          so the pair is in none of their lists (directed, an arc is
+          listed at its tail only), and a search without it builds the
+          same levels 0..cut with the same parents.
+        * Those levels are complete in the tree: the search stopped while
+          building level len(path) > cut.
+        * So resetting every vertex past level cut and running the loop
+          on from levels[cut] is the search from scratch at the moment it
+          finishes level cut.  Its tie-break and its path are the same.
+
+        A resume copies par, n entries, and builds its own levels past
+        cut, at most n more, leaving the handed tree as it was for the
+        parent's next child; so a brancher at depth j holds at most
+        2n(j + 1) entries.  An undo log on one shared par, rolled back as
+        each child returns, holds nearly as many when the tail past cut is
+        most of the graph, and walks each tail three more times; on the VC
+        reductions it gave back most of the time that resuming saves.
+        """
+        if s == t:
+            return [], None
+        adj, alive = self.adj, self.alive
+        if tree is None:
+            par = [None] * self.n
+            par[s] = ()
+            levels = [[s]]
+        else:
+            path, par, levels = tree
+            if alive[path[cut]]:
+                return path, tree
+            par = par[:]
+            for level in levels[cut + 1:]:
+                for v in level:
+                    par[v] = None
+            levels = levels[:cut + 1]
+        d = len(levels) - 1
+        frontier = levels[d]
+        while frontier and d < limit:
+            nxt = []
+            levels.append(nxt)
+            for u in frontier:
+                for v, sid, back in adj[u]:
+                    if not alive[sid] or par[v] is not None:
+                        continue
+                    par[v] = back
+                    nxt.append(v)
+                    if v == t:
+                        path = []
+                        while v != s:
+                            sid, v = par[v]
+                            path.append(sid)
+                        path.reverse()
+                        return path, (path, par, levels)
+            frontier = nxt
+            d += 1
+        return None, None
 
     def shortest_cycle_slots(self, limit: int):
         """Pair ids of a shortest directed cycle of length <= limit, else None.
@@ -622,7 +624,7 @@ def solve_lbec_fpt(inst: ProblemInstance) -> Verdict:
     cert = min_cut(inst.graph, inst.s, inst.t)
     if cert.total_cost <= inst.k:
         return Verdict(True, cert.edges, 0)
-    state = _SlotState(inst.graph)
+    state = _SlotState(inst.graph, "lbec")
     find = partial(state.shortest_path_slots, inst.s, inst.t, inst.ell - 1)
     witness, leaves = _branch(state, find, inst.k)
     if witness is None:
@@ -649,7 +651,7 @@ def solve_mded_fpt(inst: ProblemInstance) -> Verdict:
         return Verdict(True, (), 0)
     if inst.ell == 1:
         return Verdict(g.n >= 2, () if g.n >= 2 else None, 0)
-    state = _SlotState(g)
+    state = _SlotState(g, "mded")
     if g.directed:
         pairs = [(v, w) for v in range(g.n) for w in range(g.n) if v != w]
     else:
@@ -677,7 +679,7 @@ def solve_dsct_fpt(inst: ProblemInstance) -> Verdict:
     _require_solvable(inst, "dsct")
     if inst.ell <= 0:
         return Verdict(True, (), 0)
-    state = _SlotState(inst.graph)
+    state = _SlotState(inst.graph, "dsct")
 
     def find(tree, cut):
         return state.shortest_cycle_slots(inst.ell), None
@@ -763,8 +765,8 @@ class _CostAwareSearch(_Support):
     The diameter problem keeps every non-bridge pair individually: corridor
     stubs change eccentricities, so the chain quotient does not apply to it.
 
-    Undirected, the diameter predicate is incremental, with or without
-    ``symmetry``.
+    Undirected, the diameter predicate works on the root's 2-core, with or
+    without ``symmetry``.
 
     * Pendant forests, after Takes and Kosters (CIKM 2011).  Peeling
       degree-1 vertices off the root support leaves its 2-core, the
@@ -779,38 +781,22 @@ class _CostAwareSearch(_Support):
       forests, taken once at the root, never change, and without it a
       state that severs one fails.  One sweep decides the root's
       connectivity, and a connected root passes at once if the pendant
-      constant reaches ell.  The rest is a BFS over the core from each core
-      vertex x, which passes once it reaches some c' at level d with d +
-      h(c') + h(x) >= ell.
-    * Reused arrays.  The search expands a state only when the predicate
-      failed there, so a connected parent hands its children, for each
-      core vertex x, the complete distance array d over the core, with no
-      entry that passes (else the parent would have), and the masks
-      reach[j] of the core vertices within j hops of x.  All that follows
-      is on the core.  Severing pairs only lengthens distances.  Call a pair
-      (u, v) *tight* in d when d(v) == d(u) + 1 (in either
-      orientation), and the head v of a severed tight pair *orphaned* when
-      no surviving in-neighbour of v lies in reach[d(v) - 1].  One that
-      does lies at distance exactly d(v) - 1, since every in-neighbour w of
-      v has d(w) >= d(v) - 1.  Let L + 1 be the lowest level of an orphaned
-      head.  Every vertex y at distance j with 0 < j <= L keeps a surviving
-      in-neighbour at distance j - 1: y had one in the parent, and if all
-      of them were severed, y is the head of a severed tight pair that is
-      not orphaned.  By induction on j no distance up to L changes, so
-      reach[0..L] and the entries of d on reach[L] hold in the child, and a
-      BFS resumed from level L finishes the child's array.  With no
-      orphaned head, d is the child's array as it stands, again with no
-      entry that passes.  So a source needs BFS work only from its
-      lowest orphaned head on, or from scratch when the parent handed down
-      no arrays.
-    * Connectivity from the arrays.  A reused or completed array shows
-      that its source reaches every core vertex, and so, with the pendant
-      pairs intact, every vertex; a BFS whose frontier runs out first
-      shows that it does not.  So the first source's array decides
-      connectivity, unless its BFS stops early, and then one sweep
-      decides it.  Severing more pairs never reconnects a
-      support, so the children of a disconnected state fail without any of
-      this.
+      constant reaches ell.  The rest is a fresh BFS over the core from
+      each core vertex x, which passes once it reaches some c' at level d
+      with d + h(c') + h(x) >= ell.
+    * Connectivity from the BFS.  The root needs its sweep: a tree
+      component peels away entirely, so reaching every core vertex does not
+      show a root connected.  Past the root the pendant pairs are intact,
+      so a BFS that reaches every core vertex shows that its source reaches
+      every vertex, and one whose frontier runs out first shows that it
+      does not.  So the first source's BFS decides connectivity, unless it
+      passes early, and then one sweep decides it.  Severing more pairs
+      never reconnects a support, so the children of a disconnected state
+      fail without any of this; a connected state that fails hands down
+      (), which tells its children only that they are not the root.
+      Handing down each source's distance array, to be resumed below the
+      lowest level a severance touched, saved less than its bookkeeping
+      cost on cores of 5 to 8 vertices.
 
     Directed, states hand distance rows down the corridors.  A *branch
     vertex* has in- or out-degree other than one at the root, or is the
@@ -846,14 +832,13 @@ class _CostAwareSearch(_Support):
       top-two sum is n - 1, the cycle's diameter.  Beside branch vertices
       or another cycle, it has no pair in or out, so Dijkstra leaves some
       branch vertex unreached and the state fails.
-    * Reused rows, the twin of the tight pairs above (after Even and
-      Shiloach, JACM 1981).  A failing, strongly connected state hands
-      down its rows D[x], all finite and, with the top-two sums, below
-      ell.  A child that gets further has severed one unit, so one one-arc
-      corridor u -> v.  That only lengthens distances, and an arc not
-      *tight* in D[x], D[x][v] != D[x][u] + 1, lies on no shortest path
-      from x: D[x] holds as it stands.  Dijkstra reruns only for the rows
-      with the arc tight.
+    * Reused rows, after Even and Shiloach (JACM 1981).  A failing,
+      strongly connected state hands down its rows D[x], all finite and,
+      with the top-two sums, below ell.  A child that gets further has
+      severed one unit, so one one-arc corridor u -> v.  That only
+      lengthens distances, and an arc not *tight* in D[x], D[x][v] !=
+      D[x][u] + 1, lies on no shortest path from x: D[x] holds as it
+      stands.  Dijkstra reruns only for the rows with the arc tight.
 
     A directed state that is not strongly connected hands down False, so
     its children fail unsevered; any other failing one hands down its rows.
@@ -898,8 +883,8 @@ class _CostAwareSearch(_Support):
     so they never read the masks and the state severs nothing: for LBEC
     and DSCT that is every state whose unit misses the handed-down mask,
     and for MDED every child of a disconnected state, which hands down
-    False.  Every other MDED state reads the masks, to reuse its parent's
-    arrays or to find the live one-arc corridors, so it severs its unit.
+    False.  Every other MDED state reads the masks, for its BFS or to find
+    the live one-arc corridors, so it severs its unit.
     The witness is read off ``chosen``.
     """
 
@@ -1134,15 +1119,13 @@ class _CostAwareSearch(_Support):
             blocked |= 1 << pid
         return blocked
 
-    def _sever_chosen(self) -> list[int]:
-        """Sever the pairs of the chosen units that are not severed yet,
-        and return their ids."""
+    def _sever_chosen(self) -> None:
+        """Sever the pairs of the chosen units that are not severed yet."""
         chosen = self.chosen
-        pids = [pid for unit in chosen[self.synced:] for pid in unit[1]]
-        for pid in pids:
-            self.sever(pid)
+        for unit in chosen[self.synced:]:
+            for pid in unit[1]:
+                self.sever(pid)
         self.synced = len(chosen)
-        return pids
 
     def _restore_chosen(self, keep: int) -> None:
         """Put back the severed pairs of the chosen units past the first keep."""
@@ -1167,17 +1150,12 @@ class _CostAwareSearch(_Support):
         A disconnected state hands down False.  Directed, any other failing
         state hands down its corridor rows, and a child reruns only those
         with its severed arc tight.  Undirected, a connected state that
-        fails hands down, for each core vertex, its distance array and
-        reach masks over the core.  A handed-down array is reused as it
-        stands, or its BFS resumed below the lowest orphaned head (see the
-        class docstring).
+        fails hands down (), and each state that searches runs a fresh BFS
+        over the core from each core vertex (see the class docstring).
         """
         if parent is False:
             return False
-        # The parent, if any, searched too, so its masks lacked the pairs of
-        # every chosen unit but this state's: the pairs severed now are the
-        # unit's.
-        severed = self._sever_chosen()
+        self._sever_chosen()
         ell = self.inst.ell
         if self.n <= 1:
             return ell <= 0
@@ -1185,40 +1163,41 @@ class _CostAwareSearch(_Support):
             return self._corridors_hold(parent, mask, ell)
         if mask & self.pendant_pairs:
             return False  # a bridge
-        out_masks = self.out_masks
+        masks, core, tall = self.out_masks, self.core, self.tall
         if parent is None:
-            if self._sweep(out_masks, 0) != self.full_mask:
+            if self._sweep(masks, 0) != self.full_mask:
                 return False
             if self.pendant >= ell:
                 return True
-        cut = [self.pairs[pid] for pid in severed]
-        cut += [(v, u) for u, v in cut]
-        arrays = []
         for i, src in enumerate(self.sources):
             goal = ell - self.height[src]
-            if parent:
-                dist, reach = parent[i]
-                redo = len(reach)  # the lowest level of an orphaned head
-                for u, v in cut:
-                    du = dist[u]
-                    if dist[v] - du == 1 and not out_masks[v] & reach[du]:
-                        redo = min(redo, du + 1)
-                if redo == len(reach):
-                    arrays.append(parent[i])
-                    continue
-                got = self._distances_below(goal, dist[:], reach[:redo])
-            else:
-                got = self._distances_below(goal, [0] * self.n, [1 << src])
-            if got is None:
-                # Two vertices lie ell or more hops apart: the state passes
-                # if connected, which an earlier array, or at the root the
-                # sweep above, shows.
-                return (i > 0 or parent is None
-                        or self._sweep(out_masks, src) == self.full_mask)
-            if not got:
+            seen = frontier = 1 << src
+            d = 0
+            while True:
+                if frontier & (frontier - 1):
+                    nxt = 0
+                    while frontier:
+                        b = frontier & -frontier
+                        nxt |= masks[b.bit_length() - 1]
+                        frontier ^= b
+                else:
+                    nxt = masks[frontier.bit_length() - 1]
+                frontier = nxt & core & ~seen
+                if not frontier:
+                    break
+                d += 1
+                # goal - d stays >= 0: tall[0] is the core, and a root passes
+                # before any BFS when some h(x) >= ell.
+                if goal - d < len(tall) and frontier & tall[goal - d]:
+                    # Two vertices lie ell or more hops apart: the state
+                    # passes if connected, which an earlier BFS, or at the
+                    # root the sweep above, shows.
+                    return (i > 0 or parent is None
+                            or self._sweep(masks, src) == self.full_mask)
+                seen |= frontier
+            if seen != core:
                 return False
-            arrays.append(got)
-        return arrays
+        return ()
 
     def _corridors_hold(self, parent, mask: int, ell: int):
         """The directed predicate on the contracted corridors: True, or
@@ -1252,46 +1231,6 @@ class _CostAwareSearch(_Support):
             rows[x] = dist
             worst = max(worst, max(map(add, dist, extra)))
         return worst >= ell or rows
-
-    def _distances_below(self, goal: int, dist: list[int],
-                         reach: list[int]):
-        """Finish a BFS over the core of the surviving undirected support,
-        given the masks reach[j] of the core vertices within j hops of its
-        source for j < len(reach) and a dist array that is right on those
-        vertices.
-
-        Returns None as soon as the BFS reaches, at a level d >= 1, a core
-        vertex c with d + h(c) >= goal, which is ell - h(source); False when
-        the frontier runs out before reaching every core vertex; and
-        otherwise (dist, reach).
-        """
-        masks, core, tall = self.out_masks, self.core, self.tall
-        d = len(reach) - 1
-        seen = reach[d]
-        frontier = seen & ~reach[d - 1] if d else seen
-        while True:
-            if frontier & (frontier - 1):
-                nxt = 0
-                while frontier:
-                    b = frontier & -frontier
-                    i = b.bit_length() - 1
-                    dist[i] = d
-                    nxt |= masks[i]
-                    frontier ^= b
-            else:
-                i = frontier.bit_length() - 1
-                dist[i] = d
-                nxt = masks[i]
-            frontier = nxt & core & ~seen
-            if not frontier:
-                return (dist, reach) if seen == core else False
-            d += 1
-            # goal - d stays >= 0: tall[0] is the core, and a root passes
-            # before any BFS when some h(x) >= ell.
-            if goal - d < len(tall) and frontier & tall[goal - d]:
-                return None
-            seen |= frontier
-            reach.append(seen)
 
     def _pendant_forests(self) -> None:
         """Peel the undirected support down to its core (see the class
