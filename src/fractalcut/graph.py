@@ -150,15 +150,6 @@ class Graph:
     def total_cost(self, indices: Iterable[int]) -> int:
         return sum(self.edges[i].cost for i in indices)
 
-    def delete_edges(self, indices: Iterable[int]) -> "Graph":
-        """New graph without the given edge indices (remaining edges keep order)."""
-        dead = set(indices)
-        for i in dead:
-            if not (0 <= i < len(self.edges)):
-                raise InputError(f"edge index {i} out of range")
-        kept = [e for i, e in enumerate(self.edges) if i not in dead]
-        return Graph(self.directed, self.n, kept, self.labels)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph)
                 and self.directed == other.directed

@@ -608,7 +608,11 @@ def _branch(state: _SlotState, find: Callable, budget: int,
             leaves += 1
         return None
 
-    return rec(budget, find(None, 0), 0), leaves
+    # rec's cell refers to rec: the del frees the cycle, and state, at once.
+    try:
+        return rec(budget, find(None, 0), 0), leaves
+    finally:
+        del rec
 
 
 def solve_lbec_fpt(inst: ProblemInstance) -> Verdict:
@@ -872,20 +876,23 @@ class _CostAwareSearch(_Support):
     meets every cycle.
 
     Severance is deferred to the states that search.  The enumeration
-    keeps the chosen units on the stack ``chosen``, of which the first
-    ``synced`` are severed in the masks.  A predicate that reads the masks
-    first severs the rest (``_sever_chosen``), and the state puts them
-    back when it is left, so at every state that searches the masks are
-    the full support less the pairs of every chosen unit, as if each unit
-    had been severed when it was chosen.  Every search therefore returns
-    what it would under eager severance.  An inherited state's verdict and
-    hand-down depend only on the parent's obstruction and the unit's mask,
-    so they never read the masks and the state severs nothing: for LBEC
-    and DSCT that is every state whose unit misses the handed-down mask,
-    and for MDED every child of a disconnected state, which hands down
-    False.  Every other MDED state reads the masks, for its BFS or to find
-    the live one-arc corridors, so it severs its unit.
-    The witness is read off ``chosen``.
+    keeps the chosen units on the stack ``chosen``, and the masks lack the
+    pairs of the first ``synced`` of them.  A predicate that reads the
+    masks first severs the rest (``_sever_chosen``), so at every state
+    that searches the masks are the full support less the pairs of every
+    chosen unit, as if each unit had been severed when it was chosen.
+    Every search therefore returns what it would under eager severance.
+    Leaving a state pops its unit and puts it back only if it is severed,
+    when ``synced`` exceeds ``len(chosen)``: a unit stays severed until
+    its own state is left, and none is severed twice.  An inherited
+    state's verdict and hand-down depend only on the parent's obstruction
+    and the unit's mask, so they never read the masks and the state
+    severs nothing: for LBEC and DSCT that is every state whose unit
+    misses the handed-down mask, and for MDED every child of a
+    disconnected state, which hands down False.  Every other MDED state
+    reads the masks, for its BFS or to find the live one-arc corridors,
+    so it severs its unit.  The witness is read off ``chosen``, and a
+    success puts the severed units back.
     """
 
     def __init__(self, inst: ProblemInstance, symmetry: bool = True):
@@ -1127,13 +1134,6 @@ class _CostAwareSearch(_Support):
                 self.sever(pid)
         self.synced = len(chosen)
 
-    def _restore_chosen(self, keep: int) -> None:
-        """Put back the severed pairs of the chosen units past the first keep."""
-        for unit in self.chosen[keep:self.synced]:
-            for pid in unit[1]:
-                self.restore(pid)
-        self.synced = keep
-
     def _first_cycle(self, limit: int):
         """Pair ids of the shortest cycle through the first vertex of
         ``feedback`` that lies on a directed cycle of at most limit arcs,
@@ -1276,33 +1276,39 @@ class _CostAwareSearch(_Support):
         units = [u for u in self.units if u[0] <= budget]
         holds = (self._mded_holds if self.inst.kind == "mded"
                  else self._obstruction_holds)
-
-        def rec(start: int, budget_left: int, parent, mask: int) -> bool:
-            nonlocal tested
+        path = []  # per state on it: (unit index in units or -1, hand-down)
+        ui, left, parent, mask = -1, budget, None, 0
+        while True:
             tested += 1
             if tested > max_states:
                 raise ResourceBudgetError(
                     f"cost-aware search exceeded {max_states} states")
-            synced = self.synced
             inherited = holds(parent, mask)
             if inherited is True:
-                return True
-            for ui in range(start, len(units)):
-                unit = units[ui]
-                if unit[0] > budget_left:
-                    continue
-                chosen.append(unit)
-                if rec(ui + 1, budget_left - unit[0], inherited, unit[3]):
-                    return True
-                chosen.pop()
-            if self.synced != synced:
-                self._restore_chosen(synced)
-            return False
-
-        if not rec(0, budget, None, 0):
-            return Verdict(False, None, tested)
+                break
+            path.append((ui, inherited))
+            ui += 1
+            while ui == len(units) or units[ui][0] > left:
+                if ui == len(units):  # no unit left: leave the state
+                    ui = path.pop()[0]
+                    if not path:
+                        return Verdict(False, None, tested)
+                    unit = chosen.pop()
+                    left += unit[0]
+                    if self.synced > len(chosen):
+                        self.synced -= 1
+                        for pid in unit[1]:
+                            self.restore(pid)
+                ui += 1
+            unit = units[ui]
+            chosen.append(unit)
+            left -= unit[0]
+            parent, mask = path[-1][1], unit[3]
         witness = tuple(sorted(i for unit in chosen for i in unit[2]))
-        self._restore_chosen(0)
+        for unit in chosen[:self.synced]:
+            for pid in unit[1]:
+                self.restore(pid)
+        self.synced = 0
         return Verdict(True, witness, tested)
 
 
@@ -1313,6 +1319,7 @@ def solve_bruteforce_costaware(inst: ProblemInstance, *, symmetry: bool = True,
     This is the composer-verification oracle: it works on cost-annotated
     graphs and counts the budget in deletion cost.  ``symmetry=False``
     disables every reduction except the severance quotient itself and is
-    used to cross-check the reductions on small instances.
+    used to cross-check the reductions on small instances.  Raises
+    ResourceBudgetError when it would test more than ``max_states`` states.
     """
     return _CostAwareSearch(inst, symmetry=symmetry).solve(inst.k, max_states)

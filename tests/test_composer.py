@@ -218,7 +218,7 @@ def test_dsct_back_arc_and_acyclic_remainder():
     assert g.edges[back].cost == art.params["k_prime"] + 1
     assert (g.edges[back].u, g.edges[back].v) == (2, 0)
     assert not _is_acyclic(g)
-    assert _is_acyclic(g.delete_edges([back]))
+    assert _is_acyclic(Graph(True, g.n, g.edges[:back]))
     assert art.params["ell_prime"] == 4  # ell + log p under the at-most reading
 
 
@@ -234,7 +234,7 @@ def test_directed_compositions_are_acyclic_by_construction(p):
         g = compose_dsct(inputs).composed.graph
         back = len(g.edges) - 1
         assert (g.edges[back].u, g.edges[back].v) == (p, 0)
-        assert _is_acyclic(g.delete_edges([back]))
+        assert _is_acyclic(Graph(True, g.n, g.edges[:back]))
 
 
 @pytest.mark.parametrize("mode", ["weighted", "simple"])

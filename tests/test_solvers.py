@@ -1,9 +1,12 @@
 """Branching solvers against the exhaustive oracle, plus witness replay,
 branch-counter bounds, and the cost-aware search's symmetry reductions."""
 
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -343,8 +346,8 @@ def test_feedback_vertices_meet_every_cycle():
     for g in graphs:
         feedback = _feedback(g)
         assert feedback == sorted(set(feedback)), g.edges
-        rest = g.delete_edges(i for i, e in enumerate(g.edges)
-                              if e.u in feedback or e.v in feedback)
+        rest = Graph(True, g.n, [e for e in g.edges if e.u not in feedback
+                                 and e.v not in feedback])
         assert _is_acyclic(rest), (g.edges, feedback)
         # F holds each cycle's lowest vertex: no other vertex lies on a
         # cycle of vertices no lower than itself.
@@ -1067,6 +1070,41 @@ def test_costaware_lbec_builds_no_adjacency_lists(params, expected):
     assert "adj" not in search.__dict__
 
 
+def test_costaware_deep_search_ends_in_its_state_budget():
+    # 1,200 disjoint directed 2-cycles: every state on the way down severs
+    # one, so the path grows past 1,000 states, deeper than the
+    # interpreter's recursion limit.
+    arcs = [arc for i in range(1200) for arc in ((2 * i, 2 * i + 1),
+                                                 (2 * i + 1, 2 * i))]
+    inst = ProblemInstance("dsct", Graph(True, 2400, arcs), k=1100, ell=2)
+    with pytest.raises(ResourceBudgetError, match="exceeded 10000 states"):
+        solve_bruteforce_costaware(inst, max_states=10_000)
+
+
+def test_finished_searches_hold_no_reference_cycle():
+    # Without the collector, a search is freed as soon as its last
+    # reference goes, unless it is part of a reference cycle.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for k in (0, 1):  # no, then yes
+            search = _CostAwareSearch(ProblemInstance("mded", cycle4(), k=k,
+                                                      ell=3))
+            ref = weakref.ref(search)
+            assert search.solve(k, 100).answer == bool(k)
+            del search
+            assert ref() is None
+            state = _SlotState(cycle4(), "lbec")
+            ref = weakref.ref(state)
+            find = partial(state.shortest_path_slots, 0, 1, 2)
+            assert (solvers._branch(state, find, k)[0] is None) == (k == 0)
+            del state, find
+            assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_replay_predicate_matches_manual_checks():
     inst = ProblemInstance("mded", cycle4(), k=1, ell=3)
     assert instance_predicate(inst, (0,))     # P4: connected, diameter 3
@@ -1201,6 +1239,10 @@ def _replay_states(inst, symmetry, max_states=50_000_000,
         assert search.visited == max_states
         return None
     assert search.visited == verdict.nodes
+    # A completed search puts every pair it severed back.
+    fresh = _Support(inst.graph)
+    assert ((search.out_masks, search.in_masks, search.alive)
+            == (fresh.out_masks, fresh.in_masks, fresh.alive))
     return verdict, search
 
 
