@@ -202,18 +202,17 @@ def bfs_distance(g: Graph, source: int, target: int,
     if source == target:
         return 0
     adj = g._adjacency()[0]
-    seen = bytearray(g.n)
-    seen[source] = 1
-    queue = deque([(source, 0)])
-    while queue:
-        u, d = queue.popleft()
+    dist = [UNREACHABLE] * g.n
+    dist[source] = 0
+    queue = [source]
+    for u in queue:
+        d = dist[u] + 1
         for v, idx in adj[u]:
-            if idx in dead_edges or seen[v]:
-                continue
-            if v == target:
-                return d + 1
-            seen[v] = 1
-            queue.append((v, d + 1))
+            if dist[v] == UNREACHABLE and idx not in dead_edges:
+                if v == target:
+                    return d
+                dist[v] = d
+                queue.append(v)
     return UNREACHABLE
 
 
@@ -226,9 +225,8 @@ def distances(g: Graph, source: int, dead_edges: frozenset[int] = frozenset(),
     adj = g._adjacency()[1 if reverse else 0]
     dist = [UNREACHABLE] * g.n
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
+    queue = [source]
+    for u in queue:
         d = dist[u] + 1
         for v, idx in adj[u]:
             if dist[v] == UNREACHABLE and idx not in dead_edges:

@@ -103,19 +103,6 @@ class Verdict:
 # -- reference predicate (replay grade, no cleverness) ---------------------
 
 
-def _diameter(g: Graph, dead: frozenset[int]) -> float:
-    """Maximum shortest-path length over ordered pairs; inf if some pair is
-    unreachable (directed: not strongly connected)."""
-    if g.n <= 1:
-        return 0
-    worst = 0
-    for v in range(g.n):
-        worst = max(worst, max(distances(g, v, dead)))
-        if worst == UNREACHABLE:
-            return UNREACHABLE
-    return worst
-
-
 def _girth_directed(g: Graph, dead: frozenset[int]) -> float:
     """Length of the shortest directed cycle; inf when acyclic.
 
@@ -145,6 +132,14 @@ def _connected_after(g: Graph, dead: frozenset[int]) -> bool:
 def instance_predicate(inst: ProblemInstance, deleted: Iterable[int]) -> bool:
     """Does deleting these edge indices satisfy the instance's question?
 
+    Each question is decided in the form it is asked:
+
+    - LBEC: the s-t hop distance is at least ell;
+    - MDED: the graph stays (strongly) connected, and some vertex lies ell
+      or more hops from another.  The sources are scanned in ascending id
+      order and the first such source ends the scan;
+    - DSCT: the girth exceeds ell.
+
     Every question is asked in hops, so edge lengths other than 1 are
     refused rather than read as 1.
     """
@@ -155,11 +150,9 @@ def instance_predicate(inst: ProblemInstance, deleted: Iterable[int]) -> bool:
     if inst.kind == "lbec":
         return bfs_distance(g, inst.s, inst.t, dead) >= inst.ell
     if inst.kind == "mded":
-        # _connected_after already means strong connectivity for directed
-        # graphs; _diameter would report infinity in that case anyway.
-        if not _connected_after(g, dead):
-            return False
-        return _diameter(g, dead) >= inst.ell
+        # Every diameter, an empty graph's 0 included, is at least 0.
+        return _connected_after(g, dead) and (inst.ell <= 0 or any(
+            max(distances(g, v, dead)) >= inst.ell for v in range(g.n)))
     return _girth_directed(g, dead) > inst.ell
 
 

@@ -18,13 +18,13 @@ from fractalcut import (Graph, InputError, ProblemInstance,
                         solve_mded_fpt)
 from fractalcut.fixtures import VC_FIXTURES
 from fractalcut.generators import random_solver_instance
-from fractalcut.graph import UNREACHABLE, bfs_distance, distances
+from fractalcut.graph import UNREACHABLE, bfs_distance, distances, is_connected
 from fractalcut.composer import (_is_acyclic, compose_dsct, compose_lbec,
                                  compose_mded)
 from fractalcut.reducer import reduce_vc_to_planar_lbec
 from fractalcut import solvers
 from fractalcut.solvers import (_CostAwareSearch, _SlotState, _Support,
-                                _connected_after, _diameter, _girth_directed,
+                                _connected_after, _girth_directed,
                                 instance_predicate)
 from fractalcut.verify import _make_inputs
 
@@ -1109,6 +1109,85 @@ def test_replay_predicate_matches_manual_checks():
     inst = ProblemInstance("mded", cycle4(), k=1, ell=3)
     assert instance_predicate(inst, (0,))     # P4: connected, diameter 3
     assert not instance_predicate(inst, ())   # C4 has diameter 2
+
+
+def _diameter(g: Graph, dead: frozenset[int]) -> float:
+    """Maximum shortest-path length over ordered pairs; inf if some pair is
+    unreachable (directed: not strongly connected)."""
+    if g.n <= 1:
+        return 0
+    worst = 0
+    for v in range(g.n):
+        worst = max(worst, max(distances(g, v, dead)))
+        if worst == UNREACHABLE:
+            return UNREACHABLE
+    return worst
+
+
+def _random_multigraph(rnd, directed, n):
+    """A unit multigraph on n vertices: a backbone (a cycle, a path, a path
+    whose arcs alternate in direction, or none) plus random extra and
+    parallel edges."""
+    backbone = rnd.choice(("cycle", "path", "zigzag", "none")) if n > 1 else "none"
+    edges = []
+    if backbone == "cycle":
+        edges += [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1), (1, 0)]
+    elif backbone == "path":
+        edges += [(i, i + 1) for i in range(n - 1)]
+    elif backbone == "zigzag":
+        # Weakly connected; strongly connected only through the extras.
+        edges += [(i, i + 1) if i % 2 else (i + 1, i) for i in range(n - 1)]
+    for _ in range(rnd.randint(0, 2 * n) if n > 1 else 0):
+        u, v = rnd.sample(range(n), 2)
+        edges.append((u, v))
+    if edges and rnd.random() < 0.5:
+        edges += rnd.choices(edges, k=rnd.randint(1, 3))
+    rnd.shuffle(edges)
+    return Graph(directed, n, edges)
+
+
+def test_mded_predicate_matches_the_diameter_reference():
+    rnd = random.Random(2707)
+    checked = Counter()
+    for _ in range(600):
+        directed = rnd.random() < 0.5
+        g = _random_multigraph(rnd, directed, rnd.randint(0, 7))
+        m = len(g.edges)
+        for _ in range(4):
+            dead = frozenset(i for i in range(m) if rnd.random() < 0.2)
+            connected = _connected_after(g, dead)
+            diameter = _diameter(g, dead)
+            if directed and not connected and is_connected(Graph(
+                    True, g.n, [e for i, e in enumerate(g.edges) if i not in dead])):
+                checked["weak only"] += 1
+            for ell in range(-1, g.n + 2):
+                inst = ProblemInstance("mded", g, k=m, ell=ell)
+                expected = connected and diameter >= ell
+                assert instance_predicate(inst, dead) == expected, (g.edges, dead, ell)
+                assert check_witness(inst, dead) == expected
+                checked[expected] += 1
+    # No vertex to scan: the empty graph's diameter is 0, so ell <= 0 is a yes.
+    for n, directed, ell in itertools.product((0, 1), (False, True), range(-1, 3)):
+        inst = ProblemInstance("mded", Graph(directed, n, []), k=0, ell=ell)
+        assert _diameter(inst.graph, frozenset()) == 0
+        assert instance_predicate(inst, ()) == (ell <= 0)
+        assert solve_bruteforce(inst).answer == (ell <= 0)
+    assert checked[True] and checked[False] and checked["weak only"], checked
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_mded_predicate_stops_at_the_first_far_source(monkeypatch, n):
+    # P_n: vertex 0 is n - 1 hops from vertex n - 1, so the scan ends there.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return distances(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "distances", counted)
+    path = Graph(False, n, [(i, i + 1) for i in range(n - 1)])
+    assert instance_predicate(ProblemInstance("mded", path, k=0, ell=n - 1), ())
+    assert calls == [0, 0]  # the connectivity BFS, then source 0
 
 
 # -- oracle MDED predicate ----------------------------------------------------------
