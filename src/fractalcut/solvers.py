@@ -160,29 +160,15 @@ def check_witness(inst: ProblemInstance, edges: Iterable[int]) -> bool:
     """Replay a witness: cost within budget and predicate satisfied."""
     edges = tuple(edges)
     m = len(inst.graph.edges)
-    if len(set(edges)) < len(edges) or not all(0 <= i < m for i in edges):
-        raise InputError("witness edge indices must be distinct and in range")
+    if len(set(edges)) < len(edges) or not all(
+            type(i) is int and 0 <= i < m for i in edges):
+        raise InputError("witness edges must be ints, distinct and in range")
     if inst.graph.total_cost(edges) > inst.k:
         return False
     return instance_predicate(inst, edges)
 
 
 # -- shared support -----------------------------------------------------------
-
-
-def _group_pairs(g: Graph) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
-    """The graph's adjacency pairs, ordered by their first edge index, and
-    for each pair the ascending indices of its parallel edges.
-
-    Both the branchers' slots and the cost-aware search's severance units
-    are these pairs, so their ids, and with them every witness and count,
-    are deterministic.
-    """
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for idx, e in enumerate(g.edges):
-        by_pair.setdefault((e.u, e.v), []).append(idx)
-    # Dicts keep insertion order and the indices arrive ascending.
-    return list(by_pair), [tuple(idxs) for idxs in by_pair.values()]
 
 
 def _bits(x: int):
@@ -195,27 +181,39 @@ def _bits(x: int):
 class _Support:
     """The adjacency pairs that survive, as bitmasks.
 
-    ``pairs[pid]`` is a (u, v) pair of ``_group_pairs`` and ``pair_id`` maps
-    it back.  Bit v of ``out_masks[u]`` and bit u of ``in_masks[v]`` are set,
-    and ``alive[pid]`` is true, while the pair survives; an undirected
-    graph's in-masks are its out-masks.  ``sever`` takes a surviving pair
-    out and ``restore`` puts a severed one back; each touches only the
-    pair's own bits and flag.  Every search walks the masks but the LBEC
-    brancher's s-t search, which reads the lists ``adj`` of its
-    ``_SlotState``.
+    ``pairs`` lists the (u, v) pairs in the order of their first edges,
+    ``pair_id`` maps each back, ``pair_edges[pid]`` lists its parallel edges,
+    ascending, and ``pair_cost[pid]`` sums their costs; the branchers' slots
+    and the oracle's units are these pairs, so every witness and count is
+    deterministic.  Bit v of ``out_masks[u]`` and bit u of ``in_masks[v]``
+    are set, and ``alive[pid]`` is true, while the pair survives; an
+    undirected graph's in-masks are its out-masks.  ``sever`` takes a
+    surviving pair out and ``restore`` puts a severed one back; each touches
+    only the pair's own bits and flag.  Every search walks the masks but the
+    LBEC brancher's, which reads the lists ``adj`` of its ``_SlotState``.
     """
 
     def __init__(self, g: Graph):
         self.n = g.n
         self.directed = g.directed
-        self.pairs, self.pair_edges = _group_pairs(g)
-        self.pair_id = {p: i for i, p in enumerate(self.pairs)}
-        self.alive = [True] * len(self.pairs)
-        self.out_masks = [0] * g.n
-        self.in_masks = [0] * g.n if g.directed else self.out_masks
-        for u, v in self.pairs:
-            self.out_masks[u] |= 1 << v
-            self.in_masks[v] |= 1 << u
+        pair_id = self.pair_id = {}
+        pair_edges = []
+        pair_cost = self.pair_cost = []
+        out_masks = self.out_masks = [0] * g.n
+        in_masks = self.in_masks = [0] * g.n if g.directed else out_masks
+        for idx, (u, v, cost, _) in enumerate(g.edges):
+            pid = pair_id.setdefault((u, v), len(pair_edges))
+            if pid < len(pair_edges):
+                pair_edges[pid].append(idx)
+                pair_cost[pid] += cost
+            else:
+                pair_edges.append([idx])
+                pair_cost.append(cost)
+                out_masks[u] |= 1 << v
+                in_masks[v] |= 1 << u
+        self.pairs = list(pair_id)  # dicts keep insertion order
+        self.pair_edges = list(map(tuple, pair_edges))
+        self.alive = [True] * len(pair_edges)
         self.full_mask = (1 << g.n) - 1
 
     def sever(self, pid: int) -> None:
@@ -532,7 +530,7 @@ def _branch(state: _SlotState, find: Callable, budget: int,
     The root's obstruction comes from ``find(None, 0)``, and the child that
     deletes a copy of slot obstruction[i] gets its own from ``find(tree,
     i)``, with its parent's tree.  The LBEC s-t search reuses or resumes
-    that tree (see ``_Support.shortest_path_slots``); the MDED pair search
+    that tree (see ``_SlotState.shortest_path_slots``); the MDED pair search
     and the cycle search hand none down.
 
     Failed subtrees are replayed, not searched again.  A node's mask has
@@ -669,7 +667,7 @@ def solve_dsct_fpt(inst: ProblemInstance) -> Verdict:
     """Branching decider for the short-cycle transversal question.
 
     Finds a shortest directed cycle with the mask search over the root's
-    feedback vertex set (``_Support.shortest_cycle_slots``); while one of
+    feedback vertex set (``_SlotState.shortest_cycle_slots``); while one of
     length <= ell exists, branches over deleting each of its <= ell arcs.
     Explores at most ell**k leaves.
     """
@@ -894,9 +892,7 @@ class _CostAwareSearch(_Support):
             raise InputError("cost-aware search requires unit hop lengths")
         super().__init__(g)
         self.inst = inst
-        costs = [e.cost for e in g.edges]
-        self.pair_cost = [sum(map(costs.__getitem__, idxs))
-                          for idxs in self.pair_edges]
+        pair_edges, pair_cost = self.pair_edges, self.pair_cost
         corridors = self._corridors()
         if inst.kind == "mded":
             if self.directed:
@@ -905,7 +901,8 @@ class _CostAwareSearch(_Support):
                 self._pendant_forests()
         elif inst.kind == "dsct":
             self.feedback = self._feedback_vertices()
-        excluded = self._excluded_pairs(corridors) if symmetry else set()
+        excluded = (self._excluded_pairs(corridors)
+                    if symmetry and inst.kind != "lbec" else ())
         quotient = symmetry and inst.kind != "mded"
 
         # Units: (cost, pair ids, witness edge indices, mask of the pair ids),
@@ -922,20 +919,27 @@ class _CostAwareSearch(_Support):
             if ch[0] in excluded:
                 continue
             if not quotient or len(ch) == 1:
-                units += [(self.pair_cost[pid], (pid,), self.pair_edges[pid],
-                           1 << pid) for pid in ch]
+                for pid in ch:
+                    units.append((pair_cost[pid], (pid,), pair_edges[pid],
+                                  1 << pid))
                 continue
             # The corridor's cheapest pair, the lowest id among equals.
-            cost, best = min((self.pair_cost[p], p) for p in ch)
-            if not self.directed:
-                head, tail = min(head, tail), max(head, tail)
-            unit = merged.setdefault((head, tail, len(ch), cost), [0, [], []])
+            cost, best, mask = pair_cost[ch[0]], ch[0], 0
+            for pid in ch:
+                mask |= 1 << pid
+                if (pair_cost[pid], pid) < (cost, best):
+                    cost, best = pair_cost[pid], pid
+            if not self.directed and head > tail:
+                head, tail = tail, head
+            unit = merged.setdefault((head, tail, len(ch), cost),
+                                     [0, [], [], 0])
             unit[0] += cost
             unit[1] += ch
-            unit[2] += self.pair_edges[best]
-        for cost, pids, wit in merged.values():
-            units.append((cost, tuple(pids), tuple(sorted(wit)),
-                          sum(1 << pid for pid in pids)))
+            unit[2] += pair_edges[best]
+            unit[3] |= mask
+        for cost, pids, wit, mask in merged.values():
+            wit.sort()
+            units.append((cost, tuple(pids), tuple(wit), mask))
         units.sort(key=lambda u: u[2][0])
         self.units = units
 
@@ -950,52 +954,48 @@ class _CostAwareSearch(_Support):
         vertices comes back as a loop at one of them.  The termini are what
         identifies two corridors as parallel.
         """
-        protected = set()
-        if self.inst.kind == "lbec":
-            protected = {self.inst.s, self.inst.t}
+        pairs, n = self.pairs, self.n
         out_masks, in_masks = self.out_masks, self.in_masks
         inner = 0  # the mask of the interior vertices
-        for v in range(self.n):
-            if v in protected:
-                continue
+        for v in range(n):
             if (out_masks[v].bit_count() == 1 and in_masks[v].bit_count() == 1
                     if self.directed else out_masks[v].bit_count() == 2):
                 inner |= 1 << v
+        if self.inst.kind == "lbec":
+            inner &= ~(1 << self.inst.s | 1 << self.inst.t)
+        # An interior vertex v meets two pairs (one in, one out if directed):
+        # a walk leaves v by their id sum, links[v], less the pair it came by,
+        # and a pair's far end is its ends' sum less the near one.
+        links = [0] * n
+        for pid, (u, v) in enumerate(pairs):
+            links[u] += pid
+            links[v] += pid
+        used = [False] * len(pairs)
         corridors = []
-        used = set()
-
-        def walk(prev, cur, masks):
-            """Follow the corridor from the pair (prev, cur) through interior
-            vertices along masks: out-masks walk forward, in-masks backward.
-            Returns the pair ids met, claimed in used, and the vertex where
-            the walk stops."""
-            met = []
-            while inner >> cur & 1:
-                if self.directed:
-                    nxt = masks[cur].bit_length() - 1
-                    pair = (cur, nxt) if masks is out_masks else (nxt, cur)
-                else:
-                    nxt = (masks[cur] & ~(1 << prev)).bit_length() - 1
-                    pair = (min(cur, nxt), max(cur, nxt))
-                np = self.pair_id[pair]
-                if np in used:
-                    break  # the corridor closed into a loop
-                met.append(np)
-                used.add(np)
-                prev, cur = cur, nxt
-            return met, cur
-
-        for pid, (u, v) in enumerate(self.pairs):
-            if pid not in used:
-                used.add(pid)
-                ahead, tail = walk(u, v, out_masks)
-                behind, head = walk(v, u, in_masks)
-                corridors.append((behind[::-1] + [pid] + ahead, head, tail))
+        for pid, (u, v) in enumerate(pairs):
+            if used[pid]:
+                continue
+            used[pid] = True
+            # Walk on from v, then back from u, claiming the pairs met; a
+            # walk that meets a claimed pair closed the corridor into a loop.
+            ahead, at, tail = [], pid, v
+            while inner >> tail & 1 and not used[links[tail] - at]:
+                at = links[tail] - at
+                used[at] = True
+                ahead.append(at)
+                tail = sum(pairs[at]) - tail
+            behind, at, head = [], pid, u
+            while inner >> head & 1 and not used[links[head] - at]:
+                at = links[head] - at
+                used[at] = True
+                behind.append(at)
+                head = sum(pairs[at]) - head
+            corridors.append((behind[::-1] + [pid] + ahead, head, tail))
         return corridors
 
     def _excluded_pairs(self, corridors) -> set[int]:
         """The excluded pairs, decided by one test per corridor (see the
-        class docstring).  LBEC excludes none."""
+        class docstring).  MDED and DSCT only: LBEC excludes none."""
         kind = self.inst.kind
         connected = self.connected_without
         if kind == "mded" and self.directed:
@@ -1022,7 +1022,7 @@ class _CostAwareSearch(_Support):
         for ch, _, _ in corridors:
             u, v = self.pairs[ch[0]]
             if (not connected(ch[0]) if kind == "mded"
-                    else kind == "dsct" and comp[u] != comp[v]):
+                    else comp[u] != comp[v]):
                 excluded.update(ch)
         return excluded
 

@@ -2,6 +2,7 @@
 branch-counter bounds, and the cost-aware search's symmetry reductions."""
 
 import gc
+import hashlib
 import itertools
 import random
 import weakref
@@ -275,8 +276,9 @@ def test_check_witness_refuses_bad_indices():
     inst = ProblemInstance("mded", Graph(False, 4, [(0, 1), (1, 2), (0, 2),
                                                     (2, 3)]), k=1, ell=2)
     assert not check_witness(inst, [3])
-    for bad in ([-1], [4], [0, 0]):
-        with pytest.raises(InputError, match="distinct and in range"):
+    # True would stand for edge 1, and 1.0 hashes like it.
+    for bad in ([-1], [4], [0, 0], [True], [3, True], [1.0], [3, 1.0], ["0"]):
+        with pytest.raises(InputError, match="ints, distinct and in range"):
             check_witness(inst, bad)
 
 
@@ -1222,6 +1224,135 @@ PINNED_MDED = [
 def test_costaware_mded_pinned_verdicts(params, expected):
     v = solve_bruteforce_costaware(_composed_mded(*params))
     assert (v.answer, v.witness, v.nodes) == expected
+
+
+# -- oracle set-up --------------------------------------------------------------
+
+def _corridors_by_lookup(search):
+    """The corridors of the search's support by a plain walk, the reference
+    for ``_CostAwareSearch._corridors``: each step reads the next vertex off
+    the masks, looks its pair up in ``pair_id`` and tests a set of the
+    pairs met so far."""
+    inst = search.inst
+    protected = {inst.s, inst.t} if inst.kind == "lbec" else set()
+    out_masks, in_masks = search.out_masks, search.in_masks
+    inner = 0
+    for v in range(search.n):
+        if v not in protected and (
+                out_masks[v].bit_count() == 1 and in_masks[v].bit_count() == 1
+                if search.directed else out_masks[v].bit_count() == 2):
+            inner |= 1 << v
+    corridors = []
+    used = set()
+
+    def walk(prev, cur, masks):
+        met = []
+        while inner >> cur & 1:
+            if search.directed:
+                nxt = masks[cur].bit_length() - 1
+                pair = (cur, nxt) if masks is out_masks else (nxt, cur)
+            else:
+                nxt = (masks[cur] & ~(1 << prev)).bit_length() - 1
+                pair = (min(cur, nxt), max(cur, nxt))
+            np = search.pair_id[pair]
+            if np in used:
+                break  # the corridor closed into a loop
+            met.append(np)
+            used.add(np)
+            prev, cur = cur, nxt
+        return met, cur
+
+    for pid, (u, v) in enumerate(search.pairs):
+        if pid not in used:
+            used.add(pid)
+            ahead, tail = walk(u, v, out_masks)
+            behind, head = walk(v, u, in_masks)
+            corridors.append((behind[::-1] + [pid] + ahead, head, tail))
+    return corridors
+
+
+@pytest.mark.parametrize("kind,directed", [
+    ("lbec", False), ("lbec", True), ("mded", False), ("mded", True),
+    ("dsct", True)])
+def test_corridors_match_the_lookup_walk(kind, directed):
+    terminals = dict(s=0, t=1) if kind == "lbec" else {}
+    for seed in (2020, 3030):
+        rnd = random.Random(seed)
+        for _ in range(150):
+            inst = ProblemInstance(kind, _corridor_graph(rnd, directed), k=0,
+                                   ell=2, **terminals)
+            search = _CostAwareSearch(inst)
+            assert search._corridors() == _corridors_by_lookup(search), \
+                inst.graph.edges
+
+
+@pytest.mark.parametrize("inst", [
+    pytest.param(_composed_cut(*params), id=f"cut{params}")
+    for params, _ in PINNED_COSTAWARE] + [
+    pytest.param(_composed_mded(*params), id=f"mded{params}")
+    for params, _ in PINNED_MDED])
+def test_corridors_match_the_lookup_walk_on_pinned_compositions(inst):
+    search = _CostAwareSearch(inst)
+    assert search._corridors() == _corridors_by_lookup(search)
+
+
+# SHA-256 of repr((pairs, pair_edges, pair_cost, units)) of the oracle's
+# set-up on each PINNED_COSTAWARE ("cut") and PINNED_MDED ("mded")
+# composition, recorded before set-up built each structure in one pass:
+# ids, costs, units and their order must not drift.
+PINNED_SETUP = [
+    (("cut", (0, "lbec-und", 2, 1, 3, "weighted")),
+     "c434336a8014ce8f87b54d8e2efe40004e35f43c2f8f3e455559ffa2dd88445f"),
+    (("cut", (1, "lbec-und", 2, 2, 4, "weighted")),
+     "10deecdd288a015f5acf538da477135160d40c45863db15af0957cbfe758c1f1"),
+    (("cut", (15, "lbec-und", 4, 1, 3, "weighted")),
+     "514cba77941243bcbf6d02918171c61b77b504fb7302194c5ba8b081a030608f"),
+    (("cut", (3, "lbec-und", 2, 2, 4, "simple")),
+     "708fdff35b748ddf8673e81cd147bbfd48affb7d21d8994d03a2c997d49c1264"),
+    (("cut", (3, "lbec-dag", 2, 1, 3, "weighted")),
+     "e1252b455f2f3eff3047030061a8ae845bb6c3560d533888f0345bec29060a59"),
+    (("cut", (14, "lbec-dag", 4, 1, 3, "weighted")),
+     "033213d0be4631da6f2563015b3161cee5416f13a139663efd2d54ae78239db2"),
+    (("cut", (0, "lbec-dag", 2, 1, 3, "simple")),
+     "f0e6531d3264559cc8940382173dbe1c325c85835b3c44e8e95092a9f6cdb222"),
+    (("cut", (14, "lbec-dag", 4, 1, 3, "simple")),
+     "e09b73755697ef59a8dfc1b5df04fe91444102a5b5d14fd056833c753e3789e6"),
+    (("cut", (1, "dsct", 2, 2, 4, "weighted")),
+     "55faebb56ad18b1a750e835856eeaca9ceae5549c89f516a86b5f055ac475c50"),
+    (("cut", (3, "dsct", 2, 1, 3, "simple")),
+     "2e7d17479f3ea7d14acf7641a2a18c7d7ae65d62a464dcec2b8d07fcb5500e6d"),
+    (("cut", (10, "dsct", 4, 1, 4, "simple")),
+     "32b0d8fd769cf9557982677caf9d2329fe3bc37a6e1756c3ebb43e76cf1371e8"),
+    (("mded", (5, True, 1, 4, "weighted")),
+     "8373d7b75b45053400040996bf57d1566b7e5867c48b2584cf1b76da499d00aa"),
+    (("mded", (2, True, 1, 3, "simple")),
+     "735a98496604b9017c9e37848f673a6aacc0e4dd91ee46efdb0e4c25f0cb3744"),
+    (("mded", (0, False, 1, 3, "weighted")),
+     "ef17c44b2868af1935dd8b1fef0c04f889bae23760c39f7cd58affb3646d3f6a"),
+    (("mded", (0, False, 2, 3, "simple")),
+     "a3f79a38aaf60705cf37b708550628abea412de7016a7859cfb7987d4b250855"),
+    (("mded", (12, True, 1, 4, "weighted")),
+     "8440b961e0bf17bc9f3f4e71bfaa1ffa5e428c64f932cee20aaa035828dd6d19"),
+    (("mded", (11, True, 1, 3, "weighted")),
+     "5e43dbfffaf0429d8ad7f8d691f3b19b2c2d7a02f4dc7d099c0ae250797aa7aa"),
+    (("mded", (10, True, 1, 4, "weighted")),
+     "ed3ea88bcb4d603c9ff21679b3547e3b6eeaf8d68f1f082a7407ad9e0e51fa28"),
+]
+
+
+def test_setup_pins_cover_every_pinned_composition():
+    assert [params for (_, params), _ in PINNED_SETUP] == [
+        params for params, _ in PINNED_COSTAWARE + PINNED_MDED]
+
+
+@pytest.mark.parametrize("case,expected", PINNED_SETUP)
+def test_costaware_setup_pinned(case, expected):
+    family, params = case
+    make = _composed_cut if family == "cut" else _composed_mded
+    search = _CostAwareSearch(make(*params))
+    got = repr((search.pairs, search.pair_edges, search.pair_cost,
+                search.units))
+    assert hashlib.sha256(got.encode()).hexdigest() == expected
 
 
 def _severed_pairs(search):
