@@ -177,10 +177,6 @@ def main(argv=None) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         sys.stderr.write(f"error: malformed input: {exc}\n")
         return 2
-    except RecursionError:
-        sys.stderr.write("error: input too deep for the recursive branching "
-                         "solver\n")
-        return 2
 
 
 if __name__ == "__main__":

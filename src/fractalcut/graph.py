@@ -41,8 +41,8 @@ class Graph:
     ``edges`` is an ordered multiset; other modules reference edges by their
     index in this tuple, so construction order is part of the canonical form.
     The constructor validates and canonicalizes the edges; the neighbour
-    lists behind ``out_neighbors``, ``in_neighbors``, the degrees and the
-    BFS routines are derived on the first such query and then kept.
+    lists behind ``out_neighbors``, the degrees and the BFS routines are
+    derived on the first such query and then kept.
     """
 
     __slots__ = ("directed", "n", "edges", "labels", "_adj", "_radj", "_unit")
@@ -138,9 +138,6 @@ class Graph:
         """(neighbor, edge index) pairs, sorted by neighbor id."""
         return self._adjacency()[0][u]
 
-    def in_neighbors(self, u: int) -> list[tuple[int, int]]:
-        return self._adjacency()[1][u]
-
     def degree(self, u: int) -> int:
         return len(self._adjacency()[0][u])
 
@@ -175,9 +172,6 @@ class CutCertificate:
 
     edges: tuple[int, ...]
     total_cost: int
-
-    def pairs(self, g: Graph) -> list[tuple[int, int]]:
-        return [(g.edges[i].u, g.edges[i].v) for i in self.edges]
 
 
 # -- elementary algorithms ------------------------------------------------

@@ -40,6 +40,9 @@ from .graph import Graph, UNREACHABLE, bfs_distance, distances, min_cut
 
 KINDS = ("lbec", "mded", "dsct")
 
+MAX_SEARCHES = 50_000
+"""Obstruction searches one branching search may make (see ``_branch``)."""
+
 
 @dataclass(frozen=True)
 class ProblemInstance:
@@ -59,17 +62,19 @@ class ProblemInstance:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown problem kind {self.kind!r}")
+        # bool is an int subclass, and a float passes every range check
+        if type(self.k) is not int or type(self.ell) is not int:
+            raise InputError(f"k and ell must be ints, got {self.k!r}, {self.ell!r}")
         if self.kind == "lbec":
             if self.s is None or self.t is None:
                 raise InputError("lbec instance needs terminals s and t")
             for v in (self.s, self.t):
-                if not (0 <= v < self.graph.n):
-                    raise InputError(f"terminal {v} out of range")
+                if type(v) is not int or not (0 <= v < self.graph.n):
+                    raise InputError(f"terminal {v!r} is not a vertex")
             if self.s == self.t:
                 raise InputError("lbec terminals must be distinct")
-        else:
-            if self.s is not None or self.t is not None:
-                raise InputError(f"{self.kind} instance carries no terminals")
+        elif self.s is not None or self.t is not None:
+            raise InputError(f"{self.kind} instance carries no terminals")
         if self.kind == "dsct" and not self.graph.directed:
             raise InputError("dsct instance requires a directed graph")
 
@@ -533,6 +538,11 @@ def _branch(state: _SlotState, find: Callable, budget: int,
     that tree (see ``_SlotState.shortest_path_slots``); the MDED pair search
     and the cycle search hand none down.
 
+    One loop walks the tree.  ``path`` holds a frame per ancestor of the
+    node searched: its remaining children, tree and mask, and its child in
+    flight (the slot, the child's mask, the leaf count before it).  Past
+    ``MAX_SEARCHES`` calls of ``find`` it raises ResourceBudgetError.
+
     Failed subtrees are replayed, not searched again.  A node's mask has
     bit e set for each edge index e deleted on the way to it; the witness
     lists the bits of the first node's mask with no obstruction left.
@@ -544,7 +554,7 @@ def _branch(state: _SlotState, find: Callable, budget: int,
       from the last index down, so a slot has lost exactly its copies
       whose bits are set.  ``mult`` fixes the support (a slot survives
       while it keeps a copy), every multiplicity prune, the edge index
-      the next deletion from each slot stands for, and ``budget_left``,
+      the next deletion from each slot stands for, and the budget left,
       which is the budget less the number of bits set.
     * ``find`` returns what a search from scratch on the support would
       (the LBEC search proves this for its resumed trees), and the other
@@ -554,56 +564,58 @@ def _branch(state: _SlotState, find: Callable, budget: int,
     * By induction on the budget left, the subtree below a node, its
       result and its leaf count are a function of the mask too, with the
       replays inside it counted as the subtrees they stand for.
-    * A success ends the search: every ancestor returns it at once, and
-      no lookup follows.  So only failed subtrees are stored, and a
-      replay adds what searching that subtree again would add.
+    * A success ends the search, and no lookup follows.  So only failed
+      subtrees are stored, and a replay adds what searching that subtree
+      again would add.
 
     On the VC reductions most slots are bundles of 2k + 1 copies, which
     no budget empties, and orders of the same deletions meet at one mask:
-    vc/prism at k = 3 visits 20,195 nodes but only 592 masks.
+    vc/prism at k = 3 visits 20,195 nodes but searches only 592 masks.
 
     Returns (witness edge list or None, leaves explored).
     """
-    leaves = 0
+    leaves = finds = 0
     failed: dict[int, int] = {}
-
-    def rec(budget_left: int, found, mask: int):
-        nonlocal leaves
-        obstruction, tree = found
+    mult, cap = state.mult, MAX_SEARCHES
+    path = []  # per ancestor: (children, tree, mask, slot, child, before)
+    tree, i, child, left = None, 0, 0, budget
+    while True:
+        finds += 1
+        if finds > cap:
+            raise ResourceBudgetError(f"branching solver exceeded {cap} searches")
+        obstruction, tree = find(tree, i)
+        mask = child
         if obstruction is None:
-            leaves += 1
-            return list(_bits(mask))
-        if budget_left == 0:
-            leaves += 1
-            return None
-        branched = False
-        for i, sid in enumerate(obstruction):
-            if state.mult[sid] > budget_left:
-                continue
-            if keep_connected and state.mult[sid] == 1 and \
-                    not state.connected_without(sid):
-                continue
-            branched = True
-            child = mask | 1 << state.delete_copy(sid)
-            if child in failed:
+            for _, _, _, sid, _, _ in reversed(path):
+                state.restore_copy(sid)
+            return list(_bits(mask)), leaves + 1
+        children, branched = enumerate(obstruction if left else ()), False
+        while True:  # enter the next child, leaving each node that has none
+            for i, sid in children:
+                if mult[sid] > left:
+                    continue
+                if keep_connected and mult[sid] == 1 and \
+                        not state.connected_without(sid):
+                    continue
+                branched = True
+                child = mask | 1 << state.delete_copy(sid)
+                if child not in failed:
+                    break
                 leaves += failed[child]
                 state.restore_copy(sid)
+            else:
+                if not branched:
+                    leaves += 1
+                if not path:
+                    return None, leaves
+                children, tree, mask, sid, child, before = path.pop()
+                state.restore_copy(sid)
+                failed[child] = leaves - before
+                branched, left = True, left + 1
                 continue
-            before = leaves
-            res = rec(budget_left - 1, find(tree, i), child)
-            state.restore_copy(sid)
-            if res is not None:
-                return res
-            failed[child] = leaves - before
-        if not branched:
-            leaves += 1
-        return None
-
-    # rec's cell refers to rec: the del frees the cycle, and state, at once.
-    try:
-        return rec(budget, find(None, 0), 0), leaves
-    finally:
-        del rec
+            path.append((children, tree, mask, sid, child, leaves))
+            left -= 1
+            break
 
 
 def solve_lbec_fpt(inst: ProblemInstance) -> Verdict:
@@ -686,7 +698,12 @@ def solve_dsct_fpt(inst: ProblemInstance) -> Verdict:
 
 
 def solve_fpt(inst: ProblemInstance) -> Verdict:
-    """Dispatch to the matching branching solver."""
+    """Dispatch to the matching branching solver.
+
+    Raises ResourceBudgetError when one branching search passes
+    ``MAX_SEARCHES`` obstruction searches, one per node searched; the MDED
+    solver runs one such search per vertex pair, each on its own count.
+    """
     if inst.kind == "lbec":
         return solve_lbec_fpt(inst)
     if inst.kind == "mded":

@@ -262,8 +262,8 @@ def test_reduce_bool_for_int_field_exits_two(capsys, tmp_path):
 
 
 def test_deep_fpt_input_exits_two(capsys, tmp_path):
-    # 1,200 disjoint two-hop s-t paths: the LBEC brancher recurses once per
-    # deleted edge, deeper than the interpreter's recursion limit.
+    # 1,200 disjoint two-hop s-t paths at k = 1,100: the LBEC brancher
+    # passes the shipped search budget, MAX_SEARCHES, long before it ends.
     edges = [[0, 2 + j] for j in range(1200)] + [[2 + j, 1] for j in range(1200)]
     doc = {"problem": "lbec", "directed": False, "n": 1202, "edges": edges,
            "s": 0, "t": 1, "k": 1100, "ell": 3}

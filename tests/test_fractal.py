@@ -245,7 +245,7 @@ def test_depth_cap():
 def test_depth_one_first_cut():
     f = build_fractal(1)
     cert = cut_for_instance(f, 1)
-    pairs = set(cert.pairs(f.graph))
+    pairs = {(f.graph.edges[i].u, f.graph.edges[i].v) for i in cert.edges}
     # apex u has id 1 under the position labeling; sigma = 0, tau = 2
     assert pairs == {(0, 2), (0, 1)}
 

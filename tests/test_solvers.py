@@ -92,6 +92,17 @@ def test_lbec_rejects_weighted_graph():
         solve_lbec_fpt(inst)
 
 
+@pytest.mark.parametrize("param", [{"s": 0.0}, {"s": True}, {"k": 1.5},
+                                   {"ell": 2.5}],
+                         ids=["s=0.0", "s=True", "k=1.5", "ell=2.5"])
+def test_instance_refuses_parameters_that_are_not_ints(param):
+    # Accepted, a float terminal reached the searches' bit shifts, True
+    # solved as vertex 1, and a fractional budget or threshold solved.
+    with pytest.raises(InputError):
+        ProblemInstance("lbec", triangle(), **{"s": 0, "t": 1, "k": 1,
+                                               "ell": 2, **param})
+
+
 # -- mded ----------------------------------------------------------------------
 
 def cycle4():
@@ -839,6 +850,40 @@ def test_replayed_subtrees_search_each_mask_once(monkeypatch):
     monkeypatch.setattr(solvers, "_branch", _branch_searching_every_subtree)
     assert _fpt_outcome(inst) == (False, None, 15421)
     assert made[-1].searches == 20195
+
+
+def _prism3():
+    (fx,) = [fx for fx in VC_FIXTURES if fx.name == "prism"]
+    return reduce_vc_to_planar_lbec(fx.instance(3), fx.embedding())
+
+
+@pytest.mark.parametrize("make,searches,expected", [
+    (_prism3, 592, (False, None, 15421)),
+    # Six vertex pairs, one search each: the budget holds per pair.
+    (lambda: ProblemInstance("mded", cycle4(), k=0, ell=3), 1,
+     (False, None, 1)),
+], ids=["vc/prism/3", "mded/cycle4"])
+def test_brancher_raises_past_its_search_budget(monkeypatch, make, searches,
+                                                expected):
+    inst = make()
+    monkeypatch.setattr(solvers, "MAX_SEARCHES", searches)
+    assert _fpt_outcome(inst) == expected
+    monkeypatch.setattr(solvers, "MAX_SEARCHES", searches - 1)
+    with pytest.raises(ResourceBudgetError,
+                       match=f"exceeded {searches - 1} searches"):
+        solve_fpt(inst)
+
+
+def test_deep_fpt_search_ends_in_its_search_budget(monkeypatch):
+    # 1,200 disjoint directed 2-cycles: every node on the way down deletes
+    # an arc of one, so the path is about 1,000 nodes deep when the budget
+    # runs out.
+    arcs = [arc for i in range(1200) for arc in ((2 * i, 2 * i + 1),
+                                                 (2 * i + 1, 2 * i))]
+    inst = ProblemInstance("dsct", Graph(True, 2400, arcs), k=1100, ell=2)
+    monkeypatch.setattr(solvers, "MAX_SEARCHES", 1000)
+    with pytest.raises(ResourceBudgetError, match="exceeded 1000 searches"):
+        solve_fpt(inst)
 
 
 # -- oracle agreement -------------------------------------------------------------
