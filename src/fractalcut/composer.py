@@ -33,7 +33,7 @@ from .errors import EquivalenceError, InputError
 from .fractal import TFractal, build_fractal
 from .graph import (Graph, UNREACHABLE, bfs_distance, distances,
                     is_connected, min_cut)
-from .solvers import ProblemInstance
+from .reference import ProblemInstance
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .graph import Graph, is_strongly_connected
-from .solvers import ProblemInstance
+from .reference import ProblemInstance
 
 
 def _fill(edges: set, pool, m: int) -> set:

@@ -238,12 +238,16 @@ def is_connected(g: Graph) -> bool:
     return UNREACHABLE not in distances(g, 0)
 
 
-def is_strongly_connected(g: Graph) -> bool:
-    """Every vertex reaches every other along directed edges."""
+def is_strongly_connected(g: Graph,
+                          dead_edges: frozenset[int] = frozenset()) -> bool:
+    """Every vertex reaches every other along directed edges; on an
+    undirected graph, plain connectivity.  ``dead_edges`` are treated as
+    deleted."""
     if g.n <= 1:
         return True
-    return (UNREACHABLE not in distances(g, 0)
-            and UNREACHABLE not in distances(g, 0, reverse=True))
+    return (UNREACHABLE not in distances(g, 0, dead_edges)
+            and (not g.directed
+                 or UNREACHABLE not in distances(g, 0, dead_edges, reverse=True)))
 
 
 def is_edge_cut(g: Graph, s: int, t: int, edge_indices: Iterable[int]) -> bool:

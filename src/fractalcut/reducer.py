@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, ResourceBudgetError, UnsupportedParameterError
 from .graph import Graph
-from .solvers import ProblemInstance
+from .reference import ProblemInstance
 
 PAGES = ("upper", "lower")
 
@@ -42,19 +42,11 @@ class TwoPageEmbedding:
     """Spine order plus a page assignment for every edge.
 
     ``order[j]`` is the vertex at spine position j; ``pages`` maps each
-    canonical edge pair (u < v) to "upper" or "lower".  ``to_json_obj`` is
-    read back by ``serialize.parse_embedding``.
+    canonical edge pair (u < v) to "upper" or "lower".
     """
 
     order: tuple[int, ...]
     pages: dict
-
-    def to_json_obj(self) -> dict:
-        return {
-            "order": list(self.order),
-            "pages": {f"{u}-{v}": page
-                      for (u, v), page in sorted(self.pages.items())},
-        }
 
 
 def validate_embedding(g: Graph, emb: TwoPageEmbedding) -> bool:

@@ -26,7 +26,7 @@ from .errors import ParseError
 from .fractal import MAX_DEPTH, TFractal, build_fractal
 from .graph import Graph
 from .reducer import PAGES, TwoPageEmbedding, VcInstance
-from .solvers import ProblemInstance
+from .reference import ProblemInstance
 
 MAX_VERTICES = 1 << (MAX_DEPTH + 1)
 """Largest vertex count ``n`` a graph, instance or vertex-cover document

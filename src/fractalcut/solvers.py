@@ -7,13 +7,15 @@ DSCT: delete at most k arcs so no directed cycle of length at most ell
       remains (shortest directed cycles are chordless, so checking all
       cycles and checking induced cycles decide the same instances).
 
-Each problem gets a fixed-parameter branching solver and an exhaustive
-brute-force oracle.  The brute force exists to check the branchers and the
-composers, so it stays dumb: it enumerates deletion sets outright.  The
-cost-aware variant additionally applies a few symmetry quotients and
-exclusions that are proved in their docstrings and cross-checked against the
+Each problem gets a fixed-parameter branching solver, and the cost-aware
+exhaustive oracle that checks the composers.  Both search the adjacency
+bitmasks of ``_Support``.  The oracle applies a few symmetry quotients and
+exclusions that are proved in its docstring and cross-checked against the
 raw enumeration in the test suite; they never change a verdict, only the
-amount of enumeration.
+amount of enumeration.  The ground truth they are checked against, the
+instance types, ``instance_predicate``, ``check_witness`` and the plain
+brute force ``solve_bruteforce``, lives in ``reference``, which imports
+nothing from here; this module re-exports it.
 
 Budgets count deletion cost.  On unit graphs (every solver's input) that is
 the same as cardinality; cost-annotated graphs are only ever handed to the
@@ -28,149 +30,20 @@ unchanged).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
 from operator import add
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
 from .errors import InputError, ResourceBudgetError
-from .graph import Graph, UNREACHABLE, bfs_distance, distances, min_cut
-
-KINDS = ("lbec", "mded", "dsct")
+from .graph import Graph, UNREACHABLE, is_strongly_connected, min_cut
+# check_witness, instance_predicate and solve_bruteforce are re-exported
+# for the callers that import them from here, the benchmark among them.
+from .reference import (ProblemInstance, Verdict, check_witness,
+                        instance_predicate, solve_bruteforce)
 
 MAX_SEARCHES = 50_000
 """Obstruction searches one branching search may make (see ``_branch``)."""
-
-
-@dataclass(frozen=True)
-class ProblemInstance:
-    """Tagged union of LBEC / MDED / DSCT instances.
-
-    ``k`` is the deletion budget (counted in deletion cost), ``ell`` the
-    length threshold.  ``s``/``t`` are set for LBEC only.
-    """
-
-    kind: str
-    graph: Graph
-    s: Optional[int] = None
-    t: Optional[int] = None
-    k: int = 0
-    ell: int = 0
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InputError(f"unknown problem kind {self.kind!r}")
-        # bool is an int subclass, and a float passes every range check
-        if type(self.k) is not int or type(self.ell) is not int:
-            raise InputError(f"k and ell must be ints, got {self.k!r}, {self.ell!r}")
-        if self.kind == "lbec":
-            if self.s is None or self.t is None:
-                raise InputError("lbec instance needs terminals s and t")
-            for v in (self.s, self.t):
-                if type(v) is not int or not (0 <= v < self.graph.n):
-                    raise InputError(f"terminal {v!r} is not a vertex")
-            if self.s == self.t:
-                raise InputError("lbec terminals must be distinct")
-        elif self.s is not None or self.t is not None:
-            raise InputError(f"{self.kind} instance carries no terminals")
-        if self.kind == "dsct" and not self.graph.directed:
-            raise InputError("dsct instance requires a directed graph")
-
-    @property
-    def is_bad(self) -> bool:
-        """Degenerate parameter combination, grouped into one equivalence class."""
-        m = len(self.graph.edges)
-        return max(self.k, self.ell) > m or min(self.k, self.ell) < 0
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Decision plus a replayable witness.
-
-    ``nodes`` counts the leaves of the branching tree (for the diameter
-    solver: the maximum over vertex pairs), the leaves of failed subtrees
-    that the brancher replays instead of searching again included; the
-    brute-force solvers report the number of deletion sets tested instead.
-    """
-
-    answer: bool
-    witness: Optional[tuple[int, ...]] = None
-    nodes: int = 0
-
-    def witness_pairs(self, g: Graph) -> Optional[list[list[int]]]:
-        if self.witness is None:
-            return None
-        return [[g.edges[i].u, g.edges[i].v] for i in self.witness]
-
-
-# -- reference predicate (replay grade, no cleverness) ---------------------
-
-
-def _girth_directed(g: Graph, dead: frozenset[int]) -> float:
-    """Length of the shortest directed cycle; inf when acyclic.
-
-    A live arc u -> v closes a cycle of dist(v, u) + 1 arcs, so one BFS
-    per distinct arc head serves all of that head's in-arcs.
-    """
-    tails: dict[int, list[int]] = {}
-    for idx, e in enumerate(g.edges):
-        if idx not in dead:
-            tails.setdefault(e.v, []).append(e.u)
-    best = UNREACHABLE
-    for v, us in tails.items():
-        dist = distances(g, v, dead)
-        best = min(best, min(dist[u] for u in us) + 1)
-    return best
-
-
-def _connected_after(g: Graph, dead: frozenset[int]) -> bool:
-    """(Strong, if directed) connectivity once the dead edges are gone."""
-    if g.n <= 1:
-        return True
-    return (UNREACHABLE not in distances(g, 0, dead)
-            and (not g.directed
-                 or UNREACHABLE not in distances(g, 0, dead, reverse=True)))
-
-
-def instance_predicate(inst: ProblemInstance, deleted: Iterable[int]) -> bool:
-    """Does deleting these edge indices satisfy the instance's question?
-
-    Each question is decided in the form it is asked:
-
-    - LBEC: the s-t hop distance is at least ell;
-    - MDED: the graph stays (strongly) connected, and some vertex lies ell
-      or more hops from another.  The sources are scanned in ascending id
-      order and the first such source ends the scan;
-    - DSCT: the girth exceeds ell.
-
-    Every question is asked in hops, so edge lengths other than 1 are
-    refused rather than read as 1.
-    """
-    g = inst.graph
-    if not g._unit and any(e.length != 1 for e in g.edges):
-        raise InputError("instance_predicate requires unit edge lengths")
-    dead = frozenset(deleted)
-    if inst.kind == "lbec":
-        return bfs_distance(g, inst.s, inst.t, dead) >= inst.ell
-    if inst.kind == "mded":
-        # Every diameter, an empty graph's 0 included, is at least 0.
-        return _connected_after(g, dead) and (inst.ell <= 0 or any(
-            max(distances(g, v, dead)) >= inst.ell for v in range(g.n)))
-    return _girth_directed(g, dead) > inst.ell
-
-
-def check_witness(inst: ProblemInstance, edges: Iterable[int]) -> bool:
-    """Replay a witness: cost within budget and predicate satisfied."""
-    edges = tuple(edges)
-    m = len(inst.graph.edges)
-    if len(set(edges)) < len(edges) or not all(
-            type(i) is int and 0 <= i < m for i in edges):
-        raise InputError("witness edges must be ints, distinct and in range")
-    if inst.graph.total_cost(edges) > inst.k:
-        return False
-    return instance_predicate(inst, edges)
 
 
 # -- shared support -----------------------------------------------------------
@@ -195,7 +68,9 @@ class _Support:
     undirected graph's in-masks are its out-masks.  ``sever`` takes a
     surviving pair out and ``restore`` puts a severed one back; each touches
     only the pair's own bits and flag.  Every search walks the masks but the
-    LBEC brancher's, which reads the lists ``adj`` of its ``_SlotState``.
+    LBEC brancher's, which reads the lists ``adj`` of its ``_SlotState``;
+    the DSCT brancher and the oracle share one cycle finder,
+    ``shortest_cycle``.
     """
 
     def __init__(self, g: Graph):
@@ -275,6 +150,27 @@ class _Support:
         cycle, u = found
         cycle.append(self.pair_id[u, v])
         return cycle
+
+    def shortest_cycle(self, limit: int):
+        """Pair ids of a shortest directed cycle of length <= limit, else None.
+
+        Takes the cycle of each vertex of ``feedback``, the root's feedback
+        vertex set F (``_feedback_vertices``, set by the DSCT brancher's
+        ``_SlotState`` and the oracle), from ``_cycle_through`` in id order,
+        and only a strictly shorter cycle replaces an earlier one: the
+        cycle a scan over every vertex returns.  Let v* be the lowest
+        vertex on a shortest cycle C.  It is C's lowest vertex, so it is in
+        F, and no lower vertex of F lies on a cycle as short, so the scan
+        keeps v*'s cycle; ``_cycle_through(v*, cap)`` returns the same one
+        for every cap at or above C's length.
+        """
+        best = None
+        for v in self.feedback:
+            cycle = self._cycle_through(v, limit)
+            if cycle is not None:
+                best = cycle
+                limit = len(cycle) - 1
+        return best
 
     def _path_into(self, s: int, into: int, cap: int):
         """(pair ids, end) of the least shortest path from s to a vertex of
@@ -368,7 +264,7 @@ class _SlotState(_Support):
     lists u's (neighbour, pid, (pid, u)) triples, severed or not, in
     ascending order; the last item is what the s-t search records as the
     neighbour's parent.  For DSCT, ``feedback`` is the root's feedback
-    vertex set.
+    vertex set, which ``shortest_cycle`` scans.
     """
 
     def __init__(self, g: Graph, kind: str):
@@ -469,26 +365,6 @@ class _SlotState(_Support):
             frontier = nxt
             d += 1
         return None, None
-
-    def shortest_cycle_slots(self, limit: int):
-        """Pair ids of a shortest directed cycle of length <= limit, else None.
-
-        Takes the cycle of each vertex of ``feedback``, the root's feedback
-        vertex set F, from ``_cycle_through`` in id order, and only a
-        strictly shorter cycle replaces an earlier one: the cycle a scan
-        over every vertex returns.  Let v* be the lowest vertex on a shortest cycle C.
-        It is C's lowest vertex, so it is in F, and no lower vertex of F
-        lies on a cycle as short, so the scan keeps v*'s cycle;
-        ``_cycle_through(v*, cap)`` returns the same one for every cap at or
-        above C's length.
-        """
-        best = None
-        for v in self.feedback:
-            cycle = self._cycle_through(v, limit)
-            if cycle is not None:
-                best = cycle
-                limit = len(cycle) - 1
-        return best
 
     def delete_copy(self, pid: int) -> int:
         """Remove one copy, returning the concrete edge index it stands for."""
@@ -651,7 +527,7 @@ def solve_mded_fpt(inst: ProblemInstance) -> Verdict:
     """
     _require_solvable(inst, "mded")
     g = inst.graph
-    if not _connected_after(g, frozenset()):
+    if not is_strongly_connected(g):
         raise InputError("directed diameter instance must be strongly connected"
                          if g.directed else "diameter instance must be connected")
     if inst.ell <= 0:
@@ -679,7 +555,7 @@ def solve_dsct_fpt(inst: ProblemInstance) -> Verdict:
     """Branching decider for the short-cycle transversal question.
 
     Finds a shortest directed cycle with the mask search over the root's
-    feedback vertex set (``_SlotState.shortest_cycle_slots``); while one of
+    feedback vertex set (``_Support.shortest_cycle``); while one of
     length <= ell exists, branches over deleting each of its <= ell arcs.
     Explores at most ell**k leaves.
     """
@@ -689,7 +565,7 @@ def solve_dsct_fpt(inst: ProblemInstance) -> Verdict:
     state = _SlotState(inst.graph, "dsct")
 
     def find(tree, cut):
-        return state.shortest_cycle_slots(inst.ell), None
+        return state.shortest_cycle(inst.ell), None
 
     witness, leaves = _branch(state, find, inst.k)
     if witness is None:
@@ -709,33 +585,6 @@ def solve_fpt(inst: ProblemInstance) -> Verdict:
     if inst.kind == "mded":
         return solve_mded_fpt(inst)
     return solve_dsct_fpt(inst)
-
-
-# -- brute force -------------------------------------------------------------
-
-
-def solve_bruteforce(inst: ProblemInstance, max_subsets: int = 10_000_000) -> Verdict:
-    """Exhaustive oracle: test every edge subset of size <= k.
-
-    Subsets are enumerated by ascending size, lexicographically within each
-    size, and the first satisfying subset is returned, which makes the
-    witness canonical.  ``nodes`` reports how many subsets were tested.
-    Raises ResourceBudgetError instead of ever guessing.
-    """
-    if not inst.graph.is_unit:
-        raise InputError("solve_bruteforce enumerates by cardinality and "
-                         "requires unit costs; use solve_bruteforce_costaware")
-    m = len(inst.graph.edges)
-    tested = 0
-    for size in range(0, min(inst.k, m) + 1):
-        for combo in itertools.combinations(range(m), size):
-            tested += 1
-            if tested > max_subsets:
-                raise ResourceBudgetError(
-                    f"brute force exceeded {max_subsets} subsets")
-            if instance_predicate(inst, combo):
-                return Verdict(True, combo, tested)
-    return Verdict(False, None, tested)
 
 
 # -- cost-aware brute force --------------------------------------------------
@@ -877,8 +726,8 @@ class _CostAwareSearch(_Support):
     went into F as the lowest vertex left.  So F holds the lowest vertex
     f of every cycle C of the root, and of every state, whose support is
     a subgraph of the root's; and the shortest cycle through f is no
-    longer than C.  The finder returns the shortest cycle through the
-    first f in F, in id order, that lies on a cycle of at most ell arcs,
+    longer than C.  The finder, ``shortest_cycle``, which the DSCT
+    brancher shares, returns a shortest cycle if it has at most ell arcs,
     so it finds one exactly when one survives.  On every DSCT composition
     of the compose-cut pool F is one vertex: the selector's back arc
     meets every cycle.
@@ -1128,7 +977,7 @@ class _CostAwareSearch(_Support):
             found = self._path_into(inst.s, 1 << inst.t, inst.ell - 1)
             found = found and found[0]
         else:
-            found = self._first_cycle(inst.ell)
+            found = self.shortest_cycle(inst.ell)
         if found is None:
             return True
         blocked = 0
@@ -1143,16 +992,6 @@ class _CostAwareSearch(_Support):
             for pid in unit[1]:
                 self.sever(pid)
         self.synced = len(chosen)
-
-    def _first_cycle(self, limit: int):
-        """Pair ids of the shortest cycle through the first vertex of
-        ``feedback`` that lies on a directed cycle of at most limit arcs,
-        else None."""
-        for v in self.feedback:
-            cycle = self._cycle_through(v, limit)
-            if cycle is not None:
-                return cycle
-        return None
 
     def _mded_holds(self, parent, mask: int):
         """Connected (strongly, if directed) with diameter >= ell.

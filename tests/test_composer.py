@@ -410,7 +410,6 @@ def test_diameter_realized_at_appended_tips():
     # for it (without them, pairs wrapping through the one-way chains exceed
     # it already with zero deletions).
     from fractalcut.graph import distances
-    from fractalcut.solvers import _connected_after
     rnd = random.Random(424)
     for directed in (False, True):
         if directed:
@@ -431,7 +430,7 @@ def test_diameter_realized_at_appended_tips():
         for dead in samples:
             if g.total_cost(dead) > art.params["k_prime"]:
                 continue
-            if not _connected_after(g, frozenset(dead)):
+            if not is_strongly_connected(g, frozenset(dead)):
                 continue
             diam = max(max(distances(g, v, frozenset(dead)))
                        for v in range(g.n))

@@ -53,7 +53,9 @@ def test_embedding_requires_permutation_and_pages():
 
 def test_embedding_json_round_trip():
     emb = VC_FIXTURES[2].embedding()
-    again = parse_embedding(json.dumps(emb.to_json_obj()))
+    obj = {"order": list(emb.order),
+           "pages": {f"{u}-{v}": page for (u, v), page in emb.pages.items()}}
+    again = parse_embedding(json.dumps(obj))
     assert again == emb
 
 

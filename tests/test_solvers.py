@@ -19,14 +19,14 @@ from fractalcut import (Graph, InputError, ProblemInstance,
                         solve_mded_fpt)
 from fractalcut.fixtures import VC_FIXTURES
 from fractalcut.generators import random_solver_instance
-from fractalcut.graph import UNREACHABLE, bfs_distance, distances, is_connected
+from fractalcut.graph import (UNREACHABLE, bfs_distance, distances,
+                              is_connected, is_strongly_connected)
 from fractalcut.composer import (_is_acyclic, compose_dsct, compose_lbec,
                                  compose_mded)
 from fractalcut.reducer import reduce_vc_to_planar_lbec
 from fractalcut import solvers
-from fractalcut.solvers import (_CostAwareSearch, _SlotState, _Support,
-                                _connected_after, _girth_directed,
-                                instance_predicate)
+from fractalcut.reference import _girth_directed, instance_predicate
+from fractalcut.solvers import _CostAwareSearch, _SlotState, _Support
 from fractalcut.verify import _make_inputs
 
 
@@ -185,33 +185,21 @@ def test_split_vertex_matches_shortest_cycle():
         dead = frozenset()
         while True:
             # the mask search against the reference girth on what survives
-            cycle = state.shortest_cycle_slots(len(g.edges) + 1)
+            cycle = state.shortest_cycle(len(g.edges) + 1)
             girth = _girth_directed(g, dead)
             assert (len(cycle) if cycle is not None else float("inf")) == girth
-            # the oracle's finder: a shortest cycle through the lowest vertex
-            # of F on a cycle of at most limit arcs, or None when there is
-            # none; F holds each cycle's lowest vertex, so that is the lowest
-            # vertex on such a cycle
-            through = [min((distances(g, v, dead)[e.u] + 1
-                            for i, e in enumerate(g.edges)
-                            if e.v == v and i not in dead), default=UNREACHABLE)
-                       for v in range(g.n)]
+            # the oracle's masks, severed in step: a closed walk of exactly
+            # girth surviving arcs when girth <= limit, else None
             for limit in range(5):
-                first = search._first_cycle(limit)
-                assert (first is not None) == (girth <= limit), (dead, limit)
-                if limit < 2:
-                    assert first is None, (dead, limit)
-                if first is None:
+                found = search.shortest_cycle(limit)
+                if girth > limit:
+                    assert found is None, (dead, limit)
                     continue
-                arcs = [search.pairs[pid] for pid in first]
+                arcs = [search.pairs[pid] for pid in found]
+                assert len(arcs) == girth, (dead, limit, found)
                 assert all(search.out_masks[u] >> v & 1 for u, v in arcs)
                 assert all(arcs[i][1] == arcs[(i + 1) % len(arcs)][0]
                            for i in range(len(arcs)))
-                lowest = min(v for v in search.feedback if through[v] <= limit)
-                assert lowest == min(v for v in range(g.n)
-                                     if through[v] <= limit), (dead, limit)
-                assert lowest in {u for u, _ in arcs}, (dead, limit, first)
-                assert len(first) == through[lowest], (dead, limit, first)
             if cycle is None:
                 break
             # a closed directed walk of surviving pairs
@@ -227,7 +215,7 @@ def test_split_vertex_matches_shortest_cycle():
 
 
 def _cycle_scan_over_every_vertex(support, limit):
-    """The reference for shortest_cycle_slots: every vertex's cycle in id
+    """The reference for shortest_cycle: every vertex's cycle in id
     order, and only a strictly shorter one replaces an earlier one."""
     best = None
     for v in range(support.n):
@@ -257,7 +245,7 @@ def test_cycle_scan_over_the_root_feedback_set_matches_every_vertex():
             if pid is not None:
                 state.sever(pid)
             for limit in range(g.n + 2):
-                assert state.shortest_cycle_slots(limit) \
+                assert state.shortest_cycle(limit) \
                     == _cycle_scan_over_every_vertex(state, limit), \
                     (g.edges, limit)
     assert left_out
@@ -272,7 +260,7 @@ def test_cycle_scan_skips_the_lowest_vertex_off_every_cycle():
                         (4, 3)])
     state = _SlotState(g, "dsct")
     assert state.feedback == [1, 3]
-    cycle = state.shortest_cycle_slots(3)
+    cycle = state.shortest_cycle(3)
     assert [state.pairs[pid] for pid in cycle] == [(3, 4), (4, 3)]
     assert cycle == _cycle_scan_over_every_vertex(state, 3)
     for k, answer in ((1, False), (2, True)):
@@ -383,11 +371,11 @@ def test_feedback_scan_passes_a_vertex_on_no_short_cycle():
     inst = ProblemInstance("dsct", g, k=2, ell=3)
     search = _CostAwareSearch(inst, symmetry=False)
     assert search.feedback == [2, 3]
-    assert search._first_cycle(2) is None
-    first = search._first_cycle(3)
+    assert search.shortest_cycle(2) is None
+    first = search.shortest_cycle(3)
     assert [search.pairs[pid] for pid in first] == [(2, 4), (4, 6), (6, 2)]
     search.sever(search.pair_id[4, 6])
-    first = search._first_cycle(3)
+    first = search.shortest_cycle(3)
     assert [search.pairs[pid] for pid in first] == [(3, 5), (5, 7), (7, 3)]
     for k, answer in ((1, False), (2, True)):
         inst = ProblemInstance("dsct", g, k=k, ell=3)
@@ -442,14 +430,14 @@ def test_connected_without_matches_reference():
         edges = rnd.sample(pool, rnd.randint(1, len(pool)))
         edges += [rnd.choice(edges) for _ in range(rnd.randint(0, 2))]
         g = Graph(directed, n, edges)
-        if not _connected_after(g, frozenset()):
+        if not is_strongly_connected(g):
             continue
         drawn += 1
         support = _Support(g)
         masks = (list(support.out_masks), list(support.in_masks))
         for pid, idxs in enumerate(support.pair_edges):
             got = support.connected_without(pid)
-            assert got == _connected_after(g, frozenset(idxs)), (g.edges, pid)
+            assert got == is_strongly_connected(g, frozenset(idxs)), (g.edges, pid)
             assert (support.out_masks, support.in_masks) == masks
             outcomes.add((directed, got))
     assert outcomes == {(d, c) for d in (False, True) for c in (False, True)}
@@ -475,7 +463,7 @@ def test_connected_without_sweeps_when_no_neighbour_is_shared(arcs, expected):
     support = _SweptSupport(g)
     assert support.connected_without(0) is expected
     assert support.sweeps == 1
-    assert _connected_after(g, frozenset({0})) is expected
+    assert is_strongly_connected(g, frozenset({0})) is expected
     assert support.alive[0] and support.out_masks == _Support(g).out_masks
 
 
@@ -629,7 +617,7 @@ def test_exclusions_by_corridor_match_the_per_pair_reference(kind, directed):
             for pid in ch:
                 if kind == "mded":
                     dead = frozenset(search.pair_edges[pid])
-                    ref = not _connected_after(g, dead)
+                    ref = not is_strongly_connected(g, dead)
                 else:
                     u, v = search.pairs[pid]
                     ref = distances(g, v)[u] == UNREACHABLE
@@ -1202,7 +1190,7 @@ def test_mded_predicate_matches_the_diameter_reference():
         m = len(g.edges)
         for _ in range(4):
             dead = frozenset(i for i in range(m) if rnd.random() < 0.2)
-            connected = _connected_after(g, dead)
+            connected = is_strongly_connected(g, dead)
             diameter = _diameter(g, dead)
             if directed and not connected and is_connected(Graph(
                     True, g.n, [e for i, e in enumerate(g.edges) if i not in dead])):
@@ -1231,7 +1219,8 @@ def test_mded_predicate_stops_at_the_first_far_source(monkeypatch, n):
         calls.append(args[1])
         return distances(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "distances", counted)
+    monkeypatch.setattr("fractalcut.reference.distances", counted)
+    monkeypatch.setattr("fractalcut.graph.distances", counted)
     path = Graph(False, n, [(i, i + 1) for i in range(n - 1)])
     assert instance_predicate(ProblemInstance("mded", path, k=0, ell=n - 1), ())
     assert calls == [0, 0]  # the connectivity BFS, then source 0
@@ -1459,7 +1448,7 @@ class _ReplayedMded(_CostAwareSearch):
     def _mded_holds(self, parent, mask):
         got = super()._mded_holds(parent, mask)
         dead = _severed_edges(self)
-        connected = _connected_after(self.inst.graph, dead)
+        connected = is_strongly_connected(self.inst.graph, dead)
         assert (got is True) == instance_predicate(self.inst, dead), dead
         if self.n > 1:
             assert (got is False) == (not connected), dead
@@ -1644,7 +1633,7 @@ def test_pendant_quotient_matches_the_diameter_under_severances():
             assert failed is not True and failed is not False, (g.edges, pids)
             seen[len(pids)] += 1
             cuts = [pid for pid in range(len(g.edges)) if pid not in dead
-                    and _connected_after(g, dead | {pid})]
+                    and is_strongly_connected(g, dead | {pid})]
             if not cuts or rnd.random() < 0.3:
                 break
             pids.append(rnd.choice(cuts))
