@@ -69,7 +69,8 @@ class Verdict:
     ``nodes`` counts the leaves of the branching tree (for the diameter
     solver: the maximum over vertex pairs), the leaves of failed subtrees
     that the brancher replays instead of searching again included; the
-    brute-force solvers report the number of deletion sets tested instead.
+    brute-force solvers report the number of deletion sets tested instead,
+    which the cost-aware oracle walks or, below a settled state, counts.
     """
 
     answer: bool

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from functools import partial
 from heapq import heappop, heappush
-from operator import add
+from itertools import accumulate, chain, repeat
+from operator import add, or_
 from typing import Callable
 
 from .errors import InputError, ResourceBudgetError
@@ -44,6 +45,10 @@ from .reference import (ProblemInstance, Verdict, check_witness,
 
 MAX_SEARCHES = 50_000
 """Obstruction searches one branching search may make (see ``_branch``)."""
+
+MAX_COUNTS = 1 << 16
+"""Entries the oracle's table of set counts may hold (see
+``_CostAwareSearch._below``)."""
 
 
 # -- shared support -----------------------------------------------------------
@@ -750,6 +755,24 @@ class _CostAwareSearch(_Support):
     reads the masks, for its BFS or to find the live one-arc corridors,
     so it severs its unit.  The witness is read off ``chosen``, and a
     success puts the severed units back.
+
+    Settled states are counted, not walked.  A failing state is *settled*
+    when it hands down False, or a mask B that ``ahead[j]``, the pairs of
+    ``units[j:]`` for j its first child, misses.  Every unit a descendant
+    adds then misses B, so each descendant inherits B in turn, fails and
+    severs nothing, as every descendant of a False state is handed False.
+    The subtree holds no success and adds only its size to ``tested``:
+    the number of non-empty sets of ``units[j:]`` that fit the budget
+    left, b, as the enumeration takes each such set once.  With F_i(b)
+    the sets of the last i units, empty set included, of cost at most b,
+    F_0 = 1 and a unit of cost c adds F(b - c) where c <= b; ``_below``
+    reads F off a table built once per solve, as far as the settled
+    states ask.  So ``tested`` equals a walk's count at every walked
+    state, and the search raises against ``max_states`` exactly when a
+    walk would.  No obstruction is empty, so no zero mask settles, and
+    () and rows never do.  A table past ``MAX_COUNTS`` entries (a large
+    budget and total cost) is not built, and the search walks every
+    state.
     """
 
     def __init__(self, inst: ProblemInstance, symmetry: bool = True):
@@ -1116,15 +1139,39 @@ class _CostAwareSearch(_Support):
 
     # ---- enumeration
 
+    def _below(self, units, j: int, left: int):
+        """The states below a settled state whose first affordable child
+        is units[j]: the non-empty sets of units[j:] of cost at most left.
+        ``counts[i][b]`` is F_i(b) of the class docstring, for b up to the
+        budget, or up to the total cost, where every set fits, if that is
+        less.  None if the table would pass MAX_COUNTS entries."""
+        counts = self.counts
+        if not counts:
+            width = min(self.budget, sum(u[0] for u in units)) + 1
+            if width * len(units) > MAX_COUNTS:
+                return None
+            counts.append([1] * width)
+        while len(counts) <= len(units) - j:
+            row = counts[-1]
+            cost = units[-len(counts)][0]
+            counts.append([*map(add, row, chain(repeat(0, cost), row))])
+        row = counts[len(units) - j]
+        return row[min(left, len(row) - 1)] - 1
+
     def solve(self, budget: int, max_states: int) -> Verdict:
         if budget < 0:
             return Verdict(False, None, 0)  # no deletion set fits
         tested = 0
         chosen = self.chosen = []
         self.synced = 0
+        self.budget, self.counts = budget, []
         units = [u for u in self.units if u[0] <= budget]
-        holds = (self._mded_holds if self.inst.kind == "mded"
-                 else self._obstruction_holds)
+        obstruct = self.inst.kind != "mded"
+        holds = self._obstruction_holds if obstruct else self._mded_holds
+        # ahead[j]: the pairs of units[j:]; a mask no unit ahead meets settles.
+        ahead = [*accumulate((u[3] for u in reversed(units)), or_,
+                             initial=0)][::-1] if obstruct else None
+        settles = True  # until a table of counts would grow too large
         path = []  # per state on it: (unit index in units or -1, hand-down)
         ui, left, parent, mask = -1, budget, None, 0
         while True:
@@ -1137,6 +1184,18 @@ class _CostAwareSearch(_Support):
                 break
             path.append((ui, inherited))
             ui += 1
+            if settles and (inherited is False or obstruct
+                            and not inherited & ahead[ui]):
+                while ui < len(units) and units[ui][0] > left:
+                    ui += 1
+                below = self._below(units, ui, left) if ui < len(units) else 0
+                if below is None:
+                    settles = False
+                else:
+                    tested += below
+                    if tested > max_states:
+                        continue  # the test above raises
+                    ui = len(units)  # leave the state
             while ui == len(units) or units[ui][0] > left:
                 if ui == len(units):  # no unit left: leave the state
                     ui = path.pop()[0]

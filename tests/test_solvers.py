@@ -5,6 +5,7 @@ import gc
 import hashlib
 import itertools
 import random
+import time
 import weakref
 from collections import Counter
 from functools import partial
@@ -1056,7 +1057,25 @@ def test_costaware_cut_pinned_verdicts(params, expected):
     assert (v.answer, v.witness, v.nodes) == expected
 
 
-class _CountedSevers(_CostAwareSearch):
+class _Walked(_CostAwareSearch):
+    """The oracle walking every state, settled or not, so that a harness
+    derived from it sees each one: ``_below`` declines the first count,
+    and the search walks on, as past a table too large to build.  Set
+    ``walks`` False on an instance to count the states below settled
+    states, as the oracle does; ``counted`` then sums them."""
+
+    walks = True
+    counted = 0
+
+    def _below(self, units, j, left):
+        if self.walks:
+            return None
+        below = super()._below(units, j, left)
+        self.counted += below or 0
+        return below
+
+
+class _CountedSevers(_Walked):
     """Counts the sever calls made on the way to each state, up to the end
     of its predicate, and checks that a state that inherits its parent's
     obstruction made none."""
@@ -1091,6 +1110,12 @@ def test_costaware_inherited_states_sever_nothing(params, expected):
     assert (v.answer, v.witness, v.nodes) == expected
     assert search.inherited > search.searched > 0
     assert search.inherited + search.searched == v.nodes
+    # Counting the settled subtrees leaves out only inherited states.
+    counting = _CountedSevers(inst)
+    counting.walks = False
+    assert counting.solve(inst.k, 50_000_000) == v
+    assert counting.searched == search.searched and counting.counted > 0
+    assert counting.inherited + counting.searched + counting.counted == v.nodes
 
 
 @pytest.mark.parametrize("params,expected", [
@@ -1114,6 +1139,106 @@ def test_costaware_deep_search_ends_in_its_state_budget():
     inst = ProblemInstance("dsct", Graph(True, 2400, arcs), k=1100, ell=2)
     with pytest.raises(ResourceBudgetError, match="exceeded 10000 states"):
         solve_bruteforce_costaware(inst, max_states=10_000)
+
+
+def test_counted_settled_states_match_the_walk_and_its_budget():
+    # Weighted corridor graphs and unit random instances of every kind and
+    # orientation: counting the settled subtrees gives the walk's verdict,
+    # witness and state count, and the state budget binds at that count.
+    rnd = random.Random(3101)
+    shapes = (("lbec", False), ("lbec", True), ("mded", False),
+              ("mded", True), ("dsct", True))
+    instances = []
+    for kind, directed in shapes:
+        terminals = dict(s=0, t=1) if kind == "lbec" else {}
+        for _ in range(40):
+            g = _corridor_graph(rnd, directed, weighted=True)
+            instances.append(ProblemInstance(kind, g, k=rnd.randint(0, 7),
+                                             ell=rnd.randint(1, 4),
+                                             **terminals))
+        instances += [random_solver_instance(rnd, kind, n_max=7, k_max=4,
+                                             ell_max=5) for _ in range(20)]
+    seen = Counter()
+    for inst, symmetry in itertools.product(instances, (True, False)):
+        walked = _Walked(inst, symmetry=symmetry).solve(inst.k, 50_000_000)
+        counting = _Walked(inst, symmetry=symmetry)
+        counting.walks = False
+        assert counting.solve(inst.k, 50_000_000) == walked, inst
+        seen[inst.kind, inst.graph.directed, walked.answer] += 1
+        seen["counted"] += counting.counted > 0
+        for search in (_CostAwareSearch, _Walked):
+            with pytest.raises(ResourceBudgetError,
+                               match=f"exceeded {walked.nodes - 1} states$"):
+                search(inst, symmetry=symmetry).solve(inst.k, walked.nodes - 1)
+            assert search(inst, symmetry=symmetry).solve(
+                inst.k, walked.nodes) == walked
+    for kind, directed in shapes:
+        assert seen[kind, directed, True] and seen[kind, directed, False], seen
+    assert seen["counted"] >= 50, seen
+
+
+def _all_no_composition(flavor, k, p, trial):
+    """The weighted composition of p no-instances of criterion-5 shape
+    (ell = 3, up to 5 vertices), drawn one at a time until p fail."""
+    rnd = random.Random(f"allno/{flavor}/{k}/{p}/{trial}")
+    inputs = []
+    while len(inputs) < p:
+        x = _make_inputs(rnd, 1, k, 3,
+                         "dag" if flavor == "dsct" else "undirected", 5)[0]
+        if not solve_bruteforce(x).answer:
+            inputs.append(x)
+    compose = compose_dsct if flavor == "dsct" else compose_lbec
+    return compose(inputs, mode="weighted").composed
+
+
+# (flavor, k, p, trial) -> states, recorded while the oracle still walked
+# every state (3 to 10 s each): counting the settled ones must not drift.
+PINNED_ALL_NO = [
+    (("lbec-und", 2, 4, 0), 5_083_951),
+    (("dsct", 1, 8, 1), 13_331_267),
+    (("lbec-und", 1, 8, 1), 14_422_483),
+]
+
+
+@pytest.mark.parametrize("cell,states", PINNED_ALL_NO)
+def test_costaware_all_no_compositions_pinned(cell, states):
+    v = solve_bruteforce_costaware(_all_no_composition(*cell))
+    assert (v.answer, v.witness, v.nodes) == (False, None, states)
+
+
+@pytest.mark.parametrize("flavor", ["lbec-und", "dsct"])
+def test_costaware_all_no_p16_ends_in_its_state_budget_at_once(flavor):
+    # A walk took 44 s to pass the default budget on the LBEC composition.
+    inst = _all_no_composition(flavor, 1, 16, 0)
+    start = time.perf_counter()
+    with pytest.raises(ResourceBudgetError, match="exceeded 50000000 states"):
+        solve_bruteforce_costaware(inst)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("kind", ["lbec", "dsct"])
+@pytest.mark.parametrize("cost", [1, 10**9 // 4])
+def test_costaware_huge_budget_answers_at_once(kind, cost):
+    # The triangle 0 -> 1 -> 2 -> 0 costs more than the budget, so its
+    # short path or cycle settles the root, beside an 8-cycle whose arcs
+    # cost cost + 17 i.  A table of set counts is as wide as the budget or
+    # the total cost, whichever is less: arcs of 484 in all are counted,
+    # and arcs near a quarter of the budget each are walked.
+    big = 10**9
+    cycle = [(3 + i, 3 + (i + 1) % 8, cost + 17 * i) for i in range(8)]
+    g = Graph(True, 11, [(0, 1, 3 * big), (1, 2, 3 * big), (2, 0, 3 * big)]
+              + cycle)
+    terminals = dict(s=0, t=2) if kind == "lbec" else {}
+    inst = ProblemInstance(kind, g, k=big, ell=3, **terminals)
+    search = _Walked(inst, symmetry=False)
+    search.walks = False
+    start = time.perf_counter()
+    v = search.solve(inst.k, 50_000_000)
+    assert time.perf_counter() - start < 1
+    fits = sum(sum(c) <= big for size in range(1, 9)
+               for c in itertools.combinations([e[2] for e in cycle], size))
+    assert (v.answer, v.witness, v.nodes) == (False, None, 1 + fits)
+    assert search.counted == (fits if cost == 1 else 0)
 
 
 def test_finished_searches_hold_no_reference_cycle():
@@ -1431,7 +1556,7 @@ def _pendant_reference(g, core):
     return sorted(alive), height, pendant
 
 
-class _ReplayedMded(_CostAwareSearch):
+class _ReplayedMded(_Walked):
     """Checks the diameter predicate at every visited state against the
     replay-grade predicate on the edges of the chosen units, that it hands
     down False exactly where the support is not (strongly) connected, and
@@ -1475,18 +1600,30 @@ class _ReplayedMded(_CostAwareSearch):
 
 def _replay_states(inst, symmetry, max_states=50_000_000,
                    replayed=_ReplayedMded):
-    """Run the search under replay; a capped run checks the states it got to."""
+    """Run the search under replay, walking every state; a capped run
+    checks the states it got to.  Then run it as the oracle does, counting
+    the states below settled states: it replays the states it walks and
+    ends as the walk did, with the same verdict or past the same cap."""
     search = replayed(inst, symmetry=symmetry)
+    counting = replayed(inst, symmetry=symmetry)
+    counting.walks = False
     try:
         verdict = search.solve(inst.k, max_states)
     except ResourceBudgetError:
         assert search.visited == max_states
+        with pytest.raises(ResourceBudgetError,
+                           match=f"exceeded {max_states} states"):
+            counting.solve(inst.k, max_states)
+        assert counting.visited + counting.counted >= max_states
         return None
     assert search.visited == verdict.nodes
+    assert counting.solve(inst.k, max_states) == verdict
+    assert counting.visited + counting.counted == verdict.nodes
     # A completed search puts every pair it severed back.
     fresh = _Support(inst.graph)
-    assert ((search.out_masks, search.in_masks, search.alive)
-            == (fresh.out_masks, fresh.in_masks, fresh.alive))
+    for done in (search, counting):
+        assert ((done.out_masks, done.in_masks, done.alive)
+                == (fresh.out_masks, fresh.in_masks, fresh.alive))
     return verdict, search
 
 
@@ -1792,7 +1929,7 @@ def test_corridor_predicate_named_cases(name, ell, root):
 
 # -- LBEC obstruction inheritance ------------------------------------------------------
 
-class _ReplayedLbec(_CostAwareSearch):
+class _ReplayedLbec(_Walked):
     """Checks the LBEC predicate at every visited state against the
     replay-grade predicate on the edges of the chosen units, that a state
     that searched saw all of them severed, and that every obstruction it
@@ -1854,7 +1991,7 @@ def test_lbec_obstruction_inheritance_matches_replay(symmetry):
 
 # -- DSCT obstruction inheritance ------------------------------------------------------
 
-class _ReplayedDsct(_CostAwareSearch):
+class _ReplayedDsct(_Walked):
     """Checks the DSCT predicate at every visited state against the
     replay-grade predicate on the edges of the chosen units, that a state
     that searched saw all of them severed, and that every obstruction it
