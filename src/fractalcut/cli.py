@@ -168,10 +168,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except FractalcutError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (FractalcutError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (KeyError, TypeError, ValueError) as exc:

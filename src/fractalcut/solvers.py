@@ -707,7 +707,8 @@ class _CostAwareSearch(_Support):
       stands.  Dijkstra reruns only for the rows with the arc tight.
 
     A directed state that is not strongly connected hands down False, so
-    its children fail unsevered; any other failing one hands down its rows.
+    its children fail unsearched; any other failing one hands down its
+    rows.
 
     For LBEC and DSCT one predicate hands obstructions down.  An LBEC
     state fails exactly when some s-t path of fewer than ell hops
@@ -737,42 +738,27 @@ class _CostAwareSearch(_Support):
     of the compose-cut pool F is one vertex: the selector's back arc
     meets every cycle.
 
-    Severance is deferred to the states that search.  The enumeration
-    keeps the chosen units on the stack ``chosen``, and the masks lack the
-    pairs of the first ``synced`` of them.  A predicate that reads the
-    masks first severs the rest (``_sever_chosen``), so at every state
-    that searches the masks are the full support less the pairs of every
-    chosen unit, as if each unit had been severed when it was chosen.
-    Every search therefore returns what it would under eager severance.
-    Leaving a state pops its unit and puts it back only if it is severed,
-    when ``synced`` exceeds ``len(chosen)``: a unit stays severed until
-    its own state is left, and none is severed twice.  An inherited
-    state's verdict and hand-down depend only on the parent's obstruction
-    and the unit's mask, so they never read the masks and the state
-    severs nothing: for LBEC and DSCT that is every state whose unit
-    misses the handed-down mask, and for MDED every child of a
-    disconnected state, which hands down False.  Every other MDED state
-    reads the masks, for its BFS or to find the live one-arc corridors,
-    so it severs its unit.  The witness is read off ``chosen``, and a
-    success puts the severed units back.
+    Severance is eager: pushing a unit on the stack ``chosen`` severs its
+    pairs, and popping it, or a success, puts them back, so the masks are
+    always the full support less the chosen units' pairs.
 
-    Settled states are counted, not walked.  A failing state is *settled*
-    when it hands down False, or a mask B that ``ahead[j]``, the pairs of
-    ``units[j:]`` for j its first child, misses.  Every unit a descendant
-    adds then misses B, so each descendant inherits B in turn, fails and
-    severs nothing, as every descendant of a False state is handed False.
-    The subtree holds no success and adds only its size to ``tested``:
-    the number of non-empty sets of ``units[j:]`` that fit the budget
-    left, b, as the enumeration takes each such set once.  With F_i(b)
-    the sets of the last i units, empty set included, of cost at most b,
-    F_0 = 1 and a unit of cost c adds F(b - c) where c <= b; ``_below``
-    reads F off a table built once per solve, as far as the settled
-    states ask.  So ``tested`` equals a walk's count at every walked
-    state, and the search raises against ``max_states`` exactly when a
-    walk would.  No obstruction is empty, so no zero mask settles, and
-    () and rows never do.  A table past ``MAX_COUNTS`` entries (a large
-    budget and total cost) is not built, and the search walks every
-    state.
+    Settled states are counted, not walked.  A failing state is *settled
+    at its child j*, the next child the enumeration would enter, when it
+    hands down False, or a mask B that ``ahead[j]``, the pairs of
+    ``units[j:]``, misses.  Every unit a descendant from j on adds then
+    misses B, so each such descendant inherits B in turn and fails, as
+    every descendant of a False state is handed False.  Those subtrees
+    hold no success and add only their size to ``tested``: the number of
+    non-empty sets of ``units[j:]`` that fit the budget left, b, as the
+    enumeration takes each such set once.  With F_i(b) the sets of the
+    last i units, empty set included, of cost at most b, F_0 = 1 and a
+    unit of cost c adds F(b - c) where c <= b; ``_below`` reads F off a
+    table built once per solve, as far as the settled states ask.  So
+    ``tested`` equals a walk's count at every walked state, and the
+    search raises against ``max_states`` exactly when a walk would.  No
+    obstruction is empty, so no zero mask settles, and () and rows never
+    do.  A table past ``MAX_COUNTS`` entries (a large budget and total
+    cost) is not built, and the search walks every state.
     """
 
     def __init__(self, inst: ProblemInstance, symmetry: bool = True):
@@ -980,18 +966,16 @@ class _CostAwareSearch(_Support):
     # Each predicate takes what the parent state handed down and the pair
     # mask of the unit chosen to reach the current state (0 at the root).
     # It returns True when the current state answers the question, and
-    # otherwise what the state's children inherit.  Only a predicate that
-    # reads the masks calls _sever_chosen first.
+    # otherwise what the state's children inherit.
 
     def _obstruction_holds(self, parent, mask: int):
         """No obstruction survives: for LBEC an s-t path of fewer than ell
         hops, for DSCT a directed cycle of at most ell arcs.  A failing
         state hands down the mask of the pairs of the one it found, and a
-        child whose unit misses them fails with it, unsevered (see the
+        child whose unit misses them fails with it, unsearched (see the
         class docstring)."""
         if parent and not parent & mask:
             return parent
-        self._sever_chosen()
         # Picked here, not stored as a bound method in __init__: a search
         # that refers to itself waits for a collection of an older GC
         # generation, which raised compose-cut's peak RSS by 2%.
@@ -1008,14 +992,6 @@ class _CostAwareSearch(_Support):
             blocked |= 1 << pid
         return blocked
 
-    def _sever_chosen(self) -> None:
-        """Sever the pairs of the chosen units that are not severed yet."""
-        chosen = self.chosen
-        for unit in chosen[self.synced:]:
-            for pid in unit[1]:
-                self.sever(pid)
-        self.synced = len(chosen)
-
     def _mded_holds(self, parent, mask: int):
         """Connected (strongly, if directed) with diameter >= ell.
 
@@ -1027,7 +1003,6 @@ class _CostAwareSearch(_Support):
         """
         if parent is False:
             return False
-        self._sever_chosen()
         ell = self.inst.ell
         if self.n <= 1:
             return ell <= 0
@@ -1163,7 +1138,6 @@ class _CostAwareSearch(_Support):
             return Verdict(False, None, 0)  # no deletion set fits
         tested = 0
         chosen = self.chosen = []
-        self.synced = 0
         self.budget, self.counts = budget, []
         units = [u for u in self.units if u[0] <= budget]
         obstruct = self.inst.kind != "mded"
@@ -1184,39 +1158,39 @@ class _CostAwareSearch(_Support):
                 break
             path.append((ui, inherited))
             ui += 1
-            if settles and (inherited is False or obstruct
-                            and not inherited & ahead[ui]):
+            while True:  # the next child of the state atop path, or leave it
                 while ui < len(units) and units[ui][0] > left:
                     ui += 1
-                below = self._below(units, ui, left) if ui < len(units) else 0
-                if below is None:
-                    settles = False
-                else:
+                if ui < len(units):
+                    parent = path[-1][1]
+                    if not settles or not (parent is False or obstruct
+                                           and not parent & ahead[ui]):
+                        break
+                    below = self._below(units, ui, left)
+                    if below is None:
+                        settles = False
+                        break
                     tested += below
                     if tested > max_states:
-                        continue  # the test above raises
-                    ui = len(units)  # leave the state
-            while ui == len(units) or units[ui][0] > left:
-                if ui == len(units):  # no unit left: leave the state
-                    ui = path.pop()[0]
-                    if not path:
-                        return Verdict(False, None, tested)
-                    unit = chosen.pop()
-                    left += unit[0]
-                    if self.synced > len(chosen):
-                        self.synced -= 1
-                        for pid in unit[1]:
-                            self.restore(pid)
+                        break  # the test above raises
+                ui = path.pop()[0]  # leave the state
+                if not path:
+                    return Verdict(False, None, tested)
+                unit = chosen.pop()
+                left += unit[0]
+                for pid in unit[1]:
+                    self.restore(pid)
                 ui += 1
             unit = units[ui]
             chosen.append(unit)
             left -= unit[0]
-            parent, mask = path[-1][1], unit[3]
+            for pid in unit[1]:
+                self.sever(pid)
+            mask = unit[3]
         witness = tuple(sorted(i for unit in chosen for i in unit[2]))
-        for unit in chosen[:self.synced]:
+        for unit in chosen:
             for pid in unit[1]:
                 self.restore(pid)
-        self.synced = 0
         return Verdict(True, witness, tested)
 
 

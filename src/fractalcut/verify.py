@@ -338,8 +338,7 @@ def or_composition_trial(rnd, flavor: str, p: int, k: int, ell: int,
     return None
 
 
-def check_or_composition(flavor: str, trials: int, seed: int,
-                         simple_k1: bool = True) -> CheckResult:
+def check_or_composition(flavor: str, trials: int, seed: int) -> CheckResult:
     """Seeded OR-correctness trials for one composer.
 
     Trial shapes stay inside the regime n <= 5, k <= 2, ell in {3, 4}; the
@@ -360,17 +359,17 @@ def check_or_composition(flavor: str, trials: int, seed: int,
             # p = 4 quadruples the instance edges in the exhaustive oracle's
             # universe, so those trials sample leaner inputs (m <= n).
             n_hi, m_slack = 5, 2 if p == 2 else 0
-            check_simple = (k == 1 and simple_k1) or (p == 2 and trial % 10 == 1)
+            check_simple = k == 1 or (p == 2 and trial % 10 == 1)
         elif flavor == "mded-und":
             p = 2
             k = 2 if trial % 10 < 3 else 1
             n_hi = 5 if k == 1 else 4
             m_slack = 2 if k == 1 else 0
-            check_simple = k == 1 and simple_k1
+            check_simple = k == 1
         else:  # mded-dir
             p, k = 2, 1
             n_hi, m_slack = 4, 1
-            check_simple = trial % 5 == 0 and simple_k1
+            check_simple = trial % 5 == 0
         fail = or_composition_trial(rnd, flavor, p, k, ell, n_hi, check_simple,
                                     m_slack)
         if fail:

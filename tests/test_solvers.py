@@ -1062,60 +1062,77 @@ class _Walked(_CostAwareSearch):
     derived from it sees each one: ``_below`` declines the first count,
     and the search walks on, as past a table too large to build.  Set
     ``walks`` False on an instance to count the states below settled
-    states, as the oracle does; ``counted`` then sums them."""
+    states, as the oracle does; ``counted`` then sums them, and ``later``
+    counts the states settled at a child after their first affordable
+    one."""
 
     walks = True
-    counted = 0
+    counted = later = 0
 
     def _below(self, units, j, left):
         if self.walks:
             return None
         below = super()._below(units, j, left)
-        self.counted += below or 0
+        if below is not None:
+            self.counted += below
+            start = units.index(self.chosen[-1]) + 1 if self.chosen else 0
+            self.later += j > next(i for i in range(start, len(units))
+                                   if units[i][0] <= left)
         return below
 
 
 class _CountedSevers(_Walked):
-    """Counts the sever calls made on the way to each state, up to the end
-    of its predicate, and checks that a state that inherits its parent's
-    obstruction made none."""
+    """Records the pairs severed on the way to each state, up to the end
+    of its predicate, and checks that they are exactly the pairs of the
+    state's own unit, none at the root; counts the states that inherit
+    their parent's obstruction and the states that search."""
 
-    severs = 0
     searched = 0
     inherited = 0
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.severed = []
+
     def sever(self, pid):
-        self.severs += 1
+        self.severed.append(pid)
         super().sever(pid)
 
     def _obstruction_holds(self, parent, mask):
         got = super()._obstruction_holds(parent, mask)
+        assert self.severed == list(self.chosen[-1][1] if self.chosen else ())
         if got is parent:
-            assert self.severs == 0
             self.inherited += 1
         else:
             self.searched += 1
-        self.severs = 0
+        self.severed.clear()
         return got
 
 
-@pytest.mark.parametrize("params,expected", [
-    case for case in PINNED_COSTAWARE
-    if case[0] in ((0, "lbec-und", 2, 1, 3, "weighted"),
-                   (3, "dsct", 2, 1, 3, "simple"))])
-def test_costaware_inherited_states_sever_nothing(params, expected):
+# Two pinned compositions, one LBEC and one DSCT, and the states of each
+# that inherit their parent's obstruction once settled subtrees are counted.
+PINNED_INHERITED = {(0, "lbec-und", 2, 1, 3, "weighted"): 7,
+                   (3, "dsct", 2, 1, 3, "simple"): 3}
+
+
+@pytest.mark.parametrize("params,expected,inherited", [
+    (params, expected, PINNED_INHERITED[params])
+    for params, expected in PINNED_COSTAWARE if params in PINNED_INHERITED])
+def test_costaware_states_sever_their_own_unit(params, expected, inherited):
     inst = _composed_cut(*params)
     search = _CountedSevers(inst)
     v = search.solve(inst.k, 50_000_000)
     assert (v.answer, v.witness, v.nodes) == expected
     assert search.inherited > search.searched > 0
     assert search.inherited + search.searched == v.nodes
-    # Counting the settled subtrees leaves out only inherited states.
+    # Counting the settled subtrees leaves out only inherited states, and
+    # settling at any child leaves few of them.
     counting = _CountedSevers(inst)
     counting.walks = False
     assert counting.solve(inst.k, 50_000_000) == v
     assert counting.searched == search.searched and counting.counted > 0
     assert counting.inherited + counting.searched + counting.counted == v.nodes
+    assert counting.inherited == inherited
 
 
 @pytest.mark.parametrize("params,expected", [
@@ -1145,6 +1162,7 @@ def test_counted_settled_states_match_the_walk_and_its_budget():
     # Weighted corridor graphs and unit random instances of every kind and
     # orientation: counting the settled subtrees gives the walk's verdict,
     # witness and state count, and the state budget binds at that count.
+    # Some of the instances settle a state at a child after its first.
     rnd = random.Random(3101)
     shapes = (("lbec", False), ("lbec", True), ("mded", False),
               ("mded", True), ("dsct", True))
@@ -1166,6 +1184,7 @@ def test_counted_settled_states_match_the_walk_and_its_budget():
         assert counting.solve(inst.k, 50_000_000) == walked, inst
         seen[inst.kind, inst.graph.directed, walked.answer] += 1
         seen["counted"] += counting.counted > 0
+        seen["later"] += counting.later > 0
         for search in (_CostAwareSearch, _Walked):
             with pytest.raises(ResourceBudgetError,
                                match=f"exceeded {walked.nodes - 1} states$"):
@@ -1174,7 +1193,7 @@ def test_counted_settled_states_match_the_walk_and_its_budget():
                 inst.k, walked.nodes) == walked
     for kind, directed in shapes:
         assert seen[kind, directed, True] and seen[kind, directed, False], seen
-    assert seen["counted"] >= 50, seen
+    assert seen["counted"] >= 50 and seen["later"] >= 20, seen
 
 
 def _all_no_composition(flavor, k, p, trial):
@@ -1516,7 +1535,7 @@ def test_costaware_setup_pinned(case, expected):
 
 def _severed_pairs(search):
     """The pair ids of the search's chosen units: the pairs severed at the
-    current state, whether or not its masks show them yet."""
+    current state."""
     return {pid for unit in search.chosen for pid in unit[1]}
 
 
@@ -1528,7 +1547,7 @@ def _severed_edges(search):
 
 def _masks_in_step(search):
     """Do the search's masks lack exactly the pairs of its chosen units?
-    Checked at every state that searched, which must see them all severed."""
+    Checked at every state, which must see them all severed."""
     missing = {pid for pid, (u, v) in enumerate(search.pairs)
                if not search.out_masks[u] >> v & 1}
     return missing == _severed_pairs(search)
@@ -1560,9 +1579,9 @@ class _ReplayedMded(_Walked):
     """Checks the diameter predicate at every visited state against the
     replay-grade predicate on the edges of the chosen units, that it hands
     down False exactly where the support is not (strongly) connected, and
-    that a state that searched saw all of them severed.  Undirected, it
-    checks at a connected root that the core is the 2-core (or one vertex
-    of a tree) and the forest heights and the pendant constant against
+    that every state sees all of them severed.  Undirected, it checks at a
+    connected root that the core is the 2-core (or one vertex of a tree)
+    and the forest heights and the pendant constant against
     ``_pendant_reference``.  Directed, it checks every row handed down,
     reused or rerun, against the distances between the branch vertices on
     the original graph, and counts the rows a child kept and reran."""
@@ -1577,7 +1596,8 @@ class _ReplayedMded(_Walked):
         assert (got is True) == instance_predicate(self.inst, dead), dead
         if self.n > 1:
             assert (got is False) == (not connected), dead
-        assert got is False if parent is False else _masks_in_step(self), dead
+        assert got is False or parent is not False, dead
+        assert _masks_in_step(self), dead
         core = None if self.directed else self.sources
         if core and parent is None and connected and self.n > 1:
             two_core, height, pendant = _pendant_reference(self.inst.graph,
@@ -1726,8 +1746,8 @@ def _severed_holds(g, ell, pids):
     """The undirected diameter predicate with the pairs pids severed,
     decided as at a root, on g's core, forest heights and pendant constant."""
     search = _CostAwareSearch(ProblemInstance("mded", g, k=0, ell=ell))
-    search.chosen = [(0, (pid,), (), 1 << pid) for pid in pids]
-    search.synced = 0
+    for pid in pids:
+        search.sever(pid)
     return search._mded_holds(None, 0)
 
 
@@ -1805,9 +1825,8 @@ def test_huge_ell_costs_no_set_up_per_level():
 
 def _root_holds(g, ell):
     """The diameter predicate at the root of a search on g."""
-    search = _CostAwareSearch(ProblemInstance("mded", g, k=0, ell=ell))
-    search.chosen, search.synced = [], 0
-    return search._mded_holds(None, 0)
+    inst = ProblemInstance("mded", g, k=0, ell=ell)
+    return _CostAwareSearch(inst)._mded_holds(None, 0)
 
 
 def test_corridor_predicate_matches_the_diameter_at_the_root():
@@ -1931,8 +1950,8 @@ def test_corridor_predicate_named_cases(name, ell, root):
 
 class _ReplayedLbec(_Walked):
     """Checks the LBEC predicate at every visited state against the
-    replay-grade predicate on the edges of the chosen units, that a state
-    that searched saw all of them severed, and that every obstruction it
+    replay-grade predicate on the edges of the chosen units, that every
+    state sees all of them severed, and that every obstruction it
     returns, handed down or found afresh, is the mask of an s-t path of
     fewer than ell hops along pairs that survive."""
 
@@ -1944,7 +1963,7 @@ class _ReplayedLbec(_Walked):
         gone = _severed_pairs(self)
         dead = _severed_edges(self)
         assert (got is True) == instance_predicate(self.inst, dead), dead
-        assert got is parent or _masks_in_step(self), dead
+        assert _masks_in_step(self), dead
         if got is not True:
             left = set(solvers._bits(got))
             assert 0 < len(left) < self.inst.ell, (dead, got)
@@ -1993,8 +2012,8 @@ def test_lbec_obstruction_inheritance_matches_replay(symmetry):
 
 class _ReplayedDsct(_Walked):
     """Checks the DSCT predicate at every visited state against the
-    replay-grade predicate on the edges of the chosen units, that a state
-    that searched saw all of them severed, and that every obstruction it
+    replay-grade predicate on the edges of the chosen units, that every
+    state sees all of them severed, and that every obstruction it
     returns, handed down or found afresh, is the mask of a closed walk of
     at most ell arcs along pairs that survive."""
 
@@ -2006,7 +2025,7 @@ class _ReplayedDsct(_Walked):
         gone = _severed_pairs(self)
         dead = _severed_edges(self)
         assert (got is True) == instance_predicate(self.inst, dead), dead
-        assert got is parent or _masks_in_step(self), dead
+        assert _masks_in_step(self), dead
         if got is not True:
             pids = list(solvers._bits(got))
             assert 2 <= len(pids) <= self.inst.ell, (dead, got)
