@@ -156,26 +156,20 @@ def _is_acyclic(g: Graph) -> bool:
     return seen == g.n
 
 
-def _check_power_of_two(p: int) -> int:
-    if p < 1 or p & (p - 1):
-        raise InputError(f"need a power-of-two instance count, got {p}")
-    return p.bit_length() - 1
-
-
-def _embed(instances: Sequence[ProblemInstance], cost: int,
+def _embed(instances: Sequence[ProblemInstance], q: int, cost: int,
            directed: bool, detour: int = 0) -> _Construction:
-    """Merge p terminal instances onto the deepest boundary of a cost-c
-    fractal: input i's source lands on vertex i-1 and its sink on vertex i,
-    so consecutive inputs share a vertex.  Directed inputs must be acyclic
-    and go onto the directed fractal; the composed graph is again acyclic,
-    by construction rather than by a re-check.  Fractal arcs only go up in
-    position.  Input i's fresh vertices touch only input i, so a walk that
-    leaves position i-1 or i through them comes back to i-1 or i.  The
-    input checks forbid it to come back to where it left (a cycle in input
-    i) or to go from i to i-1 (a path from input i's sink to its source).
-    So positions strictly increase along any walk between positions, and
-    a cycle inside one input's fresh vertices is again a cycle of that
-    input.
+    """Merge p = 2**q terminal instances (``_prologue`` checked the count)
+    onto the deepest boundary of a cost-c fractal: input i's source lands
+    on vertex i-1 and its sink on vertex i, so consecutive inputs share a
+    vertex.  Directed inputs must be acyclic and go onto the directed
+    fractal; the composed graph is again acyclic, by construction rather
+    than by a re-check.  Fractal arcs only go up in position.  Input i's
+    fresh vertices touch only input i, so a walk that leaves position i-1
+    or i through them comes back to i-1 or i.  The input checks forbid it
+    to come back to where it left (a cycle in input i) or to go from i to
+    i-1 (a path from input i's sink to its source).  So positions strictly
+    increase along any walk between positions, and a cycle inside one
+    input's fresh vertices is again a cycle of that input.
 
     With ``detour`` > 0, input i's rows go on, for each of its edges in
     order, with a parallel path of ``detour`` unit edges through fresh
@@ -184,9 +178,6 @@ def _embed(instances: Sequence[ProblemInstance], cost: int,
     and no path from the sink to the source, and the input checks above
     stand for the detour-shadowed input too.
     """
-    q = _check_power_of_two(len(instances))
-    if cost < 1:
-        raise InputError("fractal edge cost must be positive")
     for i, inst in enumerate(instances):
         if inst.graph.directed != directed:
             want = "directed" if directed else "undirected"
@@ -315,9 +306,12 @@ def _prologue(problem: str, instances: Sequence[ProblemInstance],
         raise InputError("composition assumes a positive budget k")
     if problem == "dsct" and not instances[0].graph.directed:
         raise InputError("short-cycle composition takes directed acyclic inputs")
-    q = _check_power_of_two(len(instances))
+    p = len(instances)
+    if p & (p - 1):
+        raise InputError(f"need a power-of-two instance count, got {p}")
+    q = p.bit_length() - 1
     c = _selector_cost(cls.k)
-    return {"p": len(instances), "q": q, "c": c, "k": cls.k, "ell": cls.ell,
+    return {"p": p, "q": q, "c": c, "k": cls.k, "ell": cls.ell,
             "k_prime": c * (q + 1) + cls.k,
             "n_max": max(i.graph.n for i in instances), "L": None}
 
@@ -359,7 +353,7 @@ def _compose_cut(problem: str, instances: Sequence[ProblemInstance],
     target; ell' = ell + log p before the mode is realized."""
     params = _prologue(problem, instances, mode)
     q = params["q"]
-    con = _embed(instances, params["c"], instances[0].graph.directed)
+    con = _embed(instances, q, params["c"], instances[0].graph.directed)
     if problem == "dsct":
         back = params["back_arc_cost"] = params["k_prime"] + 1
         con.rows.append((1 << q, 0, back, 1))
@@ -445,9 +439,8 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
         for i, inst in enumerate(instances):
             if not inst.graph.directed:
                 raise InputError(f"input {i} must be directed")
-            # The detour shadowing rebuilds every arc at unit cost and
-            # length, so other costs or lengths would silently change the
-            # input's answer.
+            # The detour shadowing rebuilds every arc at unit cost, so other
+            # costs would silently change the input's answer.
             if not inst.graph.is_simple:
                 raise InputError(f"input {i} must be a simple unit graph")
             from_s = distances(inst.graph, inst.s)
@@ -458,7 +451,7 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
                 if to_t[v] == UNREACHABLE:
                     raise InputError(f"input {i}: vertex {v} does not reach the sink")
         L = ell * n_max * (2 * q + 3) + 1
-    con = _embed(instances, c, directed, detour=ell if directed else 0)
+    con = _embed(instances, q, c, directed, detour=ell if directed else 0)
 
     tau = 1 << q
     rows = con.rows

@@ -1,10 +1,12 @@
 """Graph substrate shared by every other module.
 
 Graphs are labeled multigraphs with integer vertex ids 0..n-1.  Every edge
-carries a deletion cost and a hop length; "simple mode" graphs (no parallel
-edges, every cost and length equal to 1) are what the solvers consume, while
-cost-annotated graphs only appear as composer intermediates.  Undirected
-edges are stored canonically with u < v; self-loops are rejected.
+carries a deletion cost and is one hop long: lengths are counted in edges,
+as in the paper, and the constructor refuses any other edge length, so no
+distance routine checks for one.  "Simple mode" graphs (no parallel edges,
+every cost equal to 1) are what the solvers consume, while cost-annotated
+graphs only appear as composer intermediates.  Undirected edges are stored
+canonically with u < v; self-loops are rejected.
 
 All operations here are pure functions of their inputs.  Graph objects are
 immutable by convention: nothing in this package mutates a graph after
@@ -29,6 +31,10 @@ UNREACHABLE = math.inf
 
 
 class Edge(NamedTuple):
+    """An edge from u to v with a deletion cost.  ``length`` is always 1:
+    the field stays because edges are hashed and written as
+    [u, v, cost, length] rows, and those bytes are pinned."""
+
     u: int
     v: int
     cost: int = 1
@@ -69,17 +75,19 @@ class Graph:
                 raise InputError(f"self-loop at vertex {u} is not allowed")
             # A bare (u, v) pair, such as a fractal edge, is a unit edge.
             if len(e) == 2:
-                cost = length = 1
+                cost = 1
             else:
                 cost = e[2]
-                length = e[3] if len(e) > 3 else 1
-                if cost < 1 or length < 1:
-                    raise InputError(f"edge ({u},{v}) needs positive cost and length")
-                if cost != 1 or length != 1:
+                if cost < 1:
+                    raise InputError(f"edge ({u},{v}) needs a positive cost")
+                if len(e) > 3 and e[3] != 1:
+                    raise InputError(
+                        f"edge ({u},{v}) has length {e[3]}; every edge is one hop")
+                if cost != 1:
                     unit = False
             if not directed and u > v:
                 u, v = v, u
-            append(make(Edge, (u, v, cost, length)))
+            append(make(Edge, (u, v, cost, 1)))
         self.edges = tuple(canon)
         if labels is not None:
             for vid in labels:
@@ -123,7 +131,7 @@ class Graph:
 
     @property
     def is_simple(self) -> bool:
-        """Simple mode: no parallel edges and all costs and lengths 1."""
+        """Simple mode: no parallel edges and all costs 1."""
         if not self._unit:
             return False
         pairs = {(e.u, e.v) for e in self.edges}
@@ -131,7 +139,7 @@ class Graph:
 
     @property
     def is_unit(self) -> bool:
-        """All costs and lengths 1 (parallel edges permitted)."""
+        """All costs 1 (parallel edges permitted)."""
         return self._unit
 
     def out_neighbors(self, u: int) -> list[tuple[int, int]]:
@@ -185,14 +193,9 @@ def _require_vertex(g: Graph, v: int) -> None:
 def bfs_distance(g: Graph, source: int, target: int,
                  dead_edges: frozenset[int] = frozenset()) -> float:
     """Exact hop distance from source to target, or UNREACHABLE.
-
-    Requires unit edge lengths; weighted lengths must be handled by prior
-    subdivision.  ``dead_edges`` are treated as deleted.
-    """
+    ``dead_edges`` are treated as deleted."""
     _require_vertex(g, source)
     _require_vertex(g, target)
-    if not g._unit and any(e.length != 1 for e in g.edges):
-        raise InputError("bfs_distance requires unit edge lengths")
     if source == target:
         return 0
     adj = g._adjacency()[0]

@@ -110,13 +110,8 @@ def instance_predicate(inst: ProblemInstance, deleted: Iterable[int]) -> bool:
       or more hops from another.  The sources are scanned in ascending id
       order and the first such source ends the scan;
     - DSCT: the girth exceeds ell.
-
-    Every question is asked in hops, so edge lengths other than 1 are
-    refused rather than read as 1.
     """
     g = inst.graph
-    if not g._unit and any(e.length != 1 for e in g.edges):
-        raise InputError("instance_predicate requires unit edge lengths")
     dead = frozenset(deleted)
     if inst.kind == "lbec":
         return bfs_distance(g, inst.s, inst.t, dead) >= inst.ell

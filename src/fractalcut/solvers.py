@@ -333,8 +333,6 @@ class _SlotState(_Support):
         most of the graph, and walks each tail three more times; on the VC
         reductions it gave back most of the time that resuming saves.
         """
-        if s == t:
-            return [], None
         adj, alive = self.adj, self.alive
         if tree is None:
             par = [None] * self.n
@@ -600,7 +598,7 @@ class _CostAwareSearch(_Support):
 
     The enumeration unit is the *severance*: removing every parallel copy
     joining one vertex pair.  This is exhaustive because all three problem
-    predicates depend only on which adjacencies survive (unit hop lengths),
+    predicates depend only on which adjacencies survive (each edge is one hop),
     so a deletion set that leaves some copy of a pair alive decides exactly
     like the same set with those wasted copies returned; hence only full
     severances matter, and a severance costs the summed cost of the pair.
@@ -763,8 +761,6 @@ class _CostAwareSearch(_Support):
 
     def __init__(self, inst: ProblemInstance, symmetry: bool = True):
         g = inst.graph
-        if not g._unit and any(e.length != 1 for e in g.edges):
-            raise InputError("cost-aware search requires unit hop lengths")
         super().__init__(g)
         self.inst = inst
         pair_edges, pair_cost = self.pair_edges, self.pair_cost

@@ -108,8 +108,7 @@ def test_compose_refuses_non_lbec_inputs_before_padding(capsys, problem):
 
 
 def test_compose_mded_refuses_directed_inputs_with_costs(capsys, tmp_path):
-    # Instance files carry no lengths; the library-level length case is in
-    # test_composer.py.
+    # Instance files carry no lengths, and no graph has another length.
     doc = json.loads((FIXTURES / "dag_a.json").read_text())
     doc["costs"] = [2, 1, 1, 1, 1]
     path = tmp_path / "costly.json"
@@ -118,6 +117,18 @@ def test_compose_mded_refuses_directed_inputs_with_costs(capsys, tmp_path):
                          "--inputs", str(path), str(path))
     assert (code, out, err) == (
         2, "", "error: input 0 must be a simple unit graph\n")
+
+
+def test_solve_refuses_graph_document_with_a_longer_edge(capsys, tmp_path):
+    # Every edge is one hop: the graph is refused as it is parsed, before
+    # solve could ask whether the document is an instance.
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"type": "graph", "directed": True, "n": 3,
+                                "edges": [[0, 1], [1, 2, 1, 2], [2, 0]]}))
+    code, out, err = run(capsys, "solve", "--method", "brute",
+                         "--input", str(path))
+    assert (code, out, err) == (2, "", "error: invalid graph: edge (1,2) has "
+                                       "length 2; every edge is one hop\n")
 
 
 def test_compose_dsct_from_dags(capsys):

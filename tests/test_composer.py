@@ -91,7 +91,8 @@ def test_pad_rejects_tiny_threshold():
 
 def embedded(instances, cost, directed):
     """_embed's construction and the graph of its rows."""
-    con = _embed(instances, cost, directed=directed)
+    q = len(instances).bit_length() - 1
+    con = _embed(instances, q, cost, directed=directed)
     return con, Graph(directed, con.n, con.rows, con.labels)
 
 
@@ -122,10 +123,10 @@ def test_construct1_eight_gaps():
 
 
 def test_construct1_rejects_non_power_of_two():
-    with pytest.raises(InputError):
-        _embed([petite(), petite(), petite()], 2, directed=False)
-    with pytest.raises(InputError):
-        _embed([], 2, directed=False)
+    with pytest.raises(InputError, match="power-of-two instance count, got 3"):
+        compose_lbec([petite(), petite(), petite()])
+    with pytest.raises(InputError, match="at least one instance"):
+        compose_lbec([])
 
 
 def test_construct2_three_vertex_inputs():
@@ -145,7 +146,7 @@ def test_construct2_rejects_cyclic_input():
     cyc = ProblemInstance("lbec", Graph(True, 3, [(0, 1), (1, 2), (2, 0)]),
                           s=0, t=2, k=1, ell=1)
     with pytest.raises(InputError, match="cyclic"):
-        _embed([cyc, cyc], 2, directed=True)
+        _embed([cyc, cyc], 1, 2, directed=True)
 
 
 def test_construct2_gap_spanning():
@@ -369,13 +370,13 @@ def test_mded_directed_rejects_inputs_off_every_source_sink_path(second_edges,
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("arc", [(1, 2, 1, 2), (1, 2, 2, 1)],
-                         ids=["length-2", "cost-2"])
-def test_mded_directed_rejects_non_unit_inputs(arc):
-    # The detour shadowing rebuilds every arc at unit cost and length, so a
+@pytest.mark.parametrize("arcs", [[(1, 2, 2, 1)], [(1, 2), (1, 2)]],
+                         ids=["cost-2", "parallel"])
+def test_mded_directed_rejects_non_unit_inputs(arcs):
+    # The detour shadowing rebuilds every arc once at unit cost, so a
     # composition of such an input would answer a different question.
     good = lbec_on(Graph(True, 4, [(0, 1), (1, 2), (2, 3)]), 1, 3)
-    bad = lbec_on(Graph(True, 4, [(0, 1), arc, (2, 3)]), 1, 3)
+    bad = lbec_on(Graph(True, 4, [(0, 1), *arcs, (2, 3)]), 1, 3)
     with pytest.raises(InputError) as exc:
         compose_mded([good, bad], directed=True)
     assert str(exc.value) == "input 1 must be a simple unit graph"
@@ -396,7 +397,7 @@ def test_mded_directed_augmentation_preserves_answers():
     rnd = random.Random(5)
     for _ in range(10):
         inst = random_dag_lbec_input(rnd, n=4, m=5, k=1, ell=3)
-        con = _embed([inst], 2, directed=True, detour=inst.ell)
+        con = _embed([inst], 0, 2, directed=True, detour=inst.ell)
         lo, hi = con.edge_ranges[0]
         aug = ProblemInstance("lbec", Graph(True, con.n, con.rows[lo:hi]),
                               s=0, t=1, k=inst.k, ell=inst.ell)

@@ -1,15 +1,16 @@
 """Graph substrate: elementary algorithms against exhaustive oracles."""
 
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractalcut import (Graph, InputError, UNREACHABLE, bfs_distance,
-                        build_fractal, is_connected, is_edge_cut,
-                        is_minimal_edge_cut, is_strongly_connected, min_cut,
-                        parse, to_json)
+from fractalcut import (Graph, InputError, ParseError, UNREACHABLE,
+                        bfs_distance, build_fractal, is_connected,
+                        is_edge_cut, is_minimal_edge_cut,
+                        is_strongly_connected, min_cut, parse, to_json)
 from fractalcut.composer import _expand_marked
 from fractalcut.fractal import cut_for_instance
 from fractalcut.graph import distances
@@ -39,6 +40,27 @@ def test_vertex_and_edge_validation():
         Graph(False, 2, [(0, 1, 0)])
     with pytest.raises(InputError):
         Graph(False, 2, [(0, 1, 1, 0)])
+
+
+def test_graph_refuses_non_unit_lengths():
+    # Every edge is one hop.  Read as 1, the length 5 below would make the
+    # 7-hop cycle 0 -> 1 -> 2 -> 0 a 3-hop one, so it is refused where the
+    # graph is built, in code and in a graph document alike.
+    with pytest.raises(InputError, match=r"edge \(0,1\) has length 5"):
+        Graph(True, 3, [(0, 1, 1, 5), (1, 2), (2, 0)])
+    doc = {"type": "graph", "directed": True, "n": 3,
+           "edges": [[0, 1, 1, 5], [1, 2], [2, 0]]}
+    with pytest.raises(ParseError, match="has length 5"):
+        parse(json.dumps(doc))
+
+
+def test_unit_reads_costs_only():
+    # Rows of two, three and four items all store one-hop edges, so a
+    # graph is unit exactly when every cost is 1.
+    g = Graph(False, 4, [(1, 0), (1, 2, 1), (3, 2, 1, 1)])
+    assert [e.length for e in g.edges] == [1, 1, 1]
+    assert g.is_unit and g.is_simple
+    assert not Graph(False, 4, [(1, 0), (1, 2, 1), (3, 2, 2, 1)]).is_unit
 
 
 def test_undirected_edges_canonicalized():

@@ -29,10 +29,13 @@ def test_graph_round_trip_with_labels_and_costs():
 
 def test_graph_document_with_two_three_and_four_item_rows():
     doc = {"type": "graph", "directed": False, "n": 4,
-           "edges": [[1, 0], [1, 2, 3], [3, 2, 2, 4]]}
+           "edges": [[1, 0], [1, 2, 3], [3, 2, 2, 1]]}
     g = parse(json.dumps(doc))
-    assert [tuple(e) for e in g.edges] == [(0, 1, 1, 1), (1, 2, 3, 1), (2, 3, 2, 4)]
+    assert [tuple(e) for e in g.edges] == [(0, 1, 1, 1), (1, 2, 3, 1), (2, 3, 2, 1)]
     assert parse(to_json(g)) == g
+    doc["edges"][2][3] = 4
+    with pytest.raises(ParseError, match="length 4"):
+        parse(json.dumps(doc))
 
 
 def test_instance_round_trip():
@@ -74,7 +77,7 @@ def test_to_json_matches_stdlib_on_graphs_and_instances():
     labels = {0: 'quote " here', 1: "back\\slash", 2: "caf\u00e9 \u2192 \u03c3",
               3: "tab\tnew\nline"}
     graphs = [Graph(False, 0, []), Graph(True, 3, []),
-              Graph(True, 4, [(0, 1, 3, 1), (1, 2), (2, 3, 1, 5)], labels=labels),
+              Graph(True, 4, [(0, 1, 3, 1), (1, 2), (2, 3, 1, 1)], labels=labels),
               Graph(False, 4, [(0, 1), (1, 2), (0, 1)], labels={3: ""})]
     for g in graphs:
         assert to_json(g) == _stdlib_text(graph_to_json_obj(g))
