@@ -163,6 +163,21 @@ def test_dsct_rejects_undirected():
         ProblemInstance("dsct", triangle(), k=1, ell=2)
 
 
+@pytest.mark.parametrize("kind", ["lbec", "mded", "dsct"])
+def test_reference_predicate_refuses_non_unit_lengths(kind):
+    # The lone cycle 0 -> 1 -> 2 -> 0 would be 7 long with a length-5 arc;
+    # such an arc is refused where the graph is built, so no instance, and
+    # no replay of one, ever reads it.  In hops the cycle is 3: every
+    # question below reads no, whichever replay asks it.
+    with pytest.raises(InputError, match="has length 5"):
+        Graph(True, 3, [(0, 1, 1, 5), (1, 2), (2, 0)])
+    g = Graph(True, 3, [(0, 1, 1, 1), (1, 2), (2, 0)])
+    terminals = {"s": 0, "t": 2} if kind == "lbec" else {}
+    inst = ProblemInstance(kind, g, k=1, ell=3, **terminals)
+    for replay in (instance_predicate, check_witness):
+        assert replay(inst, []) is False
+
+
 def test_split_vertex_matches_shortest_cycle():
     rnd = random.Random(5)
     pick = random.Random(6)
