@@ -15,6 +15,10 @@ multiples of 2**(q-i), and the whole edge set is
 
 Edges are stored boundary by boundary, so the edge with index
 ``2**i - 1 + (j - 1)`` is the j-th edge (1-indexed) of boundary i.
+``build_fractal`` feeds ``Graph`` straight from this closed form, one row at
+a time, so no per-edge pair container is ever built;
+``verify.check_fractal_formulas`` holds the result, in index order, to the
+marked-edge rounds.
 
 The minimum sigma-tau cuts are the root-leaf paths of the dual tree: there
 are exactly 2**q, each has q+1 edges with exactly one edge per boundary, and
@@ -30,6 +34,7 @@ depth-q fractal has 2**(q+1) - 1 edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .errors import InputError
 from .graph import CutCertificate, Graph
@@ -55,22 +60,6 @@ class TFractal:
         return 1 << self.depth
 
 
-def _iterative_edges(q: int) -> list[list[tuple[int, int]]]:
-    """Marked-edge construction: one boundary per round."""
-    p = 1 << q
-    boundaries = [[(0, p)]]
-    marked = boundaries[0]
-    for _ in range(q):
-        fresh = []
-        for a, b in marked:
-            m = (a + b) // 2
-            fresh.append((a, m))
-            fresh.append((m, b))
-        boundaries.append(fresh)
-        marked = fresh
-    return boundaries
-
-
 def build_fractal(q: int, directed: bool = False, cost: int = 1) -> TFractal:
     """Construct the depth-q fractal.
 
@@ -81,17 +70,18 @@ def build_fractal(q: int, directed: bool = False, cost: int = 1) -> TFractal:
     """
     if not (0 <= q <= MAX_DEPTH):
         raise InputError(f"fractal depth must be in 0..{MAX_DEPTH}, got {q}")
-    if cost < 1:
-        raise InputError(f"edge cost must be positive, got {cost}")
+    if type(cost) is not int or cost < 1:
+        raise InputError(f"edge cost must be a positive int, got {cost!r}")
 
     p = 1 << q
-    flat = [pair for boundary in _iterative_edges(q) for pair in boundary]
-    graph = Graph(
-        directed,
-        p + 1,
-        flat if cost == 1 else ((a, b, cost) for a, b in flat),
-        labels={0: "sigma", p: "tau"},
-    )
+    # Boundary i joins consecutive multiples of p >> i.  The rows are made
+    # one at a time as Graph reads them: bare pairs at unit cost, else
+    # (u, v, cost) rows.
+    costs = () if cost == 1 else (repeat(cost),)
+    rows = chain.from_iterable(
+        zip(range(0, p, p >> i), range(p >> i, p + 1, p >> i), *costs)
+        for i in range(q + 1))
+    graph = Graph(directed, p + 1, rows, labels={0: "sigma", p: "tau"})
     # Boundary i holds edge indices 2**i - 1 .. 2**(i+1) - 2.
     boundaries = tuple(tuple(range((1 << i) - 1, (2 << i) - 1))
                        for i in range(q + 1))

@@ -1,11 +1,12 @@
 """Graph substrate shared by every other module.
 
 Graphs are labeled multigraphs with integer vertex ids 0..n-1.  Every edge
-carries a deletion cost and is one hop long: lengths are counted in edges,
-as in the paper, and the constructor refuses any other edge length, so no
-distance routine checks for one.  "Simple mode" graphs (no parallel edges,
-every cost equal to 1) are what the solvers consume, while cost-annotated
-graphs only appear as composer intermediates.  Undirected edges are stored
+carries a deletion cost, an int proper (not a bool or a float) of at least
+1, and is one hop long: lengths are counted in edges, as in the paper, and
+the constructor refuses any other edge length, so no distance routine checks
+for one.  "Simple mode" graphs (no parallel edges, every cost equal to 1)
+are what the solvers consume, while cost-annotated graphs only appear as
+composer intermediates.  Undirected edges are stored
 canonically with u < v; self-loops are rejected.
 
 All operations here are pure functions of their inputs.  Graph objects are
@@ -78,8 +79,9 @@ class Graph:
                 cost = 1
             else:
                 cost = e[2]
-                if cost < 1:
-                    raise InputError(f"edge ({u},{v}) needs a positive cost")
+                if type(cost) is not int or cost < 1:
+                    raise InputError(
+                        f"edge ({u},{v}) needs a positive int cost, got {cost!r}")
                 if len(e) > 3 and e[3] != 1:
                     raise InputError(
                         f"edge ({u},{v}) has length {e[3]}; every edge is one hop")

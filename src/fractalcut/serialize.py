@@ -11,7 +11,9 @@ deletion costs (weighted composer output).  Plain graphs and fractals use a
 for every canonical form; parse_vc() and parse_embedding() read the
 vertex-cover input of the reduction and its two-page embedding; DOT and
 DIMACS are exports only.  Every JSON document is written by one writer,
-pretty_json().  A graph, instance or vertex-cover document may declare at
+pretty_json(), which collects the document's fragments in one list and
+joins them once, so a large document is copied once, not once per level of
+nesting.  A graph, instance or vertex-cover document may declare at
 most MAX_VERTICES vertices.
 """
 
@@ -99,12 +101,20 @@ def pretty_json(payload) -> str:
     """The canonical text of a JSON document: what the standard library's
     ``json.dumps`` writes with ``indent=2`` and ``sort_keys=True``, plus a
     newline."""
-    return _emit(payload, "") + "\n"
+    out = []
+    _emit(payload, "", out.append)
+    out.append("\n")
+    return "".join(out)
 
 
-def _emit(obj, pad: str) -> str:
-    """The ``pretty_json`` text of ``obj`` without the final newline, for a
-    value whose first line is indented by ``pad``, in one pass.
+def _emit(obj, pad: str, put) -> None:
+    """Pass the ``pretty_json`` text of ``obj``, without the final newline,
+    to ``put`` in fragments, for a value whose first line is indented by
+    ``pad``.
+
+    ``pretty_json`` joins the fragments once.  A writer that returned each
+    value's text would copy a large document again at every enclosing list
+    and dict, and once more for the newline.
 
     ``json.dumps`` drops to its pure-Python encoder whenever ``indent`` is
     set, which dominates writing a large fractal.  This writer takes the
@@ -116,38 +126,45 @@ def _emit(obj, pad: str) -> str:
     dict key that is not a string raises TypeError instead of being
     coerced, and so does any value ``json.dumps`` would reject.
     """
-    if isinstance(obj, (str, float)) or obj is None or obj is True or obj is False:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
     inner = pad + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        sep = f",\n{inner}"
+    sep = f",\n{inner}"
+    if isinstance(obj, (str, float)) or obj is None or obj is True or obj is False:
+        put(json.dumps(obj))
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        put(f"[\n{inner}")
         kinds = set(map(type, obj))
         # Row types are tested first, so len() and the flattening are safe.
         flat = (tuple(chain.from_iterable(obj))
                 if kinds <= {list, tuple} and set(map(len, obj)) == {2} else ())
         if kinds == {int}:
-            body = sep.join(map(str, obj))
+            put(sep.join(map(str, obj)))
         elif flat and set(map(type, flat)) == {int}:
             inner2 = inner + "  "
             row = f"[\n{inner2}%d,\n{inner2}%d\n{inner}]"
-            body = sep.join([row] * len(obj)) % flat
+            put(sep.join([row] * len(obj)) % flat)
         else:
-            body = sep.join([_emit(x, inner) for x in obj])
-        return f"[\n{inner}{body}\n{pad}]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+            for i, x in enumerate(obj):
+                if i:
+                    put(sep)
+                _emit(x, inner, put)
+        put(f"\n{pad}]")
+    elif isinstance(obj, dict) and obj:
         for key in obj:
             if type(key) is not str:
                 raise TypeError(f"dict key {key!r} is not a string")
-        items = (f"{json.dumps(key)}: {_emit(obj[key], inner)}"
-                 for key in sorted(obj))
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        put(f"{{\n{inner}")
+        for i, key in enumerate(sorted(obj)):
+            if i:
+                put(sep)
+            put(f"{json.dumps(key)}: ")
+            _emit(obj[key], inner, put)
+        put(f"\n{pad}}}")
+    elif isinstance(obj, (list, tuple, dict)):
+        put("{}" if isinstance(obj, dict) else "[]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _field(obj: dict, name: str, kinds) -> object:

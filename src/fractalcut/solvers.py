@@ -156,8 +156,10 @@ class _Support:
         cycle.append(self.pair_id[u, v])
         return cycle
 
-    def shortest_cycle(self, limit: int):
-        """Pair ids of a shortest directed cycle of length <= limit, else None.
+    def shortest_cycle(self, limit: int, start: int = 0):
+        """(pair ids of a shortest directed cycle of length <= limit, or
+        None; the position in ``feedback`` of the first vertex found on
+        such a cycle, or start when none is).
 
         Takes the cycle of each vertex of ``feedback``, the root's feedback
         vertex set F (``_feedback_vertices``, set by the DSCT brancher's
@@ -167,15 +169,25 @@ class _Support:
         vertex on a shortest cycle C.  It is C's lowest vertex, so it is in
         F, and no lower vertex of F lies on a cycle as short, so the scan
         keeps v*'s cycle; ``_cycle_through(v*, cap)`` returns the same one
-        for every cap at or above C's length.
+        for every cap at or above C's length.  A 2-cycle ends the scan:
+        ``_cycle_through`` finds nothing under 2 arcs.
+
+        The scan starts at F[start].  Severing pairs only takes cycles
+        away, so a caller whose support is a subgraph of the one a scan
+        was made on may start at that scan's first position: every vertex
+        before it had no cycle of at most limit arcs, and has none now.
         """
-        best = None
-        for v in self.feedback:
-            cycle = self._cycle_through(v, limit)
+        feedback, best, first = self.feedback, None, start
+        for at in range(start, len(feedback)):
+            cycle = self._cycle_through(feedback[at], limit)
             if cycle is not None:
+                if best is None:
+                    first = at
                 best = cycle
                 limit = len(cycle) - 1
-        return best
+                if limit < 2:
+                    break
+        return best, first
 
     def _path_into(self, s: int, into: int, cap: int):
         """(pair ids, end) of the least shortest path from s to a vertex of
@@ -414,8 +426,9 @@ def _branch(state: _SlotState, find: Callable, budget: int,
     The root's obstruction comes from ``find(None, 0)``, and the child that
     deletes a copy of slot obstruction[i] gets its own from ``find(tree,
     i)``, with its parent's tree.  The LBEC s-t search reuses or resumes
-    that tree (see ``_SlotState.shortest_path_slots``); the MDED pair search
-    and the cycle search hand none down.
+    that tree (see ``_SlotState.shortest_path_slots``), the cycle search
+    hands down where its scan first found a cycle (see
+    ``_Support.shortest_cycle``), and the MDED pair search hands none down.
 
     One loop walks the tree.  ``path`` holds a frame per ancestor of the
     node searched: its remaining children, tree and mask, and its child in
@@ -436,10 +449,10 @@ def _branch(state: _SlotState, find: Callable, budget: int,
       the next deletion from each slot stands for, and the budget left,
       which is the budget less the number of bits set.
     * ``find`` returns what a search from scratch on the support would
-      (the LBEC search proves this for its resumed trees), and the other
-      searches and ``connected_without`` read only the masks.  So the
-      obstruction at a node, and the order its children are tried in,
-      are a function of the mask.
+      (the LBEC search and the cycle scan prove this for what they are
+      handed), and the other searches and ``connected_without`` read only
+      the masks.  So the obstruction at a node, and the order its
+      children are tried in, are a function of the mask.
     * By induction on the budget left, the subtree below a node, its
       result and its leaf count are a function of the mask too, with the
       replays inside it counted as the subtrees they stand for.
@@ -568,7 +581,9 @@ def solve_dsct_fpt(inst: ProblemInstance) -> Verdict:
     state = _SlotState(inst.graph, "dsct")
 
     def find(tree, cut):
-        return state.shortest_cycle(inst.ell), None
+        # A child's support is a subgraph of its parent's, so its scan
+        # starts where the parent's first found a cycle.
+        return state.shortest_cycle(inst.ell, tree or 0)
 
     witness, leaves = _branch(state, find, inst.k)
     if witness is None:
@@ -980,7 +995,7 @@ class _CostAwareSearch(_Support):
             found = self._path_into(inst.s, 1 << inst.t, inst.ell - 1)
             found = found and found[0]
         else:
-            found = self.shortest_cycle(inst.ell)
+            found = self.shortest_cycle(inst.ell)[0]
         if found is None:
             return True
         blocked = 0

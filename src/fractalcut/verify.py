@@ -56,6 +56,21 @@ def _boundary_is_terminal_path(f, boundary) -> bool:
     return at == f.tau
 
 
+def _marked_edge_rounds(q: int) -> list[tuple[int, int]]:
+    """The paper's construction of the depth-q fractal, as the reference for
+    ``build_fractal``: from the marked edge (sigma, tau), q rounds that each
+    erect a triangle on every marked edge, whose two fresh edges are the
+    next round's marked edges.  The edges come out round by round, each
+    round left to right, which is the library's index order."""
+    marked = [(0, 1 << q)]
+    edges = list(marked)
+    for _ in range(q):
+        marked = [half for a, b in marked
+                  for half in ((a, (a + b) // 2), ((a + b) // 2, b))]
+        edges += marked
+    return edges
+
+
 def check_fractal_formulas(q_max: int = 10) -> CheckResult:
     failures = []
     for q in range(q_max + 1):
@@ -67,12 +82,11 @@ def check_fractal_formulas(q_max: int = 10) -> CheckResult:
                 failures.append(f"q={q}: vertex count {g.n} != {p + 1}")
             if len(g.edges) != 2 * p - 1:
                 failures.append(f"q={q}: edge count {len(g.edges)} != {2 * p - 1}")
-            # The closed form in the fractal module's docstring, a reference
-            # independent of the marked-edge rounds that build the graph.
-            closed = {(j << (q - i), (j + 1) << (q - i))
-                      for i in range(q + 1) for j in range(1 << i)}
-            if {(e.u, e.v) for e in g.edges} != closed:
-                failures.append(f"q={q}: edge set differs from the closed form")
+            # The graph is built from the closed form; the rounds are a
+            # reference independent of it.  Edge indices are part of the
+            # canonical form, so the order is compared too.
+            if [(e.u, e.v) for e in g.edges] != _marked_edge_rounds(q):
+                failures.append(f"q={q}: edge list differs from the marked-edge rounds")
             sizes = [len(b) for b in f.boundaries]
             if sizes != [1 << i for i in range(q + 1)]:
                 failures.append(f"q={q}: boundary sizes {sizes}")

@@ -1,9 +1,10 @@
 """Fractal construction, boundaries, dual tree, and cut enumeration.
 
-The library builds the fractal one way, by marked-edge rounds, and reads its
-minimum cuts off the position labels.  The recursive construction and the
-dual tree live here, as the independent references both are checked
-against.
+The library builds the fractal from its closed form under the position
+labels and reads its minimum cuts off the same labels;
+``verify.check_fractal_formulas`` holds the build to the marked-edge rounds.
+The recursive construction and the dual tree live here, as further
+independent references for the edges, their order and the cuts.
 """
 
 import itertools
@@ -42,6 +43,11 @@ def test_invalid_parameters():
         build_fractal(-1)
     with pytest.raises(InputError):
         build_fractal(2, cost=0)
+    # A cost must be an int proper: True would be written as "cost": true,
+    # which parse refuses, and 2.0 as 2.0.
+    for cost in (True, 2.0, "3"):
+        with pytest.raises(InputError, match="positive int"):
+            build_fractal(1, cost=cost)
 
 
 def test_boundaries_partition_edges_and_form_terminal_paths():
@@ -70,26 +76,30 @@ def test_directed_terminal_degrees():
         assert all(e.u < e.v for e in g.edges)
 
 
-def _merging_recursive_edges(q, lo, hi):
-    """Reference: the recursive construction that merges its two child sets
-    at every level (O(q 2**q) insertions)."""
+def _recursive_boundaries(q, lo, hi):
+    """Reference: the recursive construction, which splits the span at its
+    midpoint and merges the two halves' boundaries level by level, left
+    half first (O(q 2**q) list copies)."""
     if q == 0:
-        return {(lo, hi)}
+        return [[(lo, hi)]]
     mid = (lo + hi) // 2
-    edges = _merging_recursive_edges(q - 1, lo, mid)
-    edges |= _merging_recursive_edges(q - 1, mid, hi)
-    edges.add((lo, hi))
-    return edges
+    left = _recursive_boundaries(q - 1, lo, mid)
+    right = _recursive_boundaries(q - 1, mid, hi)
+    return [[(lo, hi)]] + [a + b for a, b in zip(left, right)]
 
 
 def test_builder_matches_the_recursive_construction():
+    # Edge indices are part of the canonical form, so the edge list must
+    # match in order: boundary by boundary, each left to right.
     for q in range(15):
-        want = _merging_recursive_edges(q, 0, 1 << q)
+        want = [pair for level in _recursive_boundaries(q, 0, 1 << q)
+                for pair in level]
+        assert len(set(want)) == len(want) == (2 << q) - 1
         for directed in (False, True):
             for cost in (1, 3):
                 edges = build_fractal(q, directed=directed, cost=cost).graph.edges
-                assert len(edges) == len(want)
-                assert {(e.u, e.v) for e in edges} == want
+                assert [(e.u, e.v) for e in edges] == want
+                assert {(e.cost, e.length) for e in edges} == {(cost, 1)}
 
 
 def test_costed_fractal_keeps_the_unit_edge_order():

@@ -54,6 +54,15 @@ def test_graph_refuses_non_unit_lengths():
         parse(json.dumps(doc))
 
 
+@pytest.mark.parametrize("row", [(0, 1, 2.0), (0, 1, True), (0, 1, False),
+                                 (0, 1, "2"), (0, 1, 2.0, 1), (0, 1, True, 1)])
+def test_graph_refuses_costs_that_are_not_ints(row):
+    # A float cost would be written back as 2.0, which parse refuses, and
+    # True would read as a unit cost; both are refused, naming the edge.
+    with pytest.raises(InputError, match=r"edge \(0,1\) needs a positive int cost"):
+        Graph(False, 3, [row, (1, 2), (0, 2)])
+
+
 def test_unit_reads_costs_only():
     # Rows of two, three and four items all store one-hop edges, so a
     # graph is unit exactly when every cost is 1.

@@ -100,12 +100,27 @@ def test_to_json_matches_stdlib_on_graphs_and_instances():
     [(0, 1), (1, 2, 3)], [(True, 1), (0, 1)], [(0, 1), (1, 2.0)], (), [()],
     {"z": {}, "a": [], "m": {"n": [["x", 1]]}, "\u00e9": "\\"},
     {"witness": None, "answer": False, "nodes": 0},
+    # Int-pair rows two levels down, in dicts and lists: the fast path's
+    # rows must take the indentation of the fragments around them.
+    {"a": {"edges": [(0, 1), [2, 3]], "n": 4}, "b": [[(5, 6), (7, 8)], []]},
+    [{"rows": [[1, 2], [3, 4]]}, [[[9, 10]], [(11, 12), (13, 14)]]],
+    # An empty list beside pair rows, inside a list and inside a dict.
+    [[], [(0, 1), (1, 2)], []], {"edges": [[0, 1]], "empty": [], "k": 0},
 ])
 def test_pretty_json_matches_stdlib(payload):
     assert pretty_json(payload) == _stdlib_text(payload)
 
 
-@pytest.mark.parametrize("payload", [{1: 2}, {"a": {None: 1}}, [set()], object()])
+def _deep_pair_document(bad):
+    """A large document of pair rows with ``bad`` at its deepest point."""
+    rows = [(i, i + 1) for i in range(20_000)]
+    return {"graphs": [{"edges": rows}, {"edges": rows, "labels": {"x": [bad]}}],
+            "n": 20_001}
+
+
+@pytest.mark.parametrize("payload", [{1: 2}, {"a": {None: 1}}, [set()], object(),
+                                     _deep_pair_document(set()),
+                                     _deep_pair_document({"ok": {2: 3}})])
 def test_pretty_json_rejects_non_string_keys_and_unknown_types(payload):
     with pytest.raises(TypeError):
         pretty_json(payload)

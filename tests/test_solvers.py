@@ -189,13 +189,13 @@ def test_split_vertex_matches_shortest_cycle():
         dead = frozenset()
         while True:
             # the mask search against the reference girth on what survives
-            cycle = state.shortest_cycle(len(g.edges) + 1)
+            cycle = state.shortest_cycle(len(g.edges) + 1)[0]
             girth = _girth_directed(g, dead)
             assert (len(cycle) if cycle is not None else float("inf")) == girth
             # the oracle's masks, severed in step: a closed walk of exactly
             # girth surviving arcs when girth <= limit, else None
             for limit in range(5):
-                found = search.shortest_cycle(limit)
+                found = search.shortest_cycle(limit)[0]
                 if girth > limit:
                     assert found is None, (dead, limit)
                     continue
@@ -242,16 +242,26 @@ def test_cycle_scan_over_the_root_feedback_set_matches_every_vertex():
         feedback = state.feedback  # taken at the root
         left_out += any(state._cycle_through(v, g.n) for v in range(g.n)
                         if v not in feedback)
-        # sever the surviving pairs one by one in a random order
+        # sever the surviving pairs one by one in a random order; each
+        # scan may start where the last one at its limit first found a
+        # cycle, as the brancher's children do
         order = list(range(len(state.pairs)))
         rnd.shuffle(order)
+        starts = [0] * (g.n + 2)
         for pid in [None] + order:
             if pid is not None:
                 state.sever(pid)
             for limit in range(g.n + 2):
-                assert state.shortest_cycle(limit) \
-                    == _cycle_scan_over_every_vertex(state, limit), \
-                    (g.edges, limit)
+                want = _cycle_scan_over_every_vertex(state, limit)
+                cycle, first = state.shortest_cycle(limit)
+                assert cycle == want, (g.edges, limit)
+                resumed, again = state.shortest_cycle(limit, starts[limit])
+                assert resumed == want, (g.edges, limit, starts[limit])
+                if want is not None:
+                    assert first == again == next(
+                        at for at, v in enumerate(feedback)
+                        if state._cycle_through(v, limit))
+                    starts[limit] = first
     assert left_out
 
 
@@ -264,7 +274,8 @@ def test_cycle_scan_skips_the_lowest_vertex_off_every_cycle():
                         (4, 3)])
     state = _SlotState(g, "dsct")
     assert state.feedback == [1, 3]
-    cycle = state.shortest_cycle(3)
+    cycle, first = state.shortest_cycle(3)
+    assert first == 0  # the triangle through 1
     assert [state.pairs[pid] for pid in cycle] == [(3, 4), (4, 3)]
     assert cycle == _cycle_scan_over_every_vertex(state, 3)
     for k, answer in ((1, False), (2, True)):
@@ -375,11 +386,11 @@ def test_feedback_scan_passes_a_vertex_on_no_short_cycle():
     inst = ProblemInstance("dsct", g, k=2, ell=3)
     search = _CostAwareSearch(inst, symmetry=False)
     assert search.feedback == [2, 3]
-    assert search.shortest_cycle(2) is None
-    first = search.shortest_cycle(3)
+    assert search.shortest_cycle(2)[0] is None
+    first = search.shortest_cycle(3)[0]
     assert [search.pairs[pid] for pid in first] == [(2, 4), (4, 6), (6, 2)]
     search.sever(search.pair_id[4, 6])
-    first = search.shortest_cycle(3)
+    first = search.shortest_cycle(3)[0]
     assert [search.pairs[pid] for pid in first] == [(3, 5), (5, 7), (7, 3)]
     for k, answer in ((1, False), (2, True)):
         inst = ProblemInstance("dsct", g, k=k, ell=3)
@@ -874,8 +885,21 @@ def test_deep_fpt_search_ends_in_its_search_budget(monkeypatch):
                                                  (2 * i + 1, 2 * i))]
     inst = ProblemInstance("dsct", Graph(True, 2400, arcs), k=1100, ell=2)
     monkeypatch.setattr(solvers, "MAX_SEARCHES", 1000)
+    # Each child's cycle scan starts where its parent's first found a
+    # cycle, and a 2-cycle ends it: about two vertices per search (the
+    # severed cycle's and the next one's), where a scan of the whole
+    # feedback set takes 1,200.
+    calls = []
+    cycle_through = solvers._Support._cycle_through
+
+    def counted(self, v, cap):
+        calls.append(v)
+        return cycle_through(self, v, cap)
+
+    monkeypatch.setattr(solvers._Support, "_cycle_through", counted)
     with pytest.raises(ResourceBudgetError, match="exceeded 1000 searches"):
         solve_fpt(inst)
+    assert len(calls) <= 2 * 1000
 
 
 # -- oracle agreement -------------------------------------------------------------
