@@ -16,7 +16,7 @@ from .errors import FractalcutError
 from .fractal import MAX_DEPTH, build_fractal
 from .reducer import reduce_vc_to_planar_lbec
 from .serialize import (fractal_to_dot, parse, parse_embedding, parse_vc,
-                        pretty_json, to_dimacs, to_json)
+                        pretty_json, to_dimacs, to_json, write_json)
 from .solvers import ProblemInstance, solve_bruteforce, solve_bruteforce_costaware, solve_fpt
 from . import verify as verify_mod
 
@@ -82,7 +82,9 @@ def _load_instance(path: str) -> ProblemInstance:
 def _cmd_gen(args) -> int:
     f = build_fractal(args.q, directed=args.directed, cost=args.cost)
     if args.format == "json":
-        sys.stdout.write(to_json(f))
+        # Written in fragments, never joined: the q=16 document is 6.7 MB
+        # and each further depth doubles it.
+        write_json(f, sys.stdout.write)
     elif args.format == "dot":
         sys.stdout.write(fractal_to_dot(f))
     else:

@@ -16,9 +16,10 @@ multiples of 2**(q-i), and the whole edge set is
 Edges are stored boundary by boundary, so the edge with index
 ``2**i - 1 + (j - 1)`` is the j-th edge (1-indexed) of boundary i.
 ``build_fractal`` feeds ``Graph`` straight from this closed form, one row at
-a time, so no per-edge pair container is ever built;
-``verify.check_fractal_formulas`` holds the result, in index order, to the
-marked-edge rounds.
+a time, so no per-edge pair container is ever built, and takes every
+endpoint from one list of the 2**q + 1 vertex ids, so the edges share one
+int object per vertex; ``verify.check_fractal_formulas`` holds the result,
+in index order, to the marked-edge rounds.
 
 The minimum sigma-tau cuts are the root-leaf paths of the dual tree: there
 are exactly 2**q, each has q+1 edges with exactly one edge per boundary, and
@@ -74,13 +75,15 @@ def build_fractal(q: int, directed: bool = False, cost: int = 1) -> TFractal:
         raise InputError(f"edge cost must be a positive int, got {cost!r}")
 
     p = 1 << q
-    # Boundary i joins consecutive multiples of p >> i.  The rows are made
-    # one at a time as Graph reads them: bare pairs at unit cost, else
-    # (u, v, cost) rows.
+    # Boundary i joins consecutive multiples of p >> i.  Its endpoints are
+    # slices of one list of the vertex ids, so every edge at a vertex holds
+    # the same int object; a range would make a fresh one per edge end
+    # (only ints up to 256 are cached).  The rows are made one at a time as
+    # Graph reads them: bare pairs at unit cost, else (u, v, cost) rows.
+    ids = list(range(p + 1))
     costs = () if cost == 1 else (repeat(cost),)
     rows = chain.from_iterable(
-        zip(range(0, p, p >> i), range(p >> i, p + 1, p >> i), *costs)
-        for i in range(q + 1))
+        zip(ids[0:p:p >> i], ids[p >> i::p >> i], *costs) for i in range(q + 1))
     graph = Graph(directed, p + 1, rows, labels={0: "sigma", p: "tau"})
     # Boundary i holds edge indices 2**i - 1 .. 2**(i+1) - 2.
     boundaries = tuple(tuple(range((1 << i) - 1, (2 << i) - 1))

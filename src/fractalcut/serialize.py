@@ -11,10 +11,12 @@ deletion costs (weighted composer output).  Plain graphs and fractals use a
 for every canonical form; parse_vc() and parse_embedding() read the
 vertex-cover input of the reduction and its two-page embedding; DOT and
 DIMACS are exports only.  Every JSON document is written by one writer,
-pretty_json(), which collects the document's fragments in one list and
-joins them once, so a large document is copied once, not once per level of
-nesting.  A graph, instance or vertex-cover document may declare at
-most MAX_VERTICES vertices.
+_emit(), which passes the document on in fragments: pretty_json() and
+to_json() join them once, and write_json() hands them to a stream, so
+`gen` never holds its document whole.  Edge rows are written straight off
+the graph's edge tuple, a batch of rows per ``%`` format, so no per-edge
+pair, list or string is made on the way.  A graph, instance or
+vertex-cover document may declare at most MAX_VERTICES vertices.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import chain
+from operator import eq, itemgetter
 from typing import Optional
 
 from .errors import ParseError
@@ -41,60 +44,74 @@ _DOT_PALETTE = ("black", "blue", "forestgreen", "orange", "magenta",
                 "red", "teal", "purple", "brown", "gray40", "olive")
 
 
-def graph_to_json_obj(g: Graph) -> dict:
-    obj = {
-        "type": "graph",
-        "directed": g.directed,
-        "n": g.n,
-        # Edge rows are tuples, which JSON writes as arrays.
-        "edges": list(g.edges),
-    }
-    if g.labels:
-        obj["labels"] = {str(v): name for v, name in sorted(g.labels.items())}
-    return obj
+class _EdgeRows:
+    """The rows of a JSON payload's edge list: each edge's first ``width``
+    items, read off the graph's own edge tuple when written."""
+
+    __slots__ = ("edges", "width")
+
+    def __init__(self, edges: tuple, width: int):
+        self.edges = edges
+        self.width = width
 
 
-def instance_to_json_obj(inst: ProblemInstance) -> dict:
-    obj = {
-        "problem": inst.kind,
-        "directed": inst.graph.directed,
-        "n": inst.graph.n,
-        "edges": [(e.u, e.v) for e in inst.graph.edges],
-        "k": inst.k,
-        "ell": inst.ell,
-    }
-    if inst.s is not None:
-        obj["s"] = inst.s
-        obj["t"] = inst.t
-    if any(e.cost != 1 for e in inst.graph.edges):
-        obj["costs"] = [e.cost for e in inst.graph.edges]
-    return obj
-
-
-def fractal_to_json_obj(f: TFractal) -> dict:
-    return {
-        "type": "fractal",
-        "q": f.depth,
-        "directed": f.graph.directed,
-        "cost": f.edge_cost,
-        "sigma": f.sigma,
-        "tau": f.tau,
-        "n": f.graph.n,
-        "edges": [(e.u, e.v) for e in f.graph.edges],
-        "boundaries": f.boundaries,
-    }
+def _payload(obj) -> dict:
+    """The JSON payload of a fractal, an instance or a graph.  Fractals and
+    instances write [u, v] edge rows, plain graphs [u, v, cost, length]."""
+    if isinstance(obj, TFractal):
+        return {
+            "type": "fractal",
+            "q": obj.depth,
+            "directed": obj.graph.directed,
+            "cost": obj.edge_cost,
+            "sigma": obj.sigma,
+            "tau": obj.tau,
+            "n": obj.graph.n,
+            "edges": _EdgeRows(obj.graph.edges, 2),
+            "boundaries": obj.boundaries,
+        }
+    if isinstance(obj, ProblemInstance):
+        g = obj.graph
+        payload = {
+            "problem": obj.kind,
+            "directed": g.directed,
+            "n": g.n,
+            "edges": _EdgeRows(g.edges, 2),
+            "k": obj.k,
+            "ell": obj.ell,
+        }
+        if obj.s is not None:
+            payload["s"] = obj.s
+            payload["t"] = obj.t
+        if not g.is_unit:
+            payload["costs"] = [e.cost for e in g.edges]
+        return payload
+    if isinstance(obj, Graph):
+        payload = {
+            "type": "graph",
+            "directed": obj.directed,
+            "n": obj.n,
+            "edges": _EdgeRows(obj.edges, 4),
+        }
+        if obj.labels:
+            payload["labels"] = {str(v): name
+                                 for v, name in sorted(obj.labels.items())}
+        return payload
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def to_json(obj) -> str:
-    if isinstance(obj, TFractal):
-        payload = fractal_to_json_obj(obj)
-    elif isinstance(obj, ProblemInstance):
-        payload = instance_to_json_obj(obj)
-    elif isinstance(obj, Graph):
-        payload = graph_to_json_obj(obj)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return pretty_json(payload)
+    """The canonical JSON text of a fractal, an instance or a graph."""
+    return pretty_json(_payload(obj))
+
+
+def write_json(obj, write) -> None:
+    """Pass the text of ``to_json(obj)`` to ``write`` in fragments, so the
+    whole document is never held as one string.  A TypeError, which only a
+    graph built in code with non-JSON values can raise, leaves part of the
+    text written."""
+    _emit(_payload(obj), "", write)
+    write("\n")
 
 
 def pretty_json(payload) -> str:
@@ -107,24 +124,33 @@ def pretty_json(payload) -> str:
     return "".join(out)
 
 
+_BATCH = 1024
+"""Rows of a row list, or ints of an int list, that ``_emit`` writes as one
+fragment: enough that the per-fragment work does not show, few enough that
+no fragment, template or argument tuple comes near the size of a large
+edge list."""
+
+
 def _emit(obj, pad: str, put) -> None:
     """Pass the ``pretty_json`` text of ``obj``, without the final newline,
     to ``put`` in fragments, for a value whose first line is indented by
     ``pad``.
 
-    ``pretty_json`` joins the fragments once.  A writer that returned each
-    value's text would copy a large document again at every enclosing list
-    and dict, and once more for the newline.
+    ``pretty_json`` joins the fragments once and ``write_json`` passes them
+    on.  A writer that returned each value's text would copy a large
+    document again at every enclosing list and dict, and once more for the
+    newline.  No fragment spans more than ``_BATCH`` list items, so a
+    streamed document is never held whole.
 
     ``json.dumps`` drops to its pure-Python encoder whenever ``indent`` is
     set, which dominates writing a large fractal.  This writer takes the
     same type tests in the same order, sends strings, floats, booleans and
     None to ``json.dumps`` (so escaping is the standard library's), joins a
-    list of ints in one ``join``, and writes a list of int pairs (list or
-    tuple rows, such as edges) with one ``%`` format.  The type tests run
-    as set comparisons over ``map``, with no Python-level loop per item.  A
-    dict key that is not a string raises TypeError instead of being
-    coerced, and so does any value ``json.dumps`` would reject.
+    list of ints ``_BATCH`` at a time, and writes rows of ints (a list of
+    int pairs, or a graph's edges) through ``_emit_rows``.  The type tests
+    run as set comparisons over ``map``, with no Python-level loop per
+    item.  A dict key that is not a string raises TypeError instead of
+    being coerced, and so does any value ``json.dumps`` would reject.
     """
     inner = pad + "  "
     sep = f",\n{inner}"
@@ -132,24 +158,27 @@ def _emit(obj, pad: str, put) -> None:
         put(json.dumps(obj))
     elif isinstance(obj, int):
         put(int.__repr__(obj))
+    elif isinstance(obj, _EdgeRows):
+        _emit_rows(obj.edges, obj.width, pad, put)
     elif isinstance(obj, (list, tuple)) and obj:
-        put(f"[\n{inner}")
         kinds = set(map(type, obj))
-        # Row types are tested first, so len() and the flattening are safe.
-        flat = (tuple(chain.from_iterable(obj))
-                if kinds <= {list, tuple} and set(map(len, obj)) == {2} else ())
         if kinds == {int}:
-            put(sep.join(map(str, obj)))
-        elif flat and set(map(type, flat)) == {int}:
-            inner2 = inner + "  "
-            row = f"[\n{inner2}%d,\n{inner2}%d\n{inner}]"
-            put(sep.join([row] * len(obj)) % flat)
+            put(f"[\n{inner}")
+            for start in range(0, len(obj), _BATCH):
+                if start:
+                    put(sep)
+                put(sep.join(map(str, obj[start:start + _BATCH])))
+            put(f"\n{pad}]")
+        # Row types are tested first, so len() is safe.
+        elif kinds <= {list, tuple} and set(map(len, obj)) == {2}:
+            _emit_rows(obj, 2, pad, put)
         else:
+            put(f"[\n{inner}")
             for i, x in enumerate(obj):
                 if i:
                     put(sep)
                 _emit(x, inner, put)
-        put(f"\n{pad}]")
+            put(f"\n{pad}]")
     elif isinstance(obj, dict) and obj:
         for key in obj:
             if type(key) is not str:
@@ -165,6 +194,45 @@ def _emit(obj, pad: str, put) -> None:
         put("{}" if isinstance(obj, dict) else "[]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _emit_rows(rows, width: int, pad: str, put) -> None:
+    """Pass the text of ``rows``, a sequence of sequences of at least
+    ``width`` items each, written as a list of rows of their first
+    ``width`` items, to ``put``.
+
+    Rows go ``_BATCH`` at a time through one ``%`` format whose arguments
+    are the rows' items, interleaved by slice assignment, so no per-row
+    object is made.  A batch holding an item that is not an int proper
+    (true, 1.0) is written row by row through ``_emit``, as ``json.dumps``
+    would write it.
+    """
+    if not rows:
+        put("[]")
+        return
+    inner = pad + "  "
+    sep = f",\n{inner}"
+    row = ",".join([f"\n{inner}  %d"] * width).join(("[", f"\n{inner}]"))
+    full = sep.join([row] * _BATCH)
+    getters = [itemgetter(j) for j in range(width)]
+    put(f"[\n{inner}")
+    for start in range(0, len(rows), _BATCH):
+        batch = rows[start:start + _BATCH]
+        items = [None] * (width * len(batch))
+        for j, get in enumerate(getters):
+            items[j::width] = map(get, batch)
+        if start:
+            put(sep)
+        if set(map(type, items)) == {int}:
+            template = (full if len(batch) == _BATCH
+                        else sep.join([row] * len(batch)))
+            put(template % tuple(items))
+        else:
+            for i in range(0, len(items), width):
+                if i:
+                    put(sep)
+                _emit(items[i:i + width], inner, put)
+    put(f"\n{pad}]")
 
 
 def _field(obj: dict, name: str, kinds) -> object:
@@ -269,13 +337,20 @@ def _parse_fractal_obj(obj: dict) -> TFractal:
     for name, want in (("n", f.graph.n), ("sigma", f.sigma), ("tau", f.tau)):
         if _field(obj, name, int) != want:
             raise ParseError(f"fractal field {name!r} does not match its parameters")
-    def same(name: str, want: list) -> bool:
-        got = obj.get(name)  # == alone takes false, true and 1.0 for 0 and 1
-        return type(got) is list and _first_bad_row(got) is None and got == want
-
-    if not same("edges", [[e.u, e.v] for e in f.graph.edges]):
+    # The row checks come first: == alone takes false, true and 1.0 for 0
+    # and 1.  The rows are then compared with the rebuilt edges one column
+    # at a time, and the boundaries one at a time, so no per-edge list is
+    # built for the comparison.
+    rows, edges = obj.get("edges"), f.graph.edges
+    if not (type(rows) is list and len(rows) == len(edges)
+            and _first_bad_row(rows, {2}) is None
+            and all(all(map(eq, map(get, rows), map(get, edges)))
+                    for get in (itemgetter(0), itemgetter(1)))):
         raise ParseError("fractal edge list does not match its parameters")
-    if not same("boundaries", [list(b) for b in f.boundaries]):
+    rows = obj.get("boundaries")
+    if not (type(rows) is list and len(rows) == len(f.boundaries)
+            and _first_bad_row(rows) is None
+            and all(map(eq, rows, map(list, f.boundaries)))):
         raise ParseError("fractal boundaries do not match its parameters")
     return f
 
@@ -388,8 +463,8 @@ def to_dot(g: Graph, roles: dict[int, str] | None = None,
             attrs = f'{attrs}, weight="{e.cost}"' if attrs else f'weight="{e.cost}"'
         lines.append(f"  {e.u} {arrow} {e.v} [{attrs}];" if attrs
                      else f"  {e.u} {arrow} {e.v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")  # the final newline, inside the one join
+    return "\n".join(lines)
 
 
 def fractal_to_dot(f: TFractal) -> str:
@@ -406,4 +481,5 @@ def to_dimacs(g: Graph) -> str:
     lines = [f"p edge {g.n} {len(g.edges)}"]
     for e in g.edges:
         lines.append(f"e {e.u + 1} {e.v + 1}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, inside the one join
+    return "\n".join(lines)

@@ -102,6 +102,15 @@ def test_builder_matches_the_recursive_construction():
                 assert {(e.cost, e.length) for e in edges} == {(cost, 1)}
 
 
+def test_edges_share_one_int_object_per_vertex():
+    # Ints above 256 are not cached: an endpoint made per edge would hold
+    # one int object per edge end, 2**(q+2) - 2 of them.
+    for directed, cost in ((False, 1), (True, 3)):
+        f = build_fractal(14, directed=directed, cost=cost)
+        ends = {id(x) for e in f.graph.edges for x in (e.u, e.v)}
+        assert len(ends) == f.graph.n == (1 << 14) + 1
+
+
 def test_costed_fractal_keeps_the_unit_edge_order():
     for q in range(6):
         for directed in (False, True):

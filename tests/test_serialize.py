@@ -1,6 +1,8 @@
 """Canonical JSON round-trips and the export formats."""
 
 import json
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 from fractalcut import (Graph, ParseError, ProblemInstance, build_fractal,
                         compose_lbec, fractal_to_dot, parse, to_dimacs,
                         to_dot, to_json)
+from fractalcut import serialize
+from fractalcut.cli import main
 from fractalcut.fractal import MAX_DEPTH
 from fractalcut.reducer import TwoPageEmbedding
-from fractalcut.serialize import (MAX_VERTICES, fractal_to_json_obj,
-                                  graph_to_json_obj, instance_to_json_obj,
-                                  parse_embedding, parse_vc, pretty_json)
+from fractalcut.serialize import (MAX_VERTICES, parse_embedding, parse_vc,
+                                  pretty_json, write_json)
 
 
 def test_fractal_round_trip():
@@ -65,6 +68,37 @@ def _stdlib_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# The payloads of to_json as plain containers, with a pair or an edge tuple
+# per row: the reference that json.dumps writes.
+
+
+def graph_to_json_obj(g):
+    obj = {"type": "graph", "directed": g.directed, "n": g.n,
+           "edges": list(g.edges)}
+    if g.labels:
+        obj["labels"] = {str(v): name for v, name in sorted(g.labels.items())}
+    return obj
+
+
+def instance_to_json_obj(inst):
+    obj = {"problem": inst.kind, "directed": inst.graph.directed,
+           "n": inst.graph.n, "edges": [(e.u, e.v) for e in inst.graph.edges],
+           "k": inst.k, "ell": inst.ell}
+    if inst.s is not None:
+        obj["s"] = inst.s
+        obj["t"] = inst.t
+    if any(e.cost != 1 for e in inst.graph.edges):
+        obj["costs"] = [e.cost for e in inst.graph.edges]
+    return obj
+
+
+def fractal_to_json_obj(f):
+    return {"type": "fractal", "q": f.depth, "directed": f.graph.directed,
+            "cost": f.edge_cost, "sigma": f.sigma, "tau": f.tau,
+            "n": f.graph.n, "edges": [(e.u, e.v) for e in f.graph.edges],
+            "boundaries": f.boundaries}
+
+
 def test_to_json_matches_stdlib_on_fractals():
     for q in range(0, 11):
         for directed in (False, True):
@@ -91,6 +125,61 @@ def test_to_json_matches_stdlib_on_graphs_and_instances():
     assert '"costs"' in to_json(instances[-1])
     for inst in instances:
         assert to_json(inst) == _stdlib_text(instance_to_json_obj(inst))
+
+
+# (batch, q): the writer's own batch, with the deepest boundary of q = 10
+# exactly one batch of ints and the edges below (q = 9) and across (q = 10,
+# q = 11) a batch boundary; then batches of 16, 15, 5 and 4 rows against
+# q = 3's 15 edges: below, exactly one, exactly three, and across.
+@pytest.mark.parametrize("batch,q", [(None, 9), (None, 10), (None, 11),
+                                     (16, 3), (15, 3), (5, 3), (4, 3)])
+def test_gen_writes_the_to_json_bytes_at_batch_boundaries(capsys, monkeypatch,
+                                                          batch, q):
+    if batch is not None:
+        monkeypatch.setattr(serialize, "_BATCH", batch)
+    for directed, cost in ((False, 1), (True, 3)):
+        argv = ["gen", "--q", str(q), "--cost", str(cost)]
+        assert main(argv + (["--directed"] if directed else [])) == 0
+        f = build_fractal(q, directed=directed, cost=cost)
+        out = capsys.readouterr().out
+        assert out == to_json(f) == _stdlib_text(fractal_to_json_obj(f))
+
+
+@pytest.mark.parametrize("batch", [None, 2])
+def test_to_json_matches_stdlib_across_row_batches(monkeypatch, batch):
+    if batch is not None:
+        monkeypatch.setattr(serialize, "_BATCH", batch)
+    for m in (1, 2, 3, 5, 1023, 1024, 1025, 2048):
+        path = Graph(False, m + 1, [(i, i + 1, 1 + i % 2) for i in range(m)])
+        inst = ProblemInstance("lbec", path, s=0, t=m, k=1, ell=m)
+        assert to_json(path) == _stdlib_text(graph_to_json_obj(path))
+        assert to_json(inst) == _stdlib_text(instance_to_json_obj(inst))
+    # Endpoints that are not ints proper in one batch of rows and not the
+    # next (Graph checks their range, not their type).
+    odd = Graph(True, 4, [(0, 1), (1, 2), (True, 3), (2.0, 3), (0, 3)])
+    assert to_json(odd) == _stdlib_text(graph_to_json_obj(odd))
+    inst = ProblemInstance("dsct", odd, k=1, ell=2)
+    assert to_json(inst) == _stdlib_text(instance_to_json_obj(inst))
+    rows = [(0, 1), [1, 2], (True, 3), (3, 4), [4, 5.0]]
+    assert pretty_json(rows) == _stdlib_text(rows)
+
+
+def test_writing_a_fractal_holds_no_per_edge_container():
+    f = build_fractal(14)
+    pairs = [(e.u, e.v) for e in f.graph.edges]
+    assert len(pairs) == 32_767
+    container = sys.getsizeof(pairs) + sum(map(sys.getsizeof, pairs))
+    del pairs
+    written = []
+    tracemalloc.start()
+    try:
+        write_json(f, lambda text: written.append(len(text)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(written) == len(to_json(f))
+    assert max(written) < container / 20
+    assert peak < container / 5
 
 
 @pytest.mark.parametrize("payload", [
@@ -201,6 +290,25 @@ def test_parse_rejects_tampered_fractal():
             ("tau", "x", "'tau'")):
         with pytest.raises(ParseError, match=message):
             parse(_with(doc, **{field: value}))
+
+
+def test_parse_compares_every_item_of_every_fractal_row():
+    doc = json.loads(to_json(build_fractal(2, directed=True)))
+    assert parse(json.dumps(doc)) == build_fractal(2, directed=True)
+    for i, row in enumerate(doc["edges"]):
+        for j in range(2):
+            for bad in (row[j] + 1, float(row[j]), row[j] == 1):
+                edges = [list(r) for r in doc["edges"]]
+                edges[i][j] = bad
+                with pytest.raises(ParseError, match="edge list"):
+                    parse(_with(doc, edges=edges))
+        for bad in (row + [0], row[:1], row[::-1]):
+            edges = doc["edges"][:i] + [bad] + doc["edges"][i + 1:]
+            with pytest.raises(ParseError, match="edge list"):
+                parse(_with(doc, edges=edges))
+    for bad in (doc["edges"][:-1], doc["edges"] + [[0, 4]]):
+        with pytest.raises(ParseError, match="edge list"):
+            parse(_with(doc, edges=bad))
 
 
 def test_parse_refuses_fractal_deeper_than_cap():
