@@ -8,6 +8,7 @@ input error.  Diagnostics go to stderr only.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from .errors import FractalcutError
 from .fractal import MAX_DEPTH, build_fractal
 from .reducer import reduce_vc_to_planar_lbec
 from .serialize import (fractal_to_dot, parse, parse_embedding, parse_vc,
-                        pretty_json, to_dimacs, to_json, write_json)
+                        to_dimacs, to_json, write_json)
 from .solvers import ProblemInstance, solve_bruteforce, solve_bruteforce_costaware, solve_fpt
 from . import verify as verify_mod
 
@@ -96,12 +97,13 @@ def _cmd_compose(args) -> int:
     instances = [_load_instance(path) for path in args.inputs]
     art = compose(args.problem, pad_to_power_of_two(instances), args.mode)
     instance_text = to_json(art.composed)
+    # Keys as strings, so they sort as the text they are written as.
     sidecar = {
-        "selector": {str(i): j for i, j in sorted(art.selector.items())},
-        "params": {key: art.params[key] for key in sorted(art.params)},
+        "selector": {str(i): j for i, j in art.selector.items()},
+        "params": art.params,
         "mode": art.mode,
     }
-    sidecar_text = pretty_json(sidecar)
+    sidecar_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(instance_text)
     if args.out:
         Path(f"{args.out}.instance.json").write_text(instance_text)
@@ -124,7 +126,7 @@ def _cmd_solve(args) -> int:
         "witness": verdict.witness_pairs(inst.graph),
         "nodes": verdict.nodes,
     }
-    sys.stdout.write(pretty_json(payload))
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 

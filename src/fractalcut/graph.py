@@ -1,13 +1,14 @@
 """Graph substrate shared by every other module.
 
-Graphs are labeled multigraphs with integer vertex ids 0..n-1.  Every edge
-carries a deletion cost, an int proper (not a bool or a float) of at least
-1, and is one hop long: lengths are counted in edges, as in the paper, and
-the constructor refuses any other edge length, so no distance routine checks
-for one.  "Simple mode" graphs (no parallel edges, every cost equal to 1)
-are what the solvers consume, while cost-annotated graphs only appear as
-composer intermediates.  Undirected edges are stored
-canonically with u < v; self-loops are rejected.
+Graphs are labeled multigraphs with vertex ids 0..n-1, and an edge's
+endpoints are ints proper (not bools or floats).  Every edge carries a
+deletion cost, an int proper of at least 1, and is one hop long: lengths
+are counted in edges, as in the paper, and the constructor refuses any
+other edge length, so no distance routine checks for one.  "Simple mode"
+graphs (no parallel edges, every cost equal to 1) are what the solvers
+consume, while cost-annotated graphs only appear as composer
+intermediates.  Undirected edges are stored canonically with u < v;
+self-loops are rejected.
 
 All operations here are pure functions of their inputs.  Graph objects are
 immutable by convention: nothing in this package mutates a graph after
@@ -47,9 +48,10 @@ class Graph:
 
     ``edges`` is an ordered multiset; other modules reference edges by their
     index in this tuple, so construction order is part of the canonical form.
-    The constructor validates and canonicalizes the edges; the neighbour
-    lists behind ``out_neighbors``, the degrees and the BFS routines are
-    derived on the first such query and then kept.
+    The constructor validates and canonicalizes the edges, whose endpoints
+    must be ints proper in range(n); the neighbour lists behind
+    ``out_neighbors``, the degrees and the BFS routines are derived on the
+    first such query and then kept.
     """
 
     __slots__ = ("directed", "n", "edges", "labels", "_adj", "_radj", "_unit")
@@ -70,6 +72,10 @@ class Graph:
         for e in edges:
             u = e[0]
             v = e[1]
+            # Not the cheaper operator.index, which reads True as vertex 1.
+            if type(u) is not int or type(v) is not int:
+                raise InputError(f"edge ({u!r},{v!r}) needs int endpoints, got "
+                                 f"{type(v if type(u) is int else u).__name__}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u},{v}) references unknown vertex (n={n})")
             if u == v:

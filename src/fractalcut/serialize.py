@@ -10,13 +10,13 @@ deletion costs (weighted composer output).  Plain graphs and fractals use a
 "type"-tagged schema documented in the README.  parse() inverts to_json()
 for every canonical form; parse_vc() and parse_embedding() read the
 vertex-cover input of the reduction and its two-page embedding; DOT and
-DIMACS are exports only.  Every JSON document is written by one writer,
-_emit(), which passes the document on in fragments: pretty_json() and
-to_json() join them once, and write_json() hands them to a stream, so
-`gen` never holds its document whole.  Edge rows are written straight off
-the graph's edge tuple, a batch of rows per ``%`` format, so no per-edge
-pair, list or string is made on the way.  A graph, instance or
-vertex-cover document may declare at most MAX_VERTICES vertices.
+DIMACS are exports only.  The three documents are written by one writer,
+write_json(), which passes a document on in fragments: to_json() joins
+them once, and `gen` hands them to a stream, so it never holds its
+document whole.  Edge rows are written straight off the graph's edge
+tuple, a batch of rows per ``%`` format, so no per-edge pair, list or
+string is made on the way.  A graph, instance or vertex-cover document
+may declare at most MAX_VERTICES vertices.
 """
 
 from __future__ import annotations
@@ -44,20 +44,11 @@ _DOT_PALETTE = ("black", "blue", "forestgreen", "orange", "magenta",
                 "red", "teal", "purple", "brown", "gray40", "olive")
 
 
-class _EdgeRows:
-    """The rows of a JSON payload's edge list: each edge's first ``width``
-    items, read off the graph's own edge tuple when written."""
-
-    __slots__ = ("edges", "width")
-
-    def __init__(self, edges: tuple, width: int):
-        self.edges = edges
-        self.width = width
-
-
 def _payload(obj) -> dict:
-    """The JSON payload of a fractal, an instance or a graph.  Fractals and
-    instances write [u, v] edge rows, plain graphs [u, v, cost, length]."""
+    """The JSON payload of a fractal, an instance or a graph.  Its edges are
+    the graph's edge tuple and the row width, written off the tuple:
+    fractals and instances write [u, v] rows, plain graphs
+    [u, v, cost, length]."""
     if isinstance(obj, TFractal):
         return {
             "type": "fractal",
@@ -67,7 +58,7 @@ def _payload(obj) -> dict:
             "sigma": obj.sigma,
             "tau": obj.tau,
             "n": obj.graph.n,
-            "edges": _EdgeRows(obj.graph.edges, 2),
+            "edges": (obj.graph.edges, 2),
             "boundaries": obj.boundaries,
         }
     if isinstance(obj, ProblemInstance):
@@ -76,7 +67,7 @@ def _payload(obj) -> dict:
             "problem": obj.kind,
             "directed": g.directed,
             "n": g.n,
-            "edges": _EdgeRows(g.edges, 2),
+            "edges": (g.edges, 2),
             "k": obj.k,
             "ell": obj.ell,
         }
@@ -91,131 +82,97 @@ def _payload(obj) -> dict:
             "type": "graph",
             "directed": obj.directed,
             "n": obj.n,
-            "edges": _EdgeRows(obj.edges, 4),
+            "edges": (obj.edges, 4),
         }
         if obj.labels:
-            payload["labels"] = {str(v): name
-                                 for v, name in sorted(obj.labels.items())}
+            payload["labels"] = {str(v): name for v, name in obj.labels.items()}
         return payload
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def to_json(obj) -> str:
-    """The canonical JSON text of a fractal, an instance or a graph."""
-    return pretty_json(_payload(obj))
-
-
-def write_json(obj, write) -> None:
-    """Pass the text of ``to_json(obj)`` to ``write`` in fragments, so the
-    whole document is never held as one string.  A TypeError, which only a
-    graph built in code with non-JSON values can raise, leaves part of the
-    text written."""
-    _emit(_payload(obj), "", write)
-    write("\n")
-
-
-def pretty_json(payload) -> str:
-    """The canonical text of a JSON document: what the standard library's
-    ``json.dumps`` writes with ``indent=2`` and ``sort_keys=True``, plus a
-    newline."""
+    """The canonical JSON text of a fractal, an instance or a graph: what
+    ``json.dumps`` writes for the document with ``indent=2`` and
+    ``sort_keys=True``, plus a newline."""
     out = []
-    _emit(payload, "", out.append)
-    out.append("\n")
+    write_json(obj, out.append)
     return "".join(out)
 
 
 _BATCH = 1024
-"""Rows of a row list, or ints of an int list, that ``_emit`` writes as one
+"""Edge rows, or ints of an int list, that the writer passes on as one
 fragment: enough that the per-fragment work does not show, few enough that
 no fragment, template or argument tuple comes near the size of a large
 edge list."""
 
 
-def _emit(obj, pad: str, put) -> None:
-    """Pass the ``pretty_json`` text of ``obj``, without the final newline,
-    to ``put`` in fragments, for a value whose first line is indented by
-    ``pad``.
-
-    ``pretty_json`` joins the fragments once and ``write_json`` passes them
-    on.  A writer that returned each value's text would copy a large
-    document again at every enclosing list and dict, and once more for the
-    newline.  No fragment spans more than ``_BATCH`` list items, so a
-    streamed document is never held whole.
+def write_json(obj, write) -> None:
+    """Pass the text of ``to_json(obj)`` to ``write`` in fragments, so the
+    whole document is never held as one string.
 
     ``json.dumps`` drops to its pure-Python encoder whenever ``indent`` is
-    set, which dominates writing a large fractal.  This writer takes the
-    same type tests in the same order, sends strings, floats, booleans and
-    None to ``json.dumps`` (so escaping is the standard library's), joins a
-    list of ints ``_BATCH`` at a time, and writes rows of ints (a list of
-    int pairs, or a graph's edges) through ``_emit_rows``.  The type tests
-    run as set comparisons over ``map``, with no Python-level loop per
-    item.  A dict key that is not a string raises TypeError instead of
-    being coerced, and so does any value ``json.dumps`` would reject.
+    set, which dominates writing a large fractal, so the three large
+    values are written here, ``_BATCH`` items a fragment: the edge rows
+    by ``_emit_rows``, the costs and each boundary row by ``_emit_ints``.
+    ``Graph`` refuses an endpoint or a cost that is not an int proper, and
+    the boundaries are ranges, so neither writer tests a type.  The keys
+    are ASCII identifiers, written as they are.  Every other value is a
+    scalar or the labels, and goes to ``json.dumps`` indented one level,
+    which is exact because ``json.dumps`` escapes every newline in a
+    string.
     """
-    inner = pad + "  "
-    sep = f",\n{inner}"
-    if isinstance(obj, (str, float)) or obj is None or obj is True or obj is False:
-        put(json.dumps(obj))
-    elif isinstance(obj, int):
-        put(int.__repr__(obj))
-    elif isinstance(obj, _EdgeRows):
-        _emit_rows(obj.edges, obj.width, pad, put)
-    elif isinstance(obj, (list, tuple)) and obj:
-        kinds = set(map(type, obj))
-        if kinds == {int}:
-            put(f"[\n{inner}")
-            for start in range(0, len(obj), _BATCH):
-                if start:
-                    put(sep)
-                put(sep.join(map(str, obj[start:start + _BATCH])))
-            put(f"\n{pad}]")
-        # Row types are tested first, so len() is safe.
-        elif kinds <= {list, tuple} and set(map(len, obj)) == {2}:
-            _emit_rows(obj, 2, pad, put)
-        else:
-            put(f"[\n{inner}")
-            for i, x in enumerate(obj):
+    payload = _payload(obj)
+    sep = "{\n  "
+    for key in sorted(payload):
+        write(f'{sep}"{key}": ')
+        sep = ",\n  "
+        value = payload[key]
+        if key == "edges":
+            _emit_rows(*value, write)
+        elif key == "costs":
+            _emit_ints(value, "  ", write)
+        elif key == "boundaries":
+            write("[\n    ")
+            for i, row in enumerate(value):
                 if i:
-                    put(sep)
-                _emit(x, inner, put)
-            put(f"\n{pad}]")
-    elif isinstance(obj, dict) and obj:
-        for key in obj:
-            if type(key) is not str:
-                raise TypeError(f"dict key {key!r} is not a string")
-        put(f"{{\n{inner}")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                put(sep)
-            put(f"{json.dumps(key)}: ")
-            _emit(obj[key], inner, put)
-        put(f"\n{pad}}}")
-    elif isinstance(obj, (list, tuple, dict)):
-        put("{}" if isinstance(obj, dict) else "[]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+                    write(",\n    ")
+                _emit_ints(row, "    ", write)
+            write("\n  ]")
+        else:
+            write(json.dumps(value, indent=2, sort_keys=True)
+                  .replace("\n", "\n  "))
+    write("\n}\n")
 
 
-def _emit_rows(rows, width: int, pad: str, put) -> None:
-    """Pass the text of ``rows``, a sequence of sequences of at least
-    ``width`` items each, written as a list of rows of their first
-    ``width`` items, to ``put``.
+def _emit_ints(ints, pad: str, put) -> None:
+    """Pass the text of ``ints``, a non-empty list of ints whose opening
+    bracket is indented by ``pad``, to ``put``, ``_BATCH`` ints a
+    fragment."""
+    sep = f",\n{pad}  "
+    put(f"[\n{pad}  ")
+    for start in range(0, len(ints), _BATCH):
+        if start:
+            put(sep)
+        put(sep.join(map(str, ints[start:start + _BATCH])))
+    put(f"\n{pad}]")
 
-    Rows go ``_BATCH`` at a time through one ``%`` format whose arguments
+
+def _emit_rows(rows, width: int, put) -> None:
+    """Pass the text of the edge list ``rows`` as a payload value, a row of
+    each edge's first ``width`` items, to ``put``.
+
+    Rows go ``_BATCH`` at a time through one ``%d`` format whose arguments
     are the rows' items, interleaved by slice assignment, so no per-row
-    object is made.  A batch holding an item that is not an int proper
-    (true, 1.0) is written row by row through ``_emit``, as ``json.dumps``
-    would write it.
+    object is made.
     """
     if not rows:
         put("[]")
         return
-    inner = pad + "  "
-    sep = f",\n{inner}"
-    row = ",".join([f"\n{inner}  %d"] * width).join(("[", f"\n{inner}]"))
+    sep = ",\n    "
+    row = ",".join(["\n      %d"] * width).join(("[", "\n    ]"))
     full = sep.join([row] * _BATCH)
     getters = [itemgetter(j) for j in range(width)]
-    put(f"[\n{inner}")
+    put("[\n    ")
     for start in range(0, len(rows), _BATCH):
         batch = rows[start:start + _BATCH]
         items = [None] * (width * len(batch))
@@ -223,16 +180,10 @@ def _emit_rows(rows, width: int, pad: str, put) -> None:
             items[j::width] = map(get, batch)
         if start:
             put(sep)
-        if set(map(type, items)) == {int}:
-            template = (full if len(batch) == _BATCH
-                        else sep.join([row] * len(batch)))
-            put(template % tuple(items))
-        else:
-            for i in range(0, len(items), width):
-                if i:
-                    put(sep)
-                _emit(items[i:i + width], inner, put)
-    put(f"\n{pad}]")
+        template = (full if len(batch) == _BATCH
+                    else sep.join([row] * len(batch)))
+        put(template % tuple(items))
+    put("\n  ]")
 
 
 def _field(obj: dict, name: str, kinds) -> object:
@@ -261,7 +212,7 @@ def _first_bad_row(rows: list, lengths: Optional[set] = None) -> Optional[int]:
     """Index of the first entry of ``rows`` that is not a list of integers
     proper (JSON true, false and 1.0 are not) with a length in ``lengths``
     (any when None), or None.  Clean rows pass set tests over ``map`` and
-    ``chain``, as in ``_emit``, with no Python-level loop per row."""
+    ``chain``, with no Python-level loop per row."""
     if (set(map(type, rows)) <= {list}
             and (lengths is None or set(map(len, rows)) <= lengths)
             and set(map(type, chain.from_iterable(rows))) <= {int}):

@@ -63,6 +63,25 @@ def test_graph_refuses_costs_that_are_not_ints(row):
         Graph(False, 3, [row, (1, 2), (0, 2)])
 
 
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("row,kind", [((True, 3), "bool"), ((0, 2.0), "float"),
+                                      ((2.0, 3, 2), "float"), ((3, False), "bool")])
+def test_graph_refuses_endpoints_that_are_not_ints(directed, row, kind):
+    # True and 2.0 pass the range check as vertices 1 and 2; stored, they
+    # would break to_json/parse and the JSON writer's all-int edge rows.
+    # Both are refused, naming the edge and the type.
+    with pytest.raises(InputError) as info:
+        Graph(directed, 4, [(0, 1), row])
+    message = str(info.value)
+    assert message.startswith(f"edge ({row[0]!r},{row[1]!r}) needs int endpoints")
+    assert message.endswith(f"got {kind}")
+    # A document's `true` endpoint is refused where its rows are read.
+    doc = {"type": "graph", "directed": directed, "n": 4,
+           "edges": [[0, 1], [row[0], row[1]]]}
+    with pytest.raises(ParseError, match=r"edges\[1\] must be"):
+        parse(json.dumps(doc))
+
+
 def test_unit_reads_costs_only():
     # Rows of two, three and four items all store one-hop edges, so a
     # graph is unit exactly when every cost is 1.

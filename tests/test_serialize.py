@@ -15,7 +15,7 @@ from fractalcut.cli import main
 from fractalcut.fractal import MAX_DEPTH
 from fractalcut.reducer import TwoPageEmbedding
 from fractalcut.serialize import (MAX_VERTICES, parse_embedding, parse_vc,
-                                  pretty_json, write_json)
+                                  write_json)
 
 
 def test_fractal_round_trip():
@@ -154,14 +154,6 @@ def test_to_json_matches_stdlib_across_row_batches(monkeypatch, batch):
         inst = ProblemInstance("lbec", path, s=0, t=m, k=1, ell=m)
         assert to_json(path) == _stdlib_text(graph_to_json_obj(path))
         assert to_json(inst) == _stdlib_text(instance_to_json_obj(inst))
-    # Endpoints that are not ints proper in one batch of rows and not the
-    # next (Graph checks their range, not their type).
-    odd = Graph(True, 4, [(0, 1), (1, 2), (True, 3), (2.0, 3), (0, 3)])
-    assert to_json(odd) == _stdlib_text(graph_to_json_obj(odd))
-    inst = ProblemInstance("dsct", odd, k=1, ell=2)
-    assert to_json(inst) == _stdlib_text(instance_to_json_obj(inst))
-    rows = [(0, 1), [1, 2], (True, 3), (3, 4), [4, 5.0]]
-    assert pretty_json(rows) == _stdlib_text(rows)
 
 
 def test_writing_a_fractal_holds_no_per_edge_container():
@@ -182,37 +174,38 @@ def test_writing_a_fractal_holds_no_per_edge_container():
     assert peak < container / 5
 
 
-@pytest.mark.parametrize("payload", [
-    [], {}, [[]], [[], [1]], [[1, 2], [3, 4, 5]], [[1, 2], (3, 4)],
-    (1, (2, 3)), [True, 1, None], [1.5, -0.0, float("inf"), 10 ** 30],
-    [(0, 1), (1, 2), (-3, 10 ** 30)], [(0, 1), [1, 2], (2, 3)],
-    [(0, 1), (1, 2, 3)], [(True, 1), (0, 1)], [(0, 1), (1, 2.0)], (), [()],
-    {"z": {}, "a": [], "m": {"n": [["x", 1]]}, "\u00e9": "\\"},
-    {"witness": None, "answer": False, "nodes": 0},
-    # Int-pair rows two levels down, in dicts and lists: the fast path's
-    # rows must take the indentation of the fragments around them.
-    {"a": {"edges": [(0, 1), [2, 3]], "n": 4}, "b": [[(5, 6), (7, 8)], []]},
-    [{"rows": [[1, 2], [3, 4]]}, [[[9, 10]], [(11, 12), (13, 14)]]],
-    # An empty list beside pair rows, inside a list and inside a dict.
-    [[], [(0, 1), (1, 2)], []], {"edges": [[0, 1]], "empty": [], "k": 0},
-])
-def test_pretty_json_matches_stdlib(payload):
-    assert pretty_json(payload) == _stdlib_text(payload)
+@st.composite
+def documents(draw):
+    """A graph with labels of any text, or an instance with or without
+    terminals; either weighted (costs 1-3) or unit, on n <= 30 vertices."""
+    n = draw(st.integers(2, 30))
+    directed = draw(st.booleans())
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    rows = draw(st.lists(pair.filter(lambda p: p[0] != p[1]), max_size=60))
+    max_cost = draw(st.sampled_from([1, 3]))
+    edges = [(u, v, draw(st.integers(1, max_cost))) for u, v in rows]
+    kind = draw(st.sampled_from(["graph", "lbec", "mded", "dsct"]))
+    if kind == "graph":
+        labels = draw(st.dictionaries(st.integers(0, n - 1), st.text(),
+                                      max_size=4))
+        return Graph(directed, n, edges, labels)
+    g = Graph(kind == "dsct" or directed, n, edges)
+    k, ell = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    if kind != "lbec":
+        return ProblemInstance(kind, g, k=k, ell=ell)
+    s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                         unique=True))
+    return ProblemInstance(kind, g, s=s, t=t, k=k, ell=ell)
 
 
-def _deep_pair_document(bad):
-    """A large document of pair rows with ``bad`` at its deepest point."""
-    rows = [(i, i + 1) for i in range(20_000)]
-    return {"graphs": [{"edges": rows}, {"edges": rows, "labels": {"x": [bad]}}],
-            "n": 20_001}
-
-
-@pytest.mark.parametrize("payload", [{1: 2}, {"a": {None: 1}}, [set()], object(),
-                                     _deep_pair_document(set()),
-                                     _deep_pair_document({"ok": {2: 3}})])
-def test_pretty_json_rejects_non_string_keys_and_unknown_types(payload):
-    with pytest.raises(TypeError):
-        pretty_json(payload)
+@settings(max_examples=200, deadline=None)
+@given(documents())
+def test_to_json_matches_stdlib_and_round_trips(doc):
+    reference = (graph_to_json_obj(doc) if isinstance(doc, Graph)
+                 else instance_to_json_obj(doc))
+    text = to_json(doc)
+    assert text == _stdlib_text(reference)
+    assert parse(text) == doc
 
 
 def test_parse_error_diagnostics():
