@@ -14,12 +14,16 @@ multiples of 2**(q-i), and the whole edge set is
     { (j*2**(q-i), (j+1)*2**(q-i)) : 0 <= i <= q, 0 <= j < 2**i }.
 
 Edges are stored boundary by boundary, so the edge with index
-``2**i - 1 + (j - 1)`` is the j-th edge (1-indexed) of boundary i.
-``build_fractal`` feeds ``Graph`` straight from this closed form, one row at
-a time, so no per-edge pair container is ever built, and takes every
-endpoint from one list of the 2**q + 1 vertex ids, so the edges share one
-int object per vertex; ``verify.check_fractal_formulas`` holds the result,
-in index order, to the marked-edge rounds.
+``2**i - 1 + (j - 1)`` is the j-th edge (1-indexed) of boundary i.  The one
+source of these rows is ``boundary_columns``: boundary i's endpoint columns
+``ids[0:p:s]`` and ``ids[s::s]``, s = p >> i, p = 2**q.  ``build_fractal``
+reads them over one list of the 2**q + 1 vertex ids and feeds ``Graph`` one
+row at a time, so no per-edge pair container is ever built and the edges
+share one int object per vertex; ``serialize`` reads them over
+``range(2**q + 1)``, where the slices stay ranges, and so writes and checks
+a fractal document from (q, directed, cost) alone, with no ``Graph``.
+``verify.check_fractal_formulas`` holds the build, in index order, to the
+marked-edge rounds.
 
 The minimum sigma-tau cuts are the root-leaf paths of the dual tree: there
 are exactly 2**q, each has q+1 edges with exactly one edge per boundary, and
@@ -28,14 +32,16 @@ the position labeling that cut takes from each boundary L the edge whose
 span contains gap i, its (((i-1) >> (q-L)) + 1)-th edge, so a cut is looked
 up in O(q) arithmetic.
 
-Depths above ``MAX_DEPTH`` are refused before anything is allocated: a
-depth-q fractal has 2**(q+1) - 1 edges.
+Depths above ``MAX_DEPTH`` are refused by ``check_fractal_params``, which
+the builder, the writer and the parser call before anything is allocated:
+a depth-q fractal has 2**(q+1) - 1 edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
+from operator import add
 
 from .errors import InputError
 from .graph import CutCertificate, Graph
@@ -61,6 +67,30 @@ class TFractal:
         return 1 << self.depth
 
 
+def check_fractal_params(q: int, cost: int) -> None:
+    """Refuse a depth outside 0..MAX_DEPTH or a cost that is not a
+    positive int proper, before anything is allocated."""
+    if not (0 <= q <= MAX_DEPTH):
+        raise InputError(f"fractal depth must be in 0..{MAX_DEPTH}, got {q}")
+    if type(cost) is not int or cost < 1:
+        raise InputError(f"edge cost must be a positive int, got {cost!r}")
+
+
+def boundary_columns(ids, q: int):
+    """Boundary i's endpoint columns for i = 0..q, one boundary at a time:
+    ``ids[0:p:s]`` and ``ids[s::s]``, s = p >> i, with ``ids`` the 2**q + 1
+    vertex ids (a list, or a range whose slices stay ranges)."""
+    p = 1 << q
+    for i in range(q + 1):
+        s = p >> i
+        yield ids[0:p:s], ids[s::s]
+
+
+def boundary_ranges(q: int) -> list[range]:
+    """Boundary i's edge indices, 2**i - 1 .. 2**(i+1) - 2, for i = 0..q."""
+    return [range((1 << i) - 1, (2 << i) - 1) for i in range(q + 1)]
+
+
 def build_fractal(q: int, directed: bool = False, cost: int = 1) -> TFractal:
     """Construct the depth-q fractal.
 
@@ -69,33 +99,26 @@ def build_fractal(q: int, directed: bool = False, cost: int = 1) -> TFractal:
     the larger endpoint; the result is acyclic, sigma has in-degree 0 and
     out-degree q+1, tau has out-degree 0 and in-degree q+1.
     """
-    if not (0 <= q <= MAX_DEPTH):
-        raise InputError(f"fractal depth must be in 0..{MAX_DEPTH}, got {q}")
-    if type(cost) is not int or cost < 1:
-        raise InputError(f"edge cost must be a positive int, got {cost!r}")
-
+    check_fractal_params(q, cost)
     p = 1 << q
-    # Boundary i joins consecutive multiples of p >> i.  Its endpoints are
-    # slices of one list of the vertex ids, so every edge at a vertex holds
-    # the same int object; a range would make a fresh one per edge end
-    # (only ints up to 256 are cached).  The rows are made one at a time as
-    # Graph reads them: bare pairs at unit cost, else (u, v, cost) rows.
-    ids = list(range(p + 1))
-    costs = () if cost == 1 else (repeat(cost),)
-    rows = chain.from_iterable(
-        zip(ids[0:p:p >> i], ids[p >> i::p >> i], *costs) for i in range(q + 1))
+    # The columns are slices of one list of the vertex ids, so every edge
+    # at a vertex holds the same int object; a range would make a fresh
+    # one per edge end (only ints up to 256 are cached).  The rows are made
+    # one at a time as Graph reads them: bare pairs at unit cost, else
+    # (u, v, cost) rows, each boundary's pair of columns extended by a
+    # column that repeats the cost.
+    columns = boundary_columns(list(range(p + 1)), q)
+    if cost != 1:
+        columns = map(add, columns, repeat((repeat(cost),)))
+    rows = chain.from_iterable(starmap(zip, columns))
     graph = Graph(directed, p + 1, rows, labels={0: "sigma", p: "tau"})
-    # Boundary i holds edge indices 2**i - 1 .. 2**(i+1) - 2.
-    boundaries = tuple(tuple(range((1 << i) - 1, (2 << i) - 1))
-                       for i in range(q + 1))
-
     return TFractal(
         graph=graph,
         sigma=0,
         tau=p,
         depth=q,
         edge_cost=cost,
-        boundaries=boundaries,
+        boundaries=tuple(map(tuple, boundary_ranges(q))),
     )
 
 

@@ -11,12 +11,14 @@ deletion costs (weighted composer output).  Plain graphs and fractals use a
 for every canonical form; parse_vc() and parse_embedding() read the
 vertex-cover input of the reduction and its two-page embedding; DOT and
 DIMACS are exports only.  The three documents are written by one writer,
-write_json(), which passes a document on in fragments: to_json() joins
-them once, and `gen` hands them to a stream, so it never holds its
-document whole.  Edge rows are written straight off the graph's edge
-tuple, a batch of rows per ``%`` format, so no per-edge pair, list or
-string is made on the way.  A graph, instance or vertex-cover document
-may declare at most MAX_VERTICES vertices.
+which passes a document on in fragments: to_json() joins them once, and
+`gen` hands them to a stream, so it never holds its document whole.  Edge
+rows are written a batch per ``%`` format from columns: a graph's or an
+instance's are read off its edge tuple, and a fractal's are the closed
+form's range slices (``fractal.boundary_columns``), so a fractal document
+is written, and checked when parsed, from (q, directed, cost) alone, and
+no per-edge pair, list or string is made on the way.  A graph, instance
+or vertex-cover document may declare at most MAX_VERTICES vertices.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from itertools import chain
 from operator import eq, itemgetter
 from typing import Optional
 
-from .errors import ParseError
-from .fractal import MAX_DEPTH, TFractal, build_fractal
+from .errors import InputError, ParseError
+from .fractal import (MAX_DEPTH, TFractal, boundary_columns, boundary_ranges,
+                      build_fractal, check_fractal_params)
 from .graph import Graph
 from .reducer import PAGES, TwoPageEmbedding, VcInstance
 from .reference import ProblemInstance
@@ -44,30 +47,37 @@ _DOT_PALETTE = ("black", "blue", "forestgreen", "orange", "magenta",
                 "red", "teal", "purple", "brown", "gray40", "olive")
 
 
+def _fractal_payload(q: int, directed: bool, cost: int) -> dict:
+    """The JSON payload of the depth-q fractal, from the closed form: its
+    edges are the boundary columns over ``range(2**q + 1)``, its
+    boundaries index ranges."""
+    p = 1 << q
+    return {
+        "type": "fractal",
+        "q": q,
+        "directed": directed,
+        "cost": cost,
+        "sigma": 0,
+        "tau": p,
+        "n": p + 1,
+        "edges": (_column_batches(q), 2),
+        "boundaries": boundary_ranges(q),
+    }
+
+
 def _payload(obj) -> dict:
-    """The JSON payload of a fractal, an instance or a graph.  Its edges are
-    the graph's edge tuple and the row width, written off the tuple:
-    fractals and instances write [u, v] rows, plain graphs
-    [u, v, cost, length]."""
+    """The JSON payload of a fractal, an instance or a graph.  Its edges
+    are row batches and the row width: fractals and instances write [u, v]
+    rows, plain graphs [u, v, cost, length]."""
     if isinstance(obj, TFractal):
-        return {
-            "type": "fractal",
-            "q": obj.depth,
-            "directed": obj.graph.directed,
-            "cost": obj.edge_cost,
-            "sigma": obj.sigma,
-            "tau": obj.tau,
-            "n": obj.graph.n,
-            "edges": (obj.graph.edges, 2),
-            "boundaries": obj.boundaries,
-        }
+        return _fractal_payload(obj.depth, obj.graph.directed, obj.edge_cost)
     if isinstance(obj, ProblemInstance):
         g = obj.graph
         payload = {
             "problem": obj.kind,
             "directed": g.directed,
             "n": g.n,
-            "edges": (g.edges, 2),
+            "edges": (_edge_batches(g.edges, 2), 2),
             "k": obj.k,
             "ell": obj.ell,
         }
@@ -82,7 +92,7 @@ def _payload(obj) -> dict:
             "type": "graph",
             "directed": obj.directed,
             "n": obj.n,
-            "edges": (obj.edges, 4),
+            "edges": (_edge_batches(obj.edges, 4), 4),
         }
         if obj.labels:
             payload["labels"] = {str(v): name for v, name in obj.labels.items()}
@@ -108,20 +118,33 @@ edge list."""
 
 def write_json(obj, write) -> None:
     """Pass the text of ``to_json(obj)`` to ``write`` in fragments, so the
-    whole document is never held as one string.
+    whole document is never held as one string."""
+    _write_payload(_payload(obj), write)
+
+
+def write_fractal_json(q: int, directed: bool, cost: int, write) -> None:
+    """Pass the text of ``to_json(build_fractal(q, directed, cost))`` to
+    ``write`` in fragments, written from the closed form: no graph is
+    built.  The depth and the cost are checked before any text is
+    written."""
+    check_fractal_params(q, cost)
+    _write_payload(_fractal_payload(q, directed, cost), write)
+
+
+def _write_payload(payload: dict, write) -> None:
+    """Pass the canonical JSON text of ``payload`` to ``write``.
 
     ``json.dumps`` drops to its pure-Python encoder whenever ``indent`` is
     set, which dominates writing a large fractal, so the three large
     values are written here, ``_BATCH`` items a fragment: the edge rows
     by ``_emit_rows``, the costs and each boundary row by ``_emit_ints``.
     ``Graph`` refuses an endpoint or a cost that is not an int proper, and
-    the boundaries are ranges, so neither writer tests a type.  The keys
-    are ASCII identifiers, written as they are.  Every other value is a
-    scalar or the labels, and goes to ``json.dumps`` indented one level,
-    which is exact because ``json.dumps`` escapes every newline in a
-    string.
+    a fractal's columns and boundaries are ranges, so neither writer tests
+    a type.  The keys are ASCII identifiers, written as they are.  Every
+    other value is a scalar or the labels, and goes to ``json.dumps``
+    indented one level, which is exact because ``json.dumps`` escapes every
+    newline in a string.
     """
-    payload = _payload(obj)
     sep = "{\n  "
     for key in sorted(payload):
         write(f'{sep}"{key}": ')
@@ -145,8 +168,8 @@ def write_json(obj, write) -> None:
 
 
 def _emit_ints(ints, pad: str, put) -> None:
-    """Pass the text of ``ints``, a non-empty list of ints whose opening
-    bracket is indented by ``pad``, to ``put``, ``_BATCH`` ints a
+    """Pass the text of ``ints``, a non-empty list or range of ints whose
+    opening bracket is indented by ``pad``, to ``put``, ``_BATCH`` ints a
     fragment."""
     sep = f",\n{pad}  "
     put(f"[\n{pad}  ")
@@ -157,33 +180,44 @@ def _emit_ints(ints, pad: str, put) -> None:
     put(f"\n{pad}]")
 
 
-def _emit_rows(rows, width: int, put) -> None:
-    """Pass the text of the edge list ``rows`` as a payload value, a row of
-    each edge's first ``width`` items, to ``put``.
+def _edge_batches(edges: tuple, width: int):
+    """The first ``width`` items of each edge, ``_BATCH`` edges a batch, as
+    (row count, one column per item)."""
+    getters = [itemgetter(j) for j in range(width)]
+    for start in range(0, len(edges), _BATCH):
+        batch = edges[start:start + _BATCH]
+        yield len(batch), [map(get, batch) for get in getters]
 
-    Rows go ``_BATCH`` at a time through one ``%d`` format whose arguments
-    are the rows' items, interleaved by slice assignment, so no per-row
-    object is made.
+
+def _column_batches(q: int):
+    """The depth-q fractal's rows as (row count, [u column, v column]), at
+    most ``_BATCH`` rows a batch; a batch never spans two boundaries."""
+    for us, vs in boundary_columns(range((1 << q) + 1), q):
+        for start in range(0, len(us), _BATCH):
+            u = us[start:start + _BATCH]
+            yield len(u), [u, vs[start:start + _BATCH]]
+
+
+def _emit_rows(batches, width: int, put) -> None:
+    """Pass the text of an edge list as a payload value to ``put``, a
+    batch of ``batches`` at a time: (row count, ``width`` columns).
+
+    A batch goes through one ``%d`` format whose arguments are the columns'
+    items, interleaved by slice assignment, so no per-row object is made.
     """
-    if not rows:
-        put("[]")
-        return
     sep = ",\n    "
     row = ",".join(["\n      %d"] * width).join(("[", "\n    ]"))
     full = sep.join([row] * _BATCH)
-    getters = [itemgetter(j) for j in range(width)]
-    put("[\n    ")
-    for start in range(0, len(rows), _BATCH):
-        batch = rows[start:start + _BATCH]
-        items = [None] * (width * len(batch))
-        for j, get in enumerate(getters):
-            items[j::width] = map(get, batch)
-        if start:
-            put(sep)
-        template = (full if len(batch) == _BATCH
-                    else sep.join([row] * len(batch)))
+    lead = "[\n    "
+    for count, columns in batches:
+        items = [None] * (width * count)
+        for j, column in enumerate(columns):
+            items[j::width] = column
+        put(lead)
+        lead = sep
+        template = full if count == _BATCH else sep.join([row] * count)
         put(template % tuple(items))
-    put("\n  ]")
+    put("\n  ]" if lead == sep else "[]")
 
 
 def _field(obj: dict, name: str, kinds) -> object:
@@ -282,28 +316,32 @@ def _parse_fractal_obj(obj: dict) -> TFractal:
     directed = _field(obj, "directed", bool)
     cost = _field(obj, "cost", int)
     try:
-        f = build_fractal(q, directed=directed, cost=cost)
-    except Exception as exc:
+        check_fractal_params(q, cost)
+    except InputError as exc:
         raise ParseError(f"invalid fractal parameters: {exc}") from exc
-    for name, want in (("n", f.graph.n), ("sigma", f.sigma), ("tau", f.tau)):
+    # The document is held to the closed form before anything is built,
+    # so a few bytes cannot ask for a depth-q build: the scalars and the
+    # row counts first, then the rows.  The row type checks come first:
+    # == alone takes false, true and 1.0 for 0 and 1.  The rows are then
+    # compared with the boundary columns, all u's then all v's, and the
+    # boundaries one at a time, so no per-edge list is built for it.
+    p = 1 << q
+    for name, want in (("n", p + 1), ("sigma", 0), ("tau", p)):
         if _field(obj, name, int) != want:
             raise ParseError(f"fractal field {name!r} does not match its parameters")
-    # The row checks come first: == alone takes false, true and 1.0 for 0
-    # and 1.  The rows are then compared with the rebuilt edges one column
-    # at a time, and the boundaries one at a time, so no per-edge list is
-    # built for the comparison.
-    rows, edges = obj.get("edges"), f.graph.edges
-    if not (type(rows) is list and len(rows) == len(edges)
+    rows = obj.get("edges")
+    columns = zip(*boundary_columns(range(p + 1), q))
+    if not (type(rows) is list and len(rows) == 2 * p - 1
             and _first_bad_row(rows, {2}) is None
-            and all(all(map(eq, map(get, rows), map(get, edges)))
-                    for get in (itemgetter(0), itemgetter(1)))):
+            and all(all(map(eq, map(itemgetter(j), rows), chain.from_iterable(column)))
+                    for j, column in enumerate(columns))):
         raise ParseError("fractal edge list does not match its parameters")
     rows = obj.get("boundaries")
-    if not (type(rows) is list and len(rows) == len(f.boundaries)
+    if not (type(rows) is list and len(rows) == q + 1
             and _first_bad_row(rows) is None
-            and all(map(eq, rows, map(list, f.boundaries)))):
+            and all(map(eq, rows, map(list, boundary_ranges(q))))):
         raise ParseError("fractal boundaries do not match its parameters")
-    return f
+    return build_fractal(q, directed=directed, cost=cost)
 
 
 def _json_object(text: str) -> dict:

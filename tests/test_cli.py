@@ -340,6 +340,18 @@ def test_fractal_depth_over_cap_exits_two(capsys, tmp_path):
     assert err.startswith("error: ") and "depth" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot", "dimacs"])
+@pytest.mark.parametrize("flags,message", [
+    (("--q", "-1"), "fractal depth must be in 0..20, got -1"),
+    (("--q", "21"), "fractal depth must be in 0..20, got 21"),
+    (("--q", "3", "--cost", "0"), "edge cost must be a positive int, got 0"),
+    (("--q", "3", "--cost", "-2"), "edge cost must be a positive int, got -2"),
+])
+def test_gen_refuses_depth_and_cost_before_writing(capsys, fmt, flags, message):
+    code, out, err = run(capsys, "gen", *flags, "--format", fmt)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_argparse_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["gen"])  # missing required --q

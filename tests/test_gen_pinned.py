@@ -10,6 +10,7 @@ import hashlib
 import pytest
 
 from fractalcut.cli import main
+from fractalcut.graph import Graph
 
 # (q, format, directed, cost) -> digest of stdout; the exit code is 0.
 PINNED = {
@@ -37,6 +38,11 @@ PINNED = {
         "46ce4fdd725638e4da7a837fb8a1a9a3c86e1d8a3d446a551a88433ec163c24e",
     (3, "dimacs", True, 3):
         "46ce4fdd725638e4da7a837fb8a1a9a3c86e1d8a3d446a551a88433ec163c24e",
+    # recorded at the commit before gen wrote its JSON from the closed form
+    (5, "json", False, 1):
+        "bd275eddcc69c79ee64c8465a3515a4e1dbb50915e6fdcdedd27da43070bec7e",
+    (5, "json", True, 3):
+        "803f90d7cbae7694582fa9d8c2b6f4fc2986877a521426b357be4a15bdda8664",
     (12, "json", False, 1):
         "d4ddfdc759db874b759298c0453d68e82682688c5b872247abe8e23fb04477f8",
     (12, "json", True, 3):
@@ -59,3 +65,16 @@ def test_gen_outputs_pinned(capsys, q, fmt, directed, cost):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[q, fmt, directed, cost]
+
+
+@pytest.mark.parametrize("q,directed,cost",
+                         sorted((q, d, c) for q, fmt, d, c in PINNED if fmt == "json"))
+def test_gen_json_builds_no_graph(capsys, monkeypatch, q, directed, cost):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen --format json built a Graph")
+
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    argv = ["gen", "--q", str(q), "--cost", str(cost)]
+    assert main(argv + (["--directed"] if directed else [])) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[q, "json", directed, cost]

@@ -130,19 +130,25 @@ def test_to_json_matches_stdlib_on_graphs_and_instances():
 # (batch, q): the writer's own batch, with the deepest boundary of q = 10
 # exactly one batch of ints and the edges below (q = 9) and across (q = 10,
 # q = 11) a batch boundary; then batches of 16, 15, 5 and 4 rows against
-# q = 3's 15 edges: below, exactly one, exactly three, and across.
+# q = 3's 15 edges: below, exactly one, exactly three, and across; then
+# batches of 1 and 2 rows against q = 0's one edge and q = 1's three.  The
+# fractal's batches never span two boundaries, so q = 1 at a batch of 2
+# is written as a batch of 1 and a batch of 2, where its edge tuple would
+# be cut into 2 and 1.
 @pytest.mark.parametrize("batch,q", [(None, 9), (None, 10), (None, 11),
-                                     (16, 3), (15, 3), (5, 3), (4, 3)])
+                                     (16, 3), (15, 3), (5, 3), (4, 3),
+                                     (1, 0), (2, 0), (1, 1), (2, 1)])
 def test_gen_writes_the_to_json_bytes_at_batch_boundaries(capsys, monkeypatch,
                                                           batch, q):
     if batch is not None:
         monkeypatch.setattr(serialize, "_BATCH", batch)
-    for directed, cost in ((False, 1), (True, 3)):
-        argv = ["gen", "--q", str(q), "--cost", str(cost)]
-        assert main(argv + (["--directed"] if directed else [])) == 0
-        f = build_fractal(q, directed=directed, cost=cost)
-        out = capsys.readouterr().out
-        assert out == to_json(f) == _stdlib_text(fractal_to_json_obj(f))
+    for directed in (False, True):
+        for cost in (1, 3):
+            argv = ["gen", "--q", str(q), "--cost", str(cost)]
+            assert main(argv + (["--directed"] if directed else [])) == 0
+            f = build_fractal(q, directed=directed, cost=cost)
+            out = capsys.readouterr().out
+            assert out == to_json(f) == _stdlib_text(fractal_to_json_obj(f))
 
 
 @pytest.mark.parametrize("batch", [None, 2])
@@ -171,6 +177,35 @@ def test_writing_a_fractal_holds_no_per_edge_container():
         tracemalloc.stop()
     assert sum(written) == len(to_json(f))
     assert max(written) < container / 20
+    assert peak < container / 5
+
+
+class _CountingWriter:
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+
+
+def test_gen_holds_no_per_edge_container(monkeypatch):
+    pairs = [(e.u, e.v) for e in build_fractal(14).graph.edges]
+    container = sys.getsizeof(pairs) + sum(map(sys.getsizeof, pairs))
+    del pairs
+    out = _CountingWriter()
+    monkeypatch.setattr(sys, "stdout", out)
+    # A first run fills caches (argparse's, the regex module's) that are
+    # no part of writing the document.
+    assert main(["gen", "--q", "0"]) == 0
+    out.sizes.clear()
+    tracemalloc.start()
+    try:
+        assert main(["gen", "--q", "14"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(out.sizes) == len(to_json(build_fractal(14)))
+    assert max(out.sizes) < container / 20
     assert peak < container / 5
 
 
@@ -307,6 +342,22 @@ def test_parse_compares_every_item_of_every_fractal_row():
 def test_parse_refuses_fractal_deeper_than_cap():
     with pytest.raises(ParseError, match="depth"):
         parse(_with(_FRACTAL, q=MAX_DEPTH + 1))
+
+
+def test_parse_refuses_a_tiny_deep_fractal_before_building_it():
+    p = 1 << MAX_DEPTH
+    text = json.dumps({"type": "fractal", "q": MAX_DEPTH, "directed": False,
+                       "cost": 1, "sigma": 0, "tau": p, "n": p + 1,
+                       "edges": [], "boundaries": []})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "fractal edge list does not match its parameters"
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("labels", [{"1_0": "x"}, {" 3": "x"},
