@@ -14,10 +14,10 @@ from pathlib import Path
 
 from .composer import compose, pad_to_power_of_two
 from .errors import FractalcutError
-from .fractal import MAX_DEPTH, build_fractal
+from .fractal import MAX_DEPTH, TFractal
 from .reducer import reduce_vc_to_planar_lbec
 from .serialize import (fractal_to_dot, parse, parse_embedding, parse_vc,
-                        to_dimacs, to_json, write_fractal_json)
+                        to_dimacs, to_json, write_json)
 from .solvers import ProblemInstance, solve_bruteforce, solve_bruteforce_costaware, solve_fpt
 from . import verify as verify_mod
 
@@ -81,15 +81,15 @@ def _load_instance(path: str) -> ProblemInstance:
 
 
 def _cmd_gen(args) -> int:
+    # Making the fractal checks the depth and the cost, before the first
+    # byte.  The JSON document is written from its closed form in
+    # fragments, with no graph built and never joined: the q=16 document
+    # is 6.7 MB and each further depth doubles it.  DOT and DIMACS read
+    # the graph, which is built on that first read.
+    f = TFractal(args.q, args.directed, args.cost)
     if args.format == "json":
-        # Written from the closed form in fragments, with no graph built
-        # and never joined: the q=16 document is 6.7 MB and each further
-        # depth doubles it.  The depth and cost are checked before the
-        # first byte.
-        write_fractal_json(args.q, args.directed, args.cost, sys.stdout.write)
-        return 0
-    f = build_fractal(args.q, directed=args.directed, cost=args.cost)
-    if args.format == "dot":
+        write_json(f, sys.stdout.write)
+    elif args.format == "dot":
         sys.stdout.write(fractal_to_dot(f))
     else:
         sys.stdout.write(to_dimacs(f.graph))

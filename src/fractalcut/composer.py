@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Container, Optional, Sequence
 
 from .errors import EquivalenceError, InputError
-from .fractal import TFractal, build_fractal
+from .fractal import TFractal
 from .graph import (Graph, UNREACHABLE, bfs_distance, distances,
                     is_connected, min_cut)
 from .reference import ProblemInstance
@@ -125,9 +125,10 @@ def pad_to_power_of_two(instances: Sequence[ProblemInstance]) -> list[ProblemIns
 
 @dataclass
 class _Construction:
-    """``n`` vertices and (u, v, cost, length) ``rows``, fractal edges first.
-    Undirected rows are written u < v, as ``Graph`` stores them, because
-    simple mode subdivides a row from u to v.  The closings extend it."""
+    """``n`` vertices and ``rows``, the fractal's (u, v, cost) first, then
+    (u, v, cost, length).  Undirected rows are written u < v, as ``Graph``
+    stores them, because simple mode subdivides a row from u to v.  The
+    closings extend it."""
 
     n: int
     rows: list
@@ -191,9 +192,11 @@ def _embed(instances: Sequence[ProblemInstance], q: int, cost: int,
                 raise InputError(
                     f"input {i} has a path from its sink back to its source")
 
-    fractal = build_fractal(q, directed=directed, cost=cost)
+    # The selector's rows, with no fractal graph: c = _selector_cost(k) >= 2,
+    # so they are (u, v, c) triples, which Graph reads as unit-length rows.
+    fractal = TFractal(q, directed, cost)
     p = 1 << q
-    rows = list(fractal.graph.edges)
+    rows = list(fractal.rows())
     next_id = p + 1
     vertex_maps = []
     edge_ranges = []
@@ -335,7 +338,7 @@ def _epilogue(problem: str, params: dict, con: _Construction, mode: str,
         n, rows, expanded = _expand_marked(rows, n, range(len(rows)))
     elif mode == "simple":
         n, rows, expanded = _expand_marked(rows, n, copies, subdivide=False)
-    g = Graph(con.fractal.graph.directed, n, rows, con.labels)
+    g = Graph(con.fractal.directed, n, rows, con.labels)
     params["ell_prime"] = ell_prime
     p = params["p"]
     s, t = (0, p) if problem == "lbec" else (None, None)
@@ -491,7 +494,7 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
     # variant a pair of pendant midpoints realizes distances up to two
     # beyond the doubled originals, spoiling the diameter threshold.  Copies
     # leave every distance unchanged, so the threshold stays the weighted one.
-    copies = set(range(len(con.fractal.graph.edges))) | set(wrap_arcs)
+    copies = set(range((2 << q) - 1)) | set(wrap_arcs)
     return _epilogue("mded", params, con, mode, 2 * L + q + ell, copies)
 
 

@@ -16,12 +16,11 @@ multiples of 2**(q-i), and the whole edge set is
 Edges are stored boundary by boundary, so the edge with index
 ``2**i - 1 + (j - 1)`` is the j-th edge (1-indexed) of boundary i.  The one
 source of these rows is ``boundary_columns``: boundary i's endpoint columns
-``ids[0:p:s]`` and ``ids[s::s]``, s = p >> i, p = 2**q.  ``build_fractal``
-reads them over one list of the 2**q + 1 vertex ids and feeds ``Graph`` one
-row at a time, so no per-edge pair container is ever built and the edges
-share one int object per vertex; ``serialize`` reads them over
-``range(2**q + 1)``, where the slices stay ranges, and so writes and checks
-a fractal document from (q, directed, cost) alone, with no ``Graph``.
+``ids[0:p:s]`` and ``ids[s::s]``, s = p >> i, p = 2**q.  ``TFractal``
+holds (q, directed, cost) alone; its ``rows`` read the columns over one
+list of the vertex ids, for its graph and the composer's selector rows.
+``serialize`` reads them over ``range(2**q + 1)``, where the slices stay
+ranges, and so writes and checks a fractal document with no ``Graph``.
 ``verify.check_fractal_formulas`` holds the build, in index order, to the
 marked-edge rounds.
 
@@ -32,9 +31,8 @@ the position labeling that cut takes from each boundary L the edge whose
 span contains gap i, its (((i-1) >> (q-L)) + 1)-th edge, so a cut is looked
 up in O(q) arithmetic.
 
-Depths above ``MAX_DEPTH`` are refused by ``check_fractal_params``, which
-the builder, the writer and the parser call before anything is allocated:
-a depth-q fractal has 2**(q+1) - 1 edges.
+Depths above ``MAX_DEPTH`` are refused when a ``TFractal`` is made, before
+anything is allocated: a depth-q fractal has 2**(q+1) - 1 edges.
 """
 
 from __future__ import annotations
@@ -51,29 +49,69 @@ MAX_DEPTH = 20
 benchmark's q=16 and the paper's desk-scale checks."""
 
 
+class _lazy:
+    """An attribute derived on its first read and then stored on the
+    instance, where later reads find it first; racing first reads store
+    equal values.  ``cached_property`` stores through ``__dict__``, which
+    costs CPython its compact attribute storage: 100k reads of a fractal's
+    (graph, sigma, tau) then took 8.3 ms, against 4.0 ms this way and
+    2.6 ms as fields (Python 3.11, x86-64)."""
+
+    def __init__(self, derive):
+        self.derive, self.name = derive, derive.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.derive(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 @dataclass(frozen=True)
 class TFractal:
-    """A fractal graph plus its terminals and boundary partition."""
+    """The depth-q fractal as its closed form: the depth, the orientation
+    and the edge cost fix the rest.  Making one checks the depth and the
+    cost; ``sigma`` is 0, ``tau`` and ``leaf_count`` 2**q, and ``graph``
+    and ``boundaries`` are made on their first read."""
 
-    graph: Graph
-    sigma: int
-    tau: int
     depth: int
+    directed: bool
     edge_cost: int
-    boundaries: tuple[tuple[int, ...], ...]
 
-    @property
-    def leaf_count(self) -> int:
-        return 1 << self.depth
+    def __post_init__(self) -> None:
+        q, cost = self.depth, self.edge_cost
+        if not (0 <= q <= MAX_DEPTH):
+            raise InputError(f"fractal depth must be in 0..{MAX_DEPTH}, got {q}")
+        if type(cost) is not int or cost < 1:
+            raise InputError(f"edge cost must be a positive int, got {cost!r}")
+        object.__setattr__(self, "directed", bool(self.directed))
+        object.__setattr__(self, "sigma", 0)
+        object.__setattr__(self, "tau", 1 << q)
+        object.__setattr__(self, "leaf_count", 1 << q)
 
+    def rows(self):
+        """The edge rows in index order, made as they are read: bare
+        (u, v) pairs at unit cost, else (u, v, cost) triples.  The columns
+        are slices of one list of the vertex ids, so the edges at a vertex
+        share one int object (a range makes one per edge end)."""
+        q, cost = self.depth, self.edge_cost
+        columns = boundary_columns(list(range((1 << q) + 1)), q)
+        if cost != 1:
+            columns = map(add, columns, repeat((repeat(cost),)))
+        return chain.from_iterable(starmap(zip, columns))
 
-def check_fractal_params(q: int, cost: int) -> None:
-    """Refuse a depth outside 0..MAX_DEPTH or a cost that is not a
-    positive int proper, before anything is allocated."""
-    if not (0 <= q <= MAX_DEPTH):
-        raise InputError(f"fractal depth must be in 0..{MAX_DEPTH}, got {q}")
-    if type(cost) is not int or cost < 1:
-        raise InputError(f"edge cost must be a positive int, got {cost!r}")
+    @_lazy
+    def graph(self) -> Graph:
+        """Directed, every arc points from the smaller to the larger
+        position: every boundary path runs from sigma to tau, the graph is
+        acyclic, and sigma has out-degree q+1 and tau in-degree q+1."""
+        return Graph(self.directed, self.tau + 1, self.rows(),
+                     labels={0: "sigma", self.tau: "tau"})
+
+    @_lazy
+    def boundaries(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, boundary_ranges(self.depth)))
 
 
 def boundary_columns(ids, q: int):
@@ -92,34 +130,11 @@ def boundary_ranges(q: int) -> list[range]:
 
 
 def build_fractal(q: int, directed: bool = False, cost: int = 1) -> TFractal:
-    """Construct the depth-q fractal.
-
-    The directed variant orients every boundary path from sigma to tau, which
-    under the position labeling means every arc points from the smaller to
-    the larger endpoint; the result is acyclic, sigma has in-degree 0 and
-    out-degree q+1, tau has out-degree 0 and in-degree q+1.
-    """
-    check_fractal_params(q, cost)
-    p = 1 << q
-    # The columns are slices of one list of the vertex ids, so every edge
-    # at a vertex holds the same int object; a range would make a fresh
-    # one per edge end (only ints up to 256 are cached).  The rows are made
-    # one at a time as Graph reads them: bare pairs at unit cost, else
-    # (u, v, cost) rows, each boundary's pair of columns extended by a
-    # column that repeats the cost.
-    columns = boundary_columns(list(range(p + 1)), q)
-    if cost != 1:
-        columns = map(add, columns, repeat((repeat(cost),)))
-    rows = chain.from_iterable(starmap(zip, columns))
-    graph = Graph(directed, p + 1, rows, labels={0: "sigma", p: "tau"})
-    return TFractal(
-        graph=graph,
-        sigma=0,
-        tau=p,
-        depth=q,
-        edge_cost=cost,
-        boundaries=tuple(map(tuple, boundary_ranges(q))),
-    )
+    """The depth-q fractal with its graph built, so callers pay for the
+    build here rather than at a first read."""
+    f = TFractal(q, directed, cost)
+    f.graph
+    return f
 
 
 def cut_for_instance(f: TFractal, i: int) -> CutCertificate:
@@ -141,8 +156,9 @@ def cut_for_instance(f: TFractal, i: int) -> CutCertificate:
 
 def selected_instance(f: TFractal, cut: CutCertificate) -> int:
     """The gap index selected by a minimum cut; inverse of cut_for_instance."""
-    deepest = f.boundaries[-1]
-    lo, hi = deepest[0], deepest[-1]
+    # The deepest boundary's edge indices, 2**q - 1 .. 2**(q+1) - 2.
+    lo = f.leaf_count - 1
+    hi = 2 * lo
     in_deepest = [e for e in cut.edges if lo <= e <= hi]
     if len(in_deepest) != 1:
         raise InputError("cut does not contain exactly one deepest-boundary edge")

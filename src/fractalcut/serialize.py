@@ -16,9 +16,9 @@ which passes a document on in fragments: to_json() joins them once, and
 rows are written a batch per ``%`` format from columns: a graph's or an
 instance's are read off its edge tuple, and a fractal's are the closed
 form's range slices (``fractal.boundary_columns``), so a fractal document
-is written, and checked when parsed, from (q, directed, cost) alone, and
-no per-edge pair, list or string is made on the way.  A graph, instance
-or vertex-cover document may declare at most MAX_VERTICES vertices.
+is written, and checked when parsed, from (q, directed, cost) with no
+graph, and no per-edge pair, list or string is made on the way.  A graph,
+instance or vertex-cover document may declare at most MAX_VERTICES vertices.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from operator import eq, itemgetter
 from typing import Optional
 
 from .errors import InputError, ParseError
-from .fractal import (MAX_DEPTH, TFractal, boundary_columns, boundary_ranges,
-                      build_fractal, check_fractal_params)
+from .fractal import MAX_DEPTH, TFractal, boundary_columns, boundary_ranges
 from .graph import Graph
 from .reducer import PAGES, TwoPageEmbedding, VcInstance
 from .reference import ProblemInstance
@@ -47,30 +46,16 @@ _DOT_PALETTE = ("black", "blue", "forestgreen", "orange", "magenta",
                 "red", "teal", "purple", "brown", "gray40", "olive")
 
 
-def _fractal_payload(q: int, directed: bool, cost: int) -> dict:
-    """The JSON payload of the depth-q fractal, from the closed form: its
-    edges are the boundary columns over ``range(2**q + 1)``, its
-    boundaries index ranges."""
-    p = 1 << q
-    return {
-        "type": "fractal",
-        "q": q,
-        "directed": directed,
-        "cost": cost,
-        "sigma": 0,
-        "tau": p,
-        "n": p + 1,
-        "edges": (_column_batches(q), 2),
-        "boundaries": boundary_ranges(q),
-    }
-
-
 def _payload(obj) -> dict:
     """The JSON payload of a fractal, an instance or a graph.  Its edges
     are row batches and the row width: fractals and instances write [u, v]
     rows, plain graphs [u, v, cost, length]."""
     if isinstance(obj, TFractal):
-        return _fractal_payload(obj.depth, obj.graph.directed, obj.edge_cost)
+        q, p = obj.depth, obj.tau
+        return {"type": "fractal", "q": q, "directed": obj.directed,
+                "cost": obj.edge_cost, "sigma": obj.sigma, "tau": p,
+                "n": p + 1, "edges": (_column_batches(q), 2),
+                "boundaries": boundary_ranges(q)}
     if isinstance(obj, ProblemInstance):
         g = obj.graph
         payload = {
@@ -120,15 +105,6 @@ def write_json(obj, write) -> None:
     """Pass the text of ``to_json(obj)`` to ``write`` in fragments, so the
     whole document is never held as one string."""
     _write_payload(_payload(obj), write)
-
-
-def write_fractal_json(q: int, directed: bool, cost: int, write) -> None:
-    """Pass the text of ``to_json(build_fractal(q, directed, cost))`` to
-    ``write`` in fragments, written from the closed form: no graph is
-    built.  The depth and the cost are checked before any text is
-    written."""
-    check_fractal_params(q, cost)
-    _write_payload(_fractal_payload(q, directed, cost), write)
 
 
 def _write_payload(payload: dict, write) -> None:
@@ -204,10 +180,11 @@ def _emit_rows(batches, width: int, put) -> None:
 
     A batch goes through one ``%d`` format whose arguments are the columns'
     items, interleaved by slice assignment, so no per-row object is made.
+    The full batch's template is joined only once a full batch arrives.
     """
     sep = ",\n    "
     row = ",".join(["\n      %d"] * width).join(("[", "\n    ]"))
-    full = sep.join([row] * _BATCH)
+    full = None
     lead = "[\n    "
     for count, columns in batches:
         items = [None] * (width * count)
@@ -215,6 +192,8 @@ def _emit_rows(batches, width: int, put) -> None:
             items[j::width] = column
         put(lead)
         lead = sep
+        if count == _BATCH and full is None:
+            full = sep.join([row] * _BATCH)
         template = full if count == _BATCH else sep.join([row] * count)
         put(template % tuple(items))
     put("\n  ]" if lead == sep else "[]")
@@ -316,17 +295,17 @@ def _parse_fractal_obj(obj: dict) -> TFractal:
     directed = _field(obj, "directed", bool)
     cost = _field(obj, "cost", int)
     try:
-        check_fractal_params(q, cost)
+        f = TFractal(q, directed, cost)
     except InputError as exc:
         raise ParseError(f"invalid fractal parameters: {exc}") from exc
-    # The document is held to the closed form before anything is built,
-    # so a few bytes cannot ask for a depth-q build: the scalars and the
-    # row counts first, then the rows.  The row type checks come first:
+    # The document is held to the closed form and no graph is built, so a
+    # few bytes cannot ask for a depth-q build: the scalars and the row
+    # counts first, then the rows.  The row type checks come first:
     # == alone takes false, true and 1.0 for 0 and 1.  The rows are then
     # compared with the boundary columns, all u's then all v's, and the
     # boundaries one at a time, so no per-edge list is built for it.
-    p = 1 << q
-    for name, want in (("n", p + 1), ("sigma", 0), ("tau", p)):
+    p = f.tau
+    for name, want in (("n", p + 1), ("sigma", f.sigma), ("tau", p)):
         if _field(obj, name, int) != want:
             raise ParseError(f"fractal field {name!r} does not match its parameters")
     rows = obj.get("edges")
@@ -341,7 +320,7 @@ def _parse_fractal_obj(obj: dict) -> TFractal:
             and _first_bad_row(rows) is None
             and all(map(eq, rows, map(list, boundary_ranges(q))))):
         raise ParseError("fractal boundaries do not match its parameters")
-    return build_fractal(q, directed=directed, cost=cost)
+    return f
 
 
 def _json_object(text: str) -> dict:

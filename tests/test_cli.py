@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fractalcut import Graph
 from fractalcut.cli import main
 from fractalcut.serialize import MAX_VERTICES
 
@@ -338,6 +339,25 @@ def test_fractal_depth_over_cap_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "solve", "--method", "fpt", "--input", str(deep))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "depth" in err and err.count("\n") == 1
+
+
+def test_solve_refuses_a_fractal_document_without_building_it(
+        capsys, tmp_path, monkeypatch):
+    doc = tmp_path / "fractal.json"
+    code, out, _ = run(capsys, "gen", "--q", "8", "--directed")
+    doc.write_text(out)
+    builds = []
+    init = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    code, out, err = run(capsys, "solve", "--method", "fpt", "--input", str(doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: {doc} does not contain a problem instance\n"
+    assert builds == []
 
 
 @pytest.mark.parametrize("fmt", ["json", "dot", "dimacs"])

@@ -516,15 +516,14 @@ def test_composers_build_no_adjacency_they_do_not_check(mode, monkeypatch):
         "mded-und": lambda: compose_mded(und, mode=mode),
         "mded-dir": lambda: compose_mded(dag, directed=True, mode=mode),
     }
-    # Each composition builds its selector fractal and, from edge rows, the
-    # one composed graph; the directed diameter composition lays its detours
-    # down as rows too.  Nothing walks the fractal or the composed graph, so
-    # neither has neighbour lists.
+    # Each composition builds, from edge rows, the one composed graph: the
+    # selector's rows come from its closed form with no fractal graph, and
+    # the directed diameter composition lays its detours down as rows too.
+    # Nothing walks the composed graph, so it has no neighbour lists.
     for name, call in calls.items():
         builds.clear()
         art = call()
-        assert len(builds) == 2, name
-        assert builds[-2] is art.fractal.graph, name
+        assert len(builds) == 1, name
         assert builds[-1] is art.composed.graph, name
-        assert art.fractal.graph._adj is None, name
+        assert "graph" not in vars(art.fractal), name
         assert art.composed.graph._adj is None, name

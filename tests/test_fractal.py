@@ -12,8 +12,8 @@ from typing import NamedTuple
 
 import pytest
 
-from fractalcut import (InputError, build_fractal, cut_for_instance,
-                        enumerate_min_cuts, is_edge_cut,
+from fractalcut import (Graph, InputError, TFractal, build_fractal,
+                        cut_for_instance, enumerate_min_cuts, is_edge_cut,
                         is_minimal_edge_cut, selected_instance)
 from fractalcut.fractal import MAX_DEPTH
 from fractalcut.graph import bfs_distance
@@ -48,6 +48,30 @@ def test_invalid_parameters():
     for cost in (True, 2.0, "3"):
         with pytest.raises(InputError, match="positive int"):
             build_fractal(1, cost=cost)
+
+
+def test_fractal_builds_its_graph_on_first_read(monkeypatch):
+    builds = []
+    init = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    for q, directed, cost in ((0, False, 1), (3, True, 1), (5, False, 3)):
+        builds.clear()
+        f = TFractal(q, directed, cost)
+        assert (f.sigma, f.tau, f.leaf_count) == (0, 1 << q, 1 << q)
+        cut = cut_for_instance(f, f.leaf_count)
+        assert selected_instance(f, cut) == f.leaf_count
+        assert builds == []
+        g = f.graph
+        assert builds == [g] and f.graph is g
+        # build_fractal returns its fractal with the graph already built.
+        built = build_fractal(q, directed=directed, cost=cost)
+        assert builds == [g, built.graph] and "graph" in vars(built)
+        assert built == f and built.graph == g
 
 
 def test_boundaries_partition_edges_and_form_terminal_paths():

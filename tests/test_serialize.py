@@ -307,6 +307,22 @@ def test_parse_accepts_the_same_documents_with_ints():
     assert parse(json.dumps(_GRAPH)).n == 3
 
 
+def test_parse_of_a_fractal_document_builds_no_graph(monkeypatch):
+    cases = [(q, directed, cost) for q in (0, 1, 12)
+             for directed in (False, True) for cost in (1, 3)]
+    docs = [(to_json(build_fractal(*case)), build_fractal(*case))
+            for case in cases]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Graph was built")
+
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    parsed = [parse(text) for text, _ in docs]
+    assert parsed == [f for _, f in docs]
+    monkeypatch.undo()
+    assert [f.graph for f in parsed] == [f.graph for _, f in docs]
+
+
 def test_parse_rejects_tampered_fractal():
     doc = json.loads(to_json(build_fractal(2)))
     for field, value, message in (
