@@ -11,7 +11,7 @@ from fractalcut import (EquivalenceError, Graph, InputError, ProblemInstance,
                         cut_for_instance, is_connected, is_strongly_connected,
                         pad_to_power_of_two, solve_bruteforce,
                         solve_bruteforce_costaware, trivial_no_instance)
-from fractalcut.composer import _embed, _is_acyclic
+from fractalcut.composer import _embed, _is_acyclic, compose
 from fractalcut.generators import (random_dag_lbec_input,
                                    random_lbec_input,
                                    random_uncuttable_lbec_input)
@@ -144,9 +144,9 @@ def test_construct2_single_arc_inputs():
 
 def test_construct2_rejects_cyclic_input():
     cyc = ProblemInstance("lbec", Graph(True, 3, [(0, 1), (1, 2), (2, 0)]),
-                          s=0, t=2, k=1, ell=1)
+                          s=0, t=2, k=1, ell=3)
     with pytest.raises(InputError, match="cyclic"):
-        _embed([cyc, cyc], 1, 2, directed=True)
+        compose_lbec([cyc, cyc])
 
 
 def test_construct2_gap_spanning():
@@ -345,10 +345,11 @@ def test_mded_rejects_cuttable_inputs():
 
 
 def test_mded_rejects_disconnected_inputs():
-    g = Graph(False, 4, [(0, 3), (0, 3)])
-    with pytest.raises(InputError):
-        Graph(False, 4, [(0, 3), (0, 3)]) and compose_mded(
-            [lbec_on(g, 1, 3), lbec_on(g, 1, 3)])
+    # vertex 4 is isolated; four edges keep (k=1, ell=3) out of the bad class
+    g = Graph(False, 5, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    with pytest.raises(InputError) as exc:
+        compose_mded([lbec_on(g, 1, 3, t=3), lbec_on(g, 1, 3, t=3)])
+    assert str(exc.value) == "input 0 must be connected"
 
 
 @pytest.mark.parametrize("second_edges, message", [
@@ -527,3 +528,79 @@ def test_composers_build_no_adjacency_they_do_not_check(mode, monkeypatch):
         assert builds[-1] is art.composed.graph, name
         assert "graph" not in vars(art.fractal), name
         assert art.composed.graph._adj is None, name
+
+
+# -- refusals -----------------------------------------------------------------------
+
+_TRI = [(0, 1), (1, 2), (0, 2)]
+_UND = petite(2, 3)
+_DAG = petite(2, 3, directed=True)
+_BAD = ProblemInstance("lbec", Graph(False, 3, [(0, 1), (1, 2)]), s=0, t=2,
+                       k=7, ell=9)
+_MDED = ProblemInstance("mded", Graph(False, 3, _TRI), k=2, ell=3)
+# connected, terminal cut 3 > k = 2, but (0, 2) is doubled
+_DOUBLED = lbec_on(Graph(False, 3, [*_TRI, (0, 2)]), 2, 3)
+# vertex 4 is isolated
+_DISCONNECTED = lbec_on(Graph(False, 5, [*_TRI, (2, 3)]), 2, 3, t=3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: compose_lbec([]), "need at least one instance"),
+    (lambda: check_equivalent([_UND, _MDED]),
+     "instances 0 and 1 have different kinds (lbec vs mded)"),
+    (lambda: compose_lbec([petite(1, 3), _UND]),
+     "instances 0 and 1 are inequivalent: (k=1, ell=3) vs (k=2, ell=3)"),
+    (lambda: compose_lbec([_MDED, _MDED]), "input 0 is not an lbec instance"),
+    (lambda: trivial_no_instance(2, 2),
+     "no-instance gadget needs ell >= 3 (2-hop paths survive)"),
+    (lambda: trivial_no_instance(-1, 3), "budget must be non-negative"),
+    (lambda: pad_to_power_of_two([_BAD] * 3), "cannot pad the bad class"),
+    (lambda: pad_to_power_of_two([petite(2, 2)] * 3),
+     "cannot build an in-class no-instance for ell <= 2"),
+    (lambda: compose_lbec([_UND, _UND], mode="unit"), "unknown mode 'unit'"),
+    (lambda: compose_lbec([_BAD, _BAD]),
+     "cannot compose the bad equivalence class"),
+    (lambda: compose_lbec([petite(2, 2)] * 2), "composition assumes ell >= 3"),
+    (lambda: compose_lbec([petite(0, 3)] * 2),
+     "composition assumes a positive budget k"),
+    (lambda: compose_dsct([_UND, _UND]),
+     "short-cycle composition takes directed acyclic inputs"),
+    (lambda: compose_lbec([_UND] * 3), "need a power-of-two instance count, got 3"),
+    (lambda: compose_lbec([_UND, _DAG]), "input 1 must be undirected"),
+    (lambda: compose_lbec([_UND, _DOUBLED]),
+     "input 1 must be a simple unit graph"),
+    (lambda: compose_dsct([_DAG, lbec_on(Graph(True, 3, [(0, 1), (1, 2), (2, 0)]))]),
+     "input 1 is cyclic"),
+    (lambda: compose_lbec([_DAG, lbec_on(Graph(True, 3, _TRI), s=2, t=0)]),
+     "input 1 has a path from its sink back to its source"),
+    (lambda: compose_mded([_DAG, _DAG]), "input 0 must be undirected"),
+    (lambda: compose_mded([_UND, _UND], directed=True), "input 0 must be directed"),
+    (lambda: compose_mded([_DISCONNECTED, _DISCONNECTED]),
+     "input 0 must be connected"),
+    (lambda: compose_mded([_UND, _UND]),
+     "input 0 has a terminal cut within budget; the diameter composition "
+     "needs min-cut(s, t) > k"),
+    (lambda: compose_mded([_DOUBLED, _DOUBLED]),
+     "input 0 must be a simple unit graph"),
+    (lambda: compose_mded(
+        [_DAG, lbec_on(Graph(True, 4, [(0, 1), (1, 2), (0, 3)]))], directed=True),
+     "input 1: vertex 1 does not reach the sink"),
+    (lambda: compose_mded(
+        [_DAG, lbec_on(Graph(True, 4, [(1, 2), (0, 2), (2, 3)]))], directed=True),
+     "input 1: source does not reach vertex 1"),
+    (lambda: compose("cut", [_UND]), "unknown composition target 'cut'"),
+    # Two faulty inputs: the first one in input order whose checks fail is
+    # reported, each input's checks running in the documented order.
+    (lambda: compose_mded([_DOUBLED, _DISCONNECTED]),
+     "input 1 must be connected"),
+], ids=["empty", "mixed-kinds", "inequivalent", "not-lbec", "gadget-ell",
+        "gadget-k", "pad-bad-class", "pad-ell", "mode", "bad-class", "ell",
+        "k-zero", "dsct-undirected", "count", "lbec-orientation",
+        "lbec-doubled-edge", "dsct-cyclic", "sink-reaches-source",
+        "mded-given-directed", "mded-given-undirected", "mded-disconnected",
+        "mded-cuttable", "mded-doubled-edge", "mded-dead-end",
+        "mded-unreached", "compose-cut", "two-faulty-inputs"])
+def test_composer_refusals(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
