@@ -16,8 +16,8 @@ from .composer import compose, pad_to_power_of_two
 from .errors import FractalcutError
 from .fractal import MAX_DEPTH, TFractal
 from .reducer import reduce_vc_to_planar_lbec
-from .serialize import (fractal_to_dot, parse, parse_embedding, parse_vc,
-                        to_dimacs, to_json, write_json)
+from .serialize import (fractal_to_dot, parse_embedding, parse_instance,
+                        parse_vc, to_dimacs, to_json, write_json)
 from .solvers import ProblemInstance, solve_bruteforce, solve_bruteforce_costaware, solve_fpt
 from . import verify as verify_mod
 
@@ -74,10 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_instance(path: str) -> ProblemInstance:
-    obj = parse(Path(path).read_text())
-    if not isinstance(obj, ProblemInstance):
+    inst = parse_instance(Path(path).read_text())
+    if inst is None:
         raise FractalcutError(f"{path} does not contain a problem instance")
-    return obj
+    return inst
 
 
 def _cmd_gen(args) -> int:

@@ -159,15 +159,15 @@ def _is_acyclic(g: Graph) -> bool:
 
 def _embed(instances: Sequence[ProblemInstance], q: int, cost: int,
            directed: bool, detour: int = 0) -> _Construction:
-    """Merge p = 2**q terminal instances (``_prologue`` checked the count)
+    """Merge p = 2**q terminal instances, which ``_prologue`` checked,
     onto the deepest boundary of a cost-c fractal: input i's source lands
     on vertex i-1 and its sink on vertex i, so consecutive inputs share a
-    vertex.  Directed inputs must be acyclic and go onto the directed
-    fractal; the composed graph is again acyclic, by construction rather
-    than by a re-check.  Fractal arcs only go up in position.  Input i's
-    fresh vertices touch only input i, so a walk that leaves position i-1
-    or i through them comes back to i-1 or i.  The input checks forbid it
-    to come back to where it left (a cycle in input i) or to go from i to
+    vertex.  Directed inputs are acyclic and go onto the directed fractal;
+    the composed graph is again acyclic, by construction rather than by a
+    re-check.  Fractal arcs only go up in position.  Input i's fresh
+    vertices touch only input i, so a walk that leaves position i-1 or i
+    through them comes back to i-1 or i.  The input checks forbid it to
+    come back to where it left (a cycle in input i) or to go from i to
     i-1 (a path from input i's sink to its source).  So positions strictly
     increase along any walk between positions, and a cycle inside one
     input's fresh vertices is again a cycle of that input.
@@ -179,19 +179,6 @@ def _embed(instances: Sequence[ProblemInstance], q: int, cost: int,
     and no path from the sink to the source, and the input checks above
     stand for the detour-shadowed input too.
     """
-    for i, inst in enumerate(instances):
-        if inst.graph.directed != directed:
-            want = "directed" if directed else "undirected"
-            raise InputError(f"input {i} must be {want}")
-        if not inst.graph.is_simple:
-            raise InputError(f"input {i} must be a simple unit graph")
-        if directed:
-            if not _is_acyclic(inst.graph):
-                raise InputError(f"input {i} is cyclic")
-            if bfs_distance(inst.graph, inst.t, inst.s) != UNREACHABLE:
-                raise InputError(
-                    f"input {i} has a path from its sink back to its source")
-
     # The selector's rows, with no fractal graph: c = _selector_cost(k) >= 2,
     # so they are (u, v, c) triples, which Graph reads as unit-length rows.
     fractal = TFractal(q, directed, cost)
@@ -291,10 +278,14 @@ def _selector_cost(k: int) -> int:
 
 
 def _prologue(problem: str, instances: Sequence[ProblemInstance],
-              mode: str) -> dict:
+              mode: str, directed: Optional[bool] = None) -> dict:
     """What every composition shares up front: the mode check, the common
-    class, the selector cost c (see _selector_cost) and the budget
-    k' = c (log p + 1) + k, counted in deletion cost.
+    class, each input's checks, the selector cost c (see _selector_cost) and
+    the budget k' = c (log p + 1) + k, counted in deletion cost.
+
+    ``directed`` is the orientation composed, by default input 0's.  The
+    inputs are checked one after another, so the first faulty one is
+    reported, each by the first of its checks that fails.
 
     Returns the artifact's ``params``; each closing adds its own entries.
     """
@@ -312,6 +303,43 @@ def _prologue(problem: str, instances: Sequence[ProblemInstance],
     p = len(instances)
     if p & (p - 1):
         raise InputError(f"need a power-of-two instance count, got {p}")
+    directed = instances[0].graph.directed if directed is None else directed
+    mded = problem == "mded"
+    for i, inst in enumerate(instances):
+        g = inst.graph
+        if g.directed != directed:
+            want = "directed" if directed else "undirected"
+            raise InputError(f"input {i} must be {want}")
+        if mded and not directed:
+            if not is_connected(g):
+                raise InputError(f"input {i} must be connected")
+            # Standing assumption of the cut problems: the budget stays below
+            # every terminal cut.  An input whose witnesses must sever its
+            # terminals would disconnect the composed graph, which the
+            # diameter problem forbids, so such (trivially yes) inputs would
+            # break the or-semantics here.
+            if min_cut(g, inst.s, inst.t).total_cost <= cls.k:
+                raise InputError(
+                    f"input {i} has a terminal cut within budget; the diameter "
+                    f"composition needs min-cut(s, t) > k")
+        # _embed lays every edge down once at unit cost, so other costs
+        # would silently change the input's answer.
+        if not g.is_simple:
+            raise InputError(f"input {i} must be a simple unit graph")
+        if mded and directed:
+            from_s = distances(g, inst.s)
+            to_t = distances(g, inst.t, reverse=True)
+            for v in range(g.n):
+                if from_s[v] == UNREACHABLE:
+                    raise InputError(f"input {i}: source does not reach vertex {v}")
+                if to_t[v] == UNREACHABLE:
+                    raise InputError(f"input {i}: vertex {v} does not reach the sink")
+        if directed:
+            if not _is_acyclic(g):
+                raise InputError(f"input {i} is cyclic")
+            if bfs_distance(g, inst.t, inst.s) != UNREACHABLE:
+                raise InputError(
+                    f"input {i} has a path from its sink back to its source")
     q = p.bit_length() - 1
     c = _selector_cost(cls.k)
     return {"p": p, "q": q, "c": c, "k": cls.k, "ell": cls.ell,
@@ -418,42 +446,9 @@ def compose_mded(instances: Sequence[ProblemInstance], directed: bool = False,
     sigma_tip and reaches tau_tip, and the arc tau_tip -> sigma_tip closes
     the graph.  Simple mode's unit copies keep every adjacency.
     """
-    params = _prologue("mded", instances, mode)
-    k, ell, q, c = params["k"], params["ell"], params["q"], params["c"]
-    n_max = params["n_max"]
-
-    if not directed:
-        for i, inst in enumerate(instances):
-            if inst.graph.directed:
-                raise InputError(f"input {i} must be undirected")
-            if not is_connected(inst.graph):
-                raise InputError(f"input {i} must be connected")
-            # Standing assumption of the cut problems: the budget stays below
-            # every terminal cut.  An input whose witnesses must sever its
-            # terminals would disconnect the composed graph, which the
-            # diameter problem forbids, so such (trivially yes) inputs would
-            # break the or-semantics here.
-            if min_cut(inst.graph, inst.s, inst.t).total_cost <= k:
-                raise InputError(
-                    f"input {i} has a terminal cut within budget; the diameter "
-                    f"composition needs min-cut(s, t) > k")
-        L = n_max * (2 * q + 3) + 1
-    else:
-        for i, inst in enumerate(instances):
-            if not inst.graph.directed:
-                raise InputError(f"input {i} must be directed")
-            # The detour shadowing rebuilds every arc at unit cost, so other
-            # costs would silently change the input's answer.
-            if not inst.graph.is_simple:
-                raise InputError(f"input {i} must be a simple unit graph")
-            from_s = distances(inst.graph, inst.s)
-            to_t = distances(inst.graph, inst.t, reverse=True)
-            for v in range(inst.graph.n):
-                if from_s[v] == UNREACHABLE:
-                    raise InputError(f"input {i}: source does not reach vertex {v}")
-                if to_t[v] == UNREACHABLE:
-                    raise InputError(f"input {i}: vertex {v} does not reach the sink")
-        L = ell * n_max * (2 * q + 3) + 1
+    params = _prologue("mded", instances, mode, directed)
+    ell, q, c = params["ell"], params["q"], params["c"]
+    L = (ell if directed else 1) * params["n_max"] * (2 * q + 3) + 1
     con = _embed(instances, q, c, directed, detour=ell if directed else 0)
 
     tau = 1 << q

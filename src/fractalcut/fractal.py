@@ -72,8 +72,9 @@ class _lazy:
 class TFractal:
     """The depth-q fractal as its closed form: the depth, the orientation
     and the edge cost fix the rest.  Making one checks the depth and the
-    cost; ``sigma`` is 0, ``tau`` and ``leaf_count`` 2**q, and ``graph``
-    and ``boundaries`` are made on their first read."""
+    cost; ``sigma`` is 0, ``tau`` and ``leaf_count`` 2**q, ``boundaries``
+    boundary i's edge indices 2**i - 1 .. 2**(i+1) - 2 as a range for
+    i = 0..q, and ``graph`` is made on its first read."""
 
     depth: int
     directed: bool
@@ -89,6 +90,8 @@ class TFractal:
         object.__setattr__(self, "sigma", 0)
         object.__setattr__(self, "tau", 1 << q)
         object.__setattr__(self, "leaf_count", 1 << q)
+        object.__setattr__(self, "boundaries", tuple(
+            range((1 << i) - 1, (2 << i) - 1) for i in range(q + 1)))
 
     def rows(self):
         """The edge rows in index order, made as they are read: bare
@@ -109,10 +112,6 @@ class TFractal:
         return Graph(self.directed, self.tau + 1, self.rows(),
                      labels={0: "sigma", self.tau: "tau"})
 
-    @_lazy
-    def boundaries(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, boundary_ranges(self.depth)))
-
 
 def boundary_columns(ids, q: int):
     """Boundary i's endpoint columns for i = 0..q, one boundary at a time:
@@ -122,11 +121,6 @@ def boundary_columns(ids, q: int):
     for i in range(q + 1):
         s = p >> i
         yield ids[0:p:s], ids[s::s]
-
-
-def boundary_ranges(q: int) -> list[range]:
-    """Boundary i's edge indices, 2**i - 1 .. 2**(i+1) - 2, for i = 0..q."""
-    return [range((1 << i) - 1, (2 << i) - 1) for i in range(q + 1)]
 
 
 def build_fractal(q: int, directed: bool = False, cost: int = 1) -> TFractal:

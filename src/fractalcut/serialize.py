@@ -8,11 +8,12 @@ The JSON instance schema is the exchange format used by the CLI:
 with an optional parallel "costs" array when the instance carries non-unit
 deletion costs (weighted composer output).  Plain graphs and fractals use a
 "type"-tagged schema documented in the README.  parse() inverts to_json()
-for every canonical form; parse_vc() and parse_embedding() read the
-vertex-cover input of the reduction and its two-page embedding; DOT and
-DIMACS are exports only.  The three documents are written by one writer,
-which passes a document on in fragments: to_json() joins them once, and
-`gen` hands them to a stream, so it never holds its document whole.  Edge
+for every canonical form, and parse_instance() for instances alone;
+parse_vc() and parse_embedding() read the vertex-cover input of the
+reduction and its two-page embedding; DOT and DIMACS are exports only.
+The three documents are written by one writer, which passes a document
+on in fragments: to_json() joins them once, and `gen` hands them to a
+stream, so it never holds its document whole.  Edge
 rows are written a batch per ``%`` format from columns: a graph's or an
 instance's are read off its edge tuple, and a fractal's are the closed
 form's range slices (``fractal.boundary_columns``), so a fractal document
@@ -30,7 +31,7 @@ from operator import eq, itemgetter
 from typing import Optional
 
 from .errors import InputError, ParseError
-from .fractal import MAX_DEPTH, TFractal, boundary_columns, boundary_ranges
+from .fractal import MAX_DEPTH, TFractal, boundary_columns
 from .graph import Graph
 from .reducer import PAGES, TwoPageEmbedding, VcInstance
 from .reference import ProblemInstance
@@ -55,7 +56,7 @@ def _payload(obj) -> dict:
         return {"type": "fractal", "q": q, "directed": obj.directed,
                 "cost": obj.edge_cost, "sigma": obj.sigma, "tau": p,
                 "n": p + 1, "edges": (_column_batches(q), 2),
-                "boundaries": boundary_ranges(q)}
+                "boundaries": obj.boundaries}
     if isinstance(obj, ProblemInstance):
         g = obj.graph
         payload = {
@@ -263,6 +264,8 @@ def _parse_graph_obj(obj: dict) -> Graph:
 
 
 def _parse_instance_obj(obj: dict) -> ProblemInstance:
+    if "problem" not in obj:
+        raise ParseError("unrecognized document: expected a type tag or a problem field")
     kind = _field(obj, "problem", str)
     directed = _field(obj, "directed", bool)
     n = _vertex_count(obj)
@@ -318,7 +321,7 @@ def _parse_fractal_obj(obj: dict) -> TFractal:
     rows = obj.get("boundaries")
     if not (type(rows) is list and len(rows) == q + 1
             and _first_bad_row(rows) is None
-            and all(map(eq, rows, map(list, boundary_ranges(q))))):
+            and all(map(eq, rows, map(list, f.boundaries)))):
         raise ParseError("fractal boundaries do not match its parameters")
     return f
 
@@ -342,9 +345,16 @@ def parse(text: str):
         return _parse_fractal_obj(obj)
     if obj.get("type") == "graph":
         return _parse_graph_obj(obj)
-    if "problem" in obj:
-        return _parse_instance_obj(obj)
-    raise ParseError("unrecognized document: expected a type tag or a problem field")
+    return _parse_instance_obj(obj)
+
+
+def parse_instance(text: str) -> Optional[ProblemInstance]:
+    """What parse() returns for an instance document, or None for a graph
+    or fractal document, which is refused on its tag with no row read."""
+    obj = _json_object(text)
+    if obj.get("type") in ("fractal", "graph"):
+        return None
+    return _parse_instance_obj(obj)
 
 
 def parse_vc(text: str) -> VcInstance:

@@ -202,7 +202,7 @@ def check_short_path(exhaustive_q: int = 3, d_max: int = 4,
         f = build_fractal(random_q, directed=directed)
         m = len(f.graph.edges)
         for _ in range(samples):
-            size = rnd.randint(0, 8)
+            size = rnd.randint(0, min(8, m))
             dead = rnd.sample(range(m), size)
             if not verify(f, dead):
                 failures.append(f"q={random_q} dir={directed} D={sorted(dead)}")

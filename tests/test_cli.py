@@ -121,15 +121,15 @@ def test_compose_mded_refuses_directed_inputs_with_costs(capsys, tmp_path):
 
 
 def test_solve_refuses_graph_document_with_a_longer_edge(capsys, tmp_path):
-    # Every edge is one hop: the graph is refused as it is parsed, before
-    # solve could ask whether the document is an instance.
+    # Every edge is one hop, which parse checks (test_graph.py); solve
+    # refuses a graph document on its tag, before any edge is read.
     path = tmp_path / "long.json"
     path.write_text(json.dumps({"type": "graph", "directed": True, "n": 3,
                                 "edges": [[0, 1], [1, 2, 1, 2], [2, 0]]}))
     code, out, err = run(capsys, "solve", "--method", "brute",
                          "--input", str(path))
-    assert (code, out, err) == (2, "", "error: invalid graph: edge (1,2) has "
-                                       "length 2; every edge is one hop\n")
+    assert (code, out, err) == (
+        2, "", f"error: {path} does not contain a problem instance\n")
 
 
 def test_compose_dsct_from_dags(capsys):
@@ -336,9 +336,10 @@ def test_fractal_depth_over_cap_exits_two(capsys, tmp_path):
     doc = {"type": "fractal", "q": 21, "directed": False, "cost": 1, "edges": []}
     deep = tmp_path / "fractal.json"
     deep.write_text(json.dumps(doc))
+    # solve refuses any fractal document on its tag, over-deep or not
     code, out, err = run(capsys, "solve", "--method", "fpt", "--input", str(deep))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "depth" in err and err.count("\n") == 1
+    assert (code, out) == (2, "")
+    assert err == f"error: {deep} does not contain a problem instance\n"
 
 
 def test_solve_refuses_a_fractal_document_without_building_it(
@@ -358,6 +359,33 @@ def test_solve_refuses_a_fractal_document_without_building_it(
     assert (code, out) == (2, "")
     assert err == f"error: {doc} does not contain a problem instance\n"
     assert builds == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--method", "brute", "--input"),
+    ("compose", "--problem", "lbec", "--inputs"),
+], ids=["solve", "compose"])
+@pytest.mark.parametrize("doc", [
+    {"type": "fractal", "q": 3, "directed": False, "cost": 1, "edges": "rows"},
+    {"type": "graph", "directed": False, "n": -1, "edges": [[0, 0, 0]]},
+], ids=["fractal", "graph"])
+def test_tagged_documents_are_refused_before_their_rows(capsys, tmp_path,
+                                                        argv, doc):
+    # Neither document would parse; the refusal names the document kind
+    # without reading any field past the tag.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} does not contain a problem instance\n"
+
+
+def test_untagged_document_without_a_problem_is_unrecognized(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    code, out, err = run(capsys, "solve", "--method", "fpt", "--input", str(path))
+    assert (code, out, err) == (2, "", "error: unrecognized document: expected "
+                                       "a type tag or a problem field\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "dot", "dimacs"])

@@ -592,7 +592,7 @@ _DISCONNECTED = lbec_on(Graph(False, 5, [*_TRI, (2, 3)]), 2, 3, t=3)
     # Two faulty inputs: the first one in input order whose checks fail is
     # reported, each input's checks running in the documented order.
     (lambda: compose_mded([_DOUBLED, _DISCONNECTED]),
-     "input 1 must be connected"),
+     "input 0 must be a simple unit graph"),
 ], ids=["empty", "mixed-kinds", "inequivalent", "not-lbec", "gadget-ell",
         "gadget-k", "pad-bad-class", "pad-ell", "mode", "bad-class", "ell",
         "k-zero", "dsct-undirected", "count", "lbec-orientation",

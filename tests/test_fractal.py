@@ -23,7 +23,7 @@ def test_depth_zero():
     f = build_fractal(0)
     assert f.graph.n == 2 and len(f.graph.edges) == 1
     assert f.sigma == 0 and f.tau == 1
-    assert f.boundaries == ((0,),)
+    assert tuple(map(tuple, f.boundaries)) == ((0,),)
 
 
 def test_depth_three_counts():

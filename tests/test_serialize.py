@@ -96,7 +96,7 @@ def fractal_to_json_obj(f):
     return {"type": "fractal", "q": f.depth, "directed": f.graph.directed,
             "cost": f.edge_cost, "sigma": f.sigma, "tau": f.tau,
             "n": f.graph.n, "edges": [(e.u, e.v) for e in f.graph.edges],
-            "boundaries": f.boundaries}
+            "boundaries": [list(b) for b in f.boundaries]}
 
 
 def test_to_json_matches_stdlib_on_fractals():
